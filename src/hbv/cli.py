@@ -8,6 +8,7 @@ failed (the report names it), 2 on input, validation or budget errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -246,6 +247,13 @@ def cmd_tqft(args):
         cfg["cobordism_preset"] = args.preset
     else:
         raise InputError("tqft eval needs --cobordism or --preset")
+    width = max(cob.p, cob.q)
+    dim = alg.dim ** width
+    budget = _budget(args)
+    if dim > budget:
+        raise BudgetError(
+            f"tensor power A^(x){width} of dimension {dim} exceeds the budget {budget}"
+        )
     tm = tqft_evaluate(alg, frob, cob, args.strict_positive_boundary)
     f = alg.field
     report = build_report(
@@ -343,7 +351,8 @@ def build_parser():
     p.add_argument("--cobordism", help="cobordism JSON file")
     p.add_argument("--preset", help="cobordism preset (cyl, pants, ...)")
     p.add_argument("--strict-positive-boundary", action="store_true")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None,
+                   help="cap on dim(A)^max(in, out) (default 20000 or HBV_BUDGET)")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_tqft)
 
@@ -356,11 +365,25 @@ def build_parser():
     return ap
 
 
+def _check_output(path):
+    """Refuse a report path whose directory is missing or not writable
+    before anything is computed."""
+    if not path or os.path.isdir(path):
+        raise InputError(f"cannot write {path!r}: not a file path")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise InputError(f"cannot write {path}: directory {parent} does not exist")
+    if not os.access(parent, os.W_OK):
+        raise InputError(f"cannot write {path}: directory {parent} is not writable")
+
+
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     t0 = time.time()
     try:
+        if getattr(args, "output", None) is not None:
+            _check_output(args.output)
         status = args.func(args)
     except (InputError, FieldError, GroupError, AlgebraError, CobordismError,
             BudgetError, LinalgError, OSError, ValueError) as exc:

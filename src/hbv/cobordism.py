@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import product
 
 from .algebra import FDAlgebra, FrobeniusStructure, PreconditionError
-from .linalg import Matrix, inverse
+from .linalg import Matrix, inverse, kron
 
 
 class CobordismError(ValueError):
@@ -247,20 +248,8 @@ class TQFTMap:
         return TQFTMap(self.p, other.q, other.matrix * self.matrix)
 
     def tensor(self, other: "TQFTMap") -> "TQFTMap":
-        f = self.matrix.field
-        a, b = self.matrix, other.matrix
-        out = Matrix(f, a.nrows * b.nrows, a.ncols * b.ncols)
-        for i1 in range(a.nrows):
-            for j1 in range(a.ncols):
-                v = a.data[i1][j1]
-                if f.is_zero(v):
-                    continue
-                for i2 in range(b.nrows):
-                    for j2 in range(b.ncols):
-                        w = b.data[i2][j2]
-                        if not f.is_zero(w):
-                            out.data[i1 * b.nrows + i2][j1 * b.ncols + j2] = f.mul(v, w)
-        return TQFTMap(self.p + other.p, self.q + other.q, out)
+        return TQFTMap(self.p + other.p, self.q + other.q,
+                       kron(self.matrix, other.matrix))
 
     def __eq__(self, other):
         return (
@@ -281,6 +270,10 @@ class FrobeniusTQFT:
     The coalgebra structure is derived from the pairing (coproduct of the
     unit = copairing) and its axioms are asserted at construction.
     Noncommutative algebras and degenerate pairings are refused.
+
+    Component maps (per genus, in-legs, out-legs) and port index maps (per
+    slot permutation) are built on first use and kept on the instance, so
+    one instance serves many evaluations cheaply.
     """
 
     def __init__(self, alg: FDAlgebra, frob: FrobeniusStructure,
@@ -292,6 +285,8 @@ class FrobeniusTQFT:
         self.alg = alg
         self.frob = frob
         self.strict = strict_positive_boundary
+        self._components = {}   # (genus, p, q) -> Matrix, never handed out
+        self._port_maps = {}    # sources -> [(index, sign)], never handed out
         f = alg.field
         m = alg.dim
         C = inverse(frob.pairing)
@@ -383,34 +378,15 @@ class FrobeniusTQFT:
             raise PreconditionError("pairing-induced coproduct fails the counit axiom")
         # coassociativity
         dm = self.coproduct
-        lhs = self._tensor_mat(dm, Matrix.identity(f, m)) * dm
-        rhs = self._tensor_mat(Matrix.identity(f, m), dm) * dm
+        lhs = kron(dm, ident) * dm
+        rhs = kron(ident, dm) * dm
         if lhs != rhs:
             raise PreconditionError("pairing-induced coproduct is not coassociative")
         # Frobenius compatibility: delta o mu = (mu (x) id) o (id (x) delta)
         lhs = dm * self.mult
-        rhs = self._tensor_mat(self.mult, Matrix.identity(f, m)) * self._tensor_mat(
-            Matrix.identity(f, m), dm
-        )
+        rhs = kron(self.mult, ident) * kron(ident, dm)
         if lhs != rhs:
             raise PreconditionError("Frobenius compatibility fails")
-
-    @staticmethod
-    def _tensor_mat(a: Matrix, b: Matrix) -> Matrix:
-        f = a.field
-        out = Matrix(f, a.nrows * b.nrows, a.ncols * b.ncols)
-        for i1 in range(a.nrows):
-            for j1 in range(a.ncols):
-                v = a.data[i1][j1]
-                if f.is_zero(v):
-                    continue
-                for i2 in range(b.nrows):
-                    row = b.data[i2]
-                    for j2 in range(b.ncols):
-                        w = row[j2]
-                        if not f.is_zero(w):
-                            out.data[i1 * b.nrows + i2][j1 * b.ncols + j2] = f.mul(v, w)
-        return out
 
     # -- evaluation ---------------------------------------------------------------
 
@@ -422,10 +398,10 @@ class FrobeniusTQFT:
             for i, c in enumerate(self.unit_vec):
                 out.data[i][0] = c
             return out
-        cur = Matrix.identity(f, m)
+        ident = Matrix.identity(f, m)
+        cur = ident
         for _ in range(p - 1):
-            cur = (self.mult
-                   * self._tensor_mat(cur, Matrix.identity(f, m)))
+            cur = self.mult * kron(cur, ident)
         return cur
 
     def _iterated_coproduct(self, q: int) -> Matrix:
@@ -436,53 +412,61 @@ class FrobeniusTQFT:
             for i, c in enumerate(self.counit_vec):
                 out.data[0][i] = c
             return out
-        cur = Matrix.identity(f, m)
+        ident = Matrix.identity(f, m)
+        cur = ident
         for _ in range(q - 1):
-            cur = self._tensor_mat(cur, Matrix.identity(f, m)) * self.coproduct
+            cur = kron(cur, ident) * self.coproduct
         return cur
 
     def _component_matrix(self, genus: int, p_i: int, q_i: int) -> Matrix:
-        cur = self._iterated_mult(p_i)
-        for _ in range(genus):
-            cur = self.handle * cur
-        return self._iterated_coproduct(q_i) * cur
+        """The map of one connected component, cached per shape; callers
+        must not mutate it."""
+        key = (genus, p_i, q_i)
+        mat = self._components.get(key)
+        if mat is None:
+            mat = self._iterated_mult(p_i)
+            for _ in range(genus):
+                mat = self.handle * mat
+            mat = self._iterated_coproduct(q_i) * mat
+            self._components[key] = mat
+        return mat
 
-    def _port_permutation(self, sources, width: int) -> Matrix:
-        """Matrix of A^{(x)width} -> A^{(x)width} sending tensor slot t of the
-        target to slot sources[t] of the source (Koszul signs per degrees)."""
-        f = self.alg.field
-        m = self.alg.dim
-        degs = self.alg.degrees
-        size = m ** width
-        out = Matrix(f, size, size)
-        for col in range(size):
-            digits = []
-            rem = col
-            for _ in range(width):
-                rem, d = divmod(rem, m)
-                digits.append(d)
-            digits.reverse()
-            tgt = [digits[s] for s in sources]
-            row = 0
-            for d in tgt:
-                row = row * m + d
-            # Koszul sign: weighted inversions of the slot permutation
-            sign = 1
-            for t in range(width):
-                s = sources[t]
-                for t2 in range(t + 1, width):
-                    if sources[t2] < s:
-                        if (degs[digits[s]] * degs[digits[sources[t2]]]) % 2:
-                            sign = -sign
-            out.data[row][col] = f.one if sign > 0 else f.neg(f.one)
+    def _port_map(self, sources: tuple) -> list:
+        """The signed permutation of A^{(x)width} (width = len(sources))
+        sending tensor slot t of the target to slot sources[t] of the source,
+        as a list over source indices of (target index, sign).  The Koszul
+        sign flips once per inverted pair of slots whose basis elements are
+        both of odd degree.  Cached per sources; callers must not mutate it."""
+        out = self._port_maps.get(sources)
+        if out is None:
+            m = self.alg.dim
+            odd = [d % 2 for d in self.alg.degrees]
+            inversions = [(s, s2) for t, s in enumerate(sources)
+                          for s2 in sources[t + 1:] if s2 < s]
+            out = []
+            # digits run most significant first, as in the column index
+            for digits in product(range(m), repeat=len(sources)):
+                row = 0
+                for s in sources:
+                    row = row * m + digits[s]
+                sign = 1
+                for s, s2 in inversions:
+                    if odd[digits[s]] and odd[digits[s2]]:
+                        sign = -sign
+                out.append((row, sign))
+            self._port_maps[sources] = out
         return out
 
     def evaluate(self, cob: Cobordism) -> TQFTMap:
         """Evaluate a cobordism: each component contributes iterated product,
         handle factors, iterated coproduct; ports are wired by (signed)
-        tensor permutations; closed components contribute scalar factors."""
+        tensor permutations; closed components contribute scalar factors.
+
+        The permutations are applied as index maps: the columns of the
+        component block are gathered through the in-port map and its rows
+        scattered through the out-port map, so the result is built from
+        fresh rows and no dense permutation product is formed."""
         f = self.alg.field
-        m = self.alg.dim
         if self.strict:
             for genus, ins, outs in cob.components:
                 if not ins or not outs:
@@ -506,24 +490,24 @@ class FrobeniusTQFT:
         block = None
         for genus, ins, outs in open_comps:
             mat = self._component_matrix(genus, len(ins), len(outs))
-            piece = TQFTMap(len(ins), len(outs), mat)
-            block = piece if block is None else block.tensor(piece)
+            block = mat if block is None else kron(block, mat)
         if block is None:
             out = Matrix(f, 1, 1)
             out.data[0][0] = scalar
             return TQFTMap(cob.p, cob.q, out)
-        # wire global in-ports to component slots
+        # in: global input index -> (block column, sign)
         in_slots = [i for _, ins, _ in open_comps for i in ins]
+        cols = self._port_map(tuple(port - 1 for port in in_slots))
+        # out: block row -> (global output index, sign); target global port
+        # j comes from block slot (position of j)
         out_slots = [j for _, _, outs in open_comps for j in outs]
-        pin = self._port_permutation(
-            [port - 1 for port in in_slots], cob.p
-        )
-        # out: target global port j comes from block slot (position of j)
         pos = {port: k for k, port in enumerate(out_slots)}
-        pout = self._port_permutation(
-            [pos[j] for j in range(1, cob.q + 1)], cob.q
-        )
-        mat = pout * (block.matrix * pin)
+        rows = self._port_map(tuple(pos[j] for j in range(1, cob.q + 1)))
+        neg = f.neg
+        data = [None] * len(rows)
+        for src, (r, s) in zip(block.data, rows):
+            data[r] = [src[c] if s == sc else neg(src[c]) for c, sc in cols]
+        mat = Matrix(f, len(rows), len(cols), data)
         if scalar != f.one:
             mat = mat.scale(scalar)
         return TQFTMap(cob.p, cob.q, mat)

@@ -105,19 +105,17 @@ class Matrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise LinalgError("matrix product shape mismatch")
+        is_zero, add, mul = f.is_zero, f.add, f.mul
+        # each row of other as its nonzero (j, b) pairs, collected once
+        other_rows = [[(j, b) for j, b in enumerate(rk) if not is_zero(b)]
+                      for rk in other.data]
         out = Matrix(f, self.nrows, other.ncols)
-        for i in range(self.nrows):
-            ri = self.data[i]
-            oi = out.data[i]
-            for k in range(self.ncols):
-                a = ri[k]
-                if f.is_zero(a):
+        for ri, oi in zip(self.data, out.data):
+            for a, rk in zip(ri, other_rows):
+                if not rk or is_zero(a):
                     continue
-                rk = other.data[k]
-                for j in range(other.ncols):
-                    b = rk[j]
-                    if not f.is_zero(b):
-                        oi[j] = f.add(oi[j], f.mul(a, b))
+                for j, b in rk:
+                    oi[j] = add(oi[j], mul(a, b))
         return out
 
     def apply(self, vec):
@@ -161,6 +159,26 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.field}, {self.nrows}x{self.ncols})"
+
+
+def kron(a: Matrix, b: Matrix) -> Matrix:
+    """The Kronecker product a (x) b: entry (i1*b.nrows + i2, j1*b.ncols + j2)
+    is a[i1][j1] * b[i2][j2]."""
+    f = a.field
+    is_zero, mul = f.is_zero, f.mul
+    b_rows = [[(j2, w) for j2, w in enumerate(row) if not is_zero(w)]
+              for row in b.data]
+    out = Matrix(f, a.nrows * b.nrows, a.ncols * b.ncols)
+    for i1, arow in enumerate(a.data):
+        for j1, v in enumerate(arow):
+            if is_zero(v):
+                continue
+            base = j1 * b.ncols
+            for i2, brow in enumerate(b_rows):
+                orow = out.data[i1 * b.nrows + i2]
+                for j2, w in brow:
+                    orow[base + j2] = mul(v, w)
+    return out
 
 
 def rref(m: Matrix):
@@ -440,7 +458,9 @@ def _strip_content(row: dict) -> dict:
 
 def _rank_rows_q(rows) -> int:
     """Rank over Q.  Rows are scaled to content-free integer vectors; updates
-    are fraction-free cross-multiplications, so no Fraction churn in the loop."""
+    are fraction-free cross-multiplications, so no Fraction churn in the loop.
+    Against a pivot of +-1 the row is reduced in place without scaling, and
+    its content is left for the next non-unit step to strip."""
     ech: dict[int, dict] = {}
     rk = 0
     for r in rows:
@@ -460,6 +480,17 @@ def _rank_rows_q(rows) -> int:
                 break
             a = cur.pop(pc)
             b = er[pc]
+            if b == 1 or b == -1:
+                a *= b   # cur - (a/b) er, and 1/b = b
+                for c, v in er.items():
+                    if c == pc:
+                        continue
+                    nv = cur.get(c, 0) - a * v
+                    if nv:
+                        cur[c] = nv
+                    else:
+                        cur.pop(c, None)
+                continue
             new = {c: b * v for c, v in cur.items()}
             for c, v in er.items():
                 if c == pc:

@@ -207,3 +207,37 @@ def test_report_schema_fields(capsys):
     for key in ("schema", "tool", "command", "config", "results", "checks", "ok"):
         assert key in report
     assert report["schema"] == "hbv-report/1"
+
+
+def test_tqft_budget_refuses_wide_boundary(capsys, monkeypatch):
+    argv = ["tqft", "eval", "--group", "Z6", "--field", "Q", "--preset", "pants"]
+    status = main(argv + ["--budget", "1"])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert "36" in captured.err
+    # the cap is inclusive: 6^2 = 36 fits a budget of 36
+    status, report = run(capsys, *argv, "--budget", "36")
+    assert status == 0
+    assert report["results"]["in_circles"] == 2
+    monkeypatch.setenv("HBV_BUDGET", "35")
+    assert main(argv) == 2
+    assert "36" in capsys.readouterr().err
+
+
+def test_unwritable_output_fails_before_computing(capsys, monkeypatch, tmp_path):
+    import hbv.cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("computed before the output path was checked")
+
+    monkeypatch.setattr(hbv.cli, "hochschild_dims", must_not_run)
+    missing = tmp_path / "missing" / "r.json"
+    for target in (missing, tmp_path, ""):
+        status = main(["hochschild", "--group", "Z2", "--field", "F2",
+                       "--max-degree", "3", "-o", str(target)])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert str(target) in captured.err
+    assert not missing.parent.exists()

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -17,12 +18,12 @@ from hbv.cobordism import (
     det_line,
     identity_cobordism,
     pants_decomposition,
-
+    permutation_cobordism,
     preset_cobordism,
     tqft_evaluate,
     twist_coeff,
 )
-from hbv.linalg import Matrix, determinant
+from hbv.linalg import Matrix, determinant, kron
 
 
 def random_cobordism(rng, p, q, maxg=2):
@@ -268,6 +269,93 @@ def test_graded_commutative_is_not_commutative():
     assert not alg.is_commutative()
     with pytest.raises(PreconditionError):
         FrobeniusTQFT(alg, lie_pairing(alg))
+
+
+# -- port wiring against dense signed permutation matrices -------------------
+
+def signed_permutation(alg, sources, width):
+    """The dense matrix of A^{(x)width} -> A^{(x)width} sending tensor slot t
+    of the target to slot sources[t] of the source, with the Koszul sign of
+    the weighted inversions of the slot permutation."""
+    f = alg.field
+    m = alg.dim
+    degs = alg.degrees
+    size = m ** width
+    out = Matrix(f, size, size)
+    for col in range(size):
+        digits = []
+        rem = col
+        for _ in range(width):
+            rem, d = divmod(rem, m)
+            digits.append(d)
+        digits.reverse()
+        row = 0
+        for s in sources:
+            row = row * m + digits[s]
+        sign = 1
+        for t in range(width):
+            s = sources[t]
+            for t2 in range(t + 1, width):
+                if sources[t2] < s:
+                    if (degs[digits[s]] * degs[digits[sources[t2]]]) % 2:
+                        sign = -sign
+        out.data[row][col] = f.one if sign > 0 else f.neg(f.one)
+    return out
+
+
+def dense_evaluate(T, cob):
+    """Reference evaluation of a cobordism without closed components: the
+    block of component maps between two dense signed permutations."""
+    alg = T.alg
+    comps = cob.components
+    assert all(ins or outs for _, ins, outs in comps)
+    if not comps:
+        return Matrix.identity(alg.field, 1)
+    block = None
+    for genus, ins, outs in comps:
+        mat = T._component_matrix(genus, len(ins), len(outs))
+        block = mat if block is None else kron(block, mat)
+    in_slots = [i for _, ins, _ in comps for i in ins]
+    out_slots = [j for _, _, outs in comps for j in outs]
+    pin = signed_permutation(alg, [port - 1 for port in in_slots], cob.p)
+    pos = {port: k for k, port in enumerate(out_slots)}
+    pout = signed_permutation(alg, [pos[j] for j in range(1, cob.q + 1)], cob.q)
+    return pout * (block * pin)
+
+
+def test_koszul_wiring_matches_dense_reference():
+    # the degree-3 generator makes swaps of x (x) x carry a sign
+    alg = exterior_algebra([3], QQ)
+    frob = lie_pairing(alg)
+    T = FrobeniusTQFT(alg, frob)
+    ref = FrobeniusTQFT(alg, frob)
+    cobs = [permutation_cobordism(list(perm))
+            for width in range(4)
+            for perm in itertools.permutations(range(1, width + 1))]
+    rng = random.Random(41)
+    cobs += [random_cobordism(rng, rng.randint(0, 3), rng.randint(0, 3), maxg=2)
+             for _ in range(60)]
+    for cob in cobs:
+        assert T.evaluate(cob).matrix == dense_evaluate(ref, cob), cob
+    twist = T.evaluate(preset_cobordism("twist")).matrix
+    xx = 1 * 2 + 1   # x (x) x in the basis (1, x)
+    assert twist.data[xx][xx] == -1
+
+
+def test_evaluate_returns_fresh_rows(qz3):
+    alg, frob = qz3
+    T = FrobeniusTQFT(alg, frob)
+    cobs = [preset_cobordism("cyl"), preset_cobordism("pants"),
+            connected_cobordism(1, 2, 2),
+            Cobordism(2, 2, [(1, [2], [1]), (0, [1], [2])]),
+            Cobordism(1, 1, [(0, [1], [1]), (2, [], [])])]
+    for cob in cobs:
+        first = T.evaluate(cob).matrix
+        expected = [list(row) for row in first.data]
+        for row in first.data:
+            row[:] = [Fraction(7)] * len(row)
+        first.data.append([])
+        assert T.evaluate(cob).matrix.data == expected
 
 
 # -- determinant lines ------------------------------------------------------------------

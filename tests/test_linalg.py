@@ -15,6 +15,7 @@ from hbv.linalg import (
     determinant,
     inverse,
     kernel_basis,
+    kron,
     rank,
     rref,
     solve,
@@ -123,6 +124,63 @@ def test_determinant():
     assert determinant(M(QQ, [["1", "2"], ["2", "4"]])) == 0
 
 
+def random_sparse(rng, field, nrows, ncols):
+    """Entries mostly zero, with one all-zero row and column when there is
+    room for one."""
+    zero_row = rng.randrange(nrows) if nrows > 1 else None
+    zero_col = rng.randrange(ncols) if ncols > 1 else None
+    out = Matrix(field, nrows, ncols)
+    for i in range(nrows):
+        for j in range(ncols):
+            if i != zero_row and j != zero_col and rng.random() < 0.4:
+                out.data[i][j] = field.of_int(rng.randint(-5, 5))
+    return out
+
+
+def naive_product(a, b):
+    f = a.field
+    out = Matrix(f, a.nrows, b.ncols)
+    for i in range(a.nrows):
+        for j in range(b.ncols):
+            s = f.zero
+            for k in range(a.ncols):
+                s = f.add(s, f.mul(a.data[i][k], b.data[k][j]))
+            out.data[i][j] = s
+    return out
+
+
+def test_product_matches_triple_loop():
+    rng = random.Random(23)
+    shapes = [(0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 0), (1, 1, 1)]
+    shapes += [(rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7))
+               for _ in range(30)]
+    for field in (QQ, GF(2), GF(3)):
+        for n, k, m in shapes:
+            a = random_sparse(rng, field, n, k)
+            b = random_sparse(rng, field, k, m)
+            prod = a * b
+            assert (prod.nrows, prod.ncols) == (n, m)
+            assert prod == naive_product(a, b)
+    with pytest.raises(LinalgError):
+        Matrix(QQ, 2, 3) * Matrix(QQ, 2, 3)
+
+
+def test_kron_entries():
+    rng = random.Random(31)
+    for field in (QQ, GF(3)):
+        for _ in range(10):
+            a = random_sparse(rng, field, rng.randint(0, 3), rng.randint(1, 3))
+            b = random_sparse(rng, field, rng.randint(1, 3), rng.randint(0, 3))
+            k = kron(a, b)
+            assert (k.nrows, k.ncols) == (a.nrows * b.nrows, a.ncols * b.ncols)
+            for i1 in range(a.nrows):
+                for j1 in range(a.ncols):
+                    for i2 in range(b.nrows):
+                        for j2 in range(b.ncols):
+                            assert (k.data[i1 * b.nrows + i2][j1 * b.ncols + j2]
+                                    == field.mul(a.data[i1][j1], b.data[i2][j2]))
+
+
 # -- sparse engines agree with dense ------------------------------------------
 
 def test_sparse_matches_dense():
@@ -147,6 +205,24 @@ def test_sparse_matches_dense():
             assert pivots == dpivots
             for prow, pr in zip(prows, range(len(pivots))):
                 assert [prow.get(j, field.zero) for j in range(nc)] == e.data[pr]
+
+
+def test_rank_q_unit_and_nonunit_pivots():
+    # dependent rows over a few generators with mostly +-1 entries, as in bar
+    # differentials, so elimination meets unit and non-unit pivots and must
+    # reduce the dependent rows exactly to zero
+    rng = random.Random(43)
+    for _ in range(60):
+        nc = rng.randint(2, 10)
+        gens = [[Fraction(rng.choice([0, 0, 1, -1, 1, -1, 2]), rng.choice([1, 1, 1, 2]))
+                 for _ in range(nc)] for _ in range(rng.randint(1, 6))]
+        rows = []
+        for _ in range(rng.randint(1, 12)):
+            coefs = [rng.choice([0, 1, -1]) for _ in gens]
+            rows.append([sum((c * g[j] for c, g in zip(coefs, gens)), Fraction(0))
+                         for j in range(nc)])
+        m = Matrix.from_rows(QQ, rows)
+        assert sparse_rank(SparseMatrix.from_matrix(m)) == rank(m)
 
 
 # -- complexes ----------------------------------------------------------------
