@@ -17,7 +17,7 @@ from importlib import resources
 
 from .fields import field_by_name
 from .groups import FiniteGroup
-from .linalg import Matrix, inverse, kernel_basis, LinalgError
+from .linalg import Matrix, accumulate, inverse, kernel_basis, LinalgError
 
 
 class AlgebraError(ValueError):
@@ -224,11 +224,7 @@ class HopfData:
             if f.is_zero(a):
                 continue
             for jk, c in self.coproduct.get(i, {}).items():
-                s = f.add(out.get(jk, f.zero), f.mul(a, c))
-                if f.is_zero(s):
-                    out.pop(jk, None)
-                else:
-                    out[jk] = s
+                accumulate(f, out, jk, f.mul(a, c))
         return out
 
     def counit_of_vec(self, vec):
@@ -256,12 +252,7 @@ class HopfData:
                 coef = f.mul(f.mul(c1, c2), sign)
                 for j, cj in alg.mul_basis(j1, j2).items():
                     for k, ck in alg.mul_basis(k1, k2).items():
-                        key = (j, k)
-                        s = f.add(out.get(key, f.zero), f.mul(coef, f.mul(cj, ck)))
-                        if f.is_zero(s):
-                            out.pop(key, None)
-                        else:
-                            out[key] = s
+                        accumulate(f, out, (j, k), f.mul(coef, f.mul(cj, ck)))
         return out
 
     def _check_axioms(self):

@@ -18,12 +18,13 @@ from .algebra import FDAlgebra, FrobeniusStructure
 from .hochschild import (
     BarComplex,
     BVStructure,
-    HHClass,
+    CohomologyClass,
     HochschildCohomology,
     connes_b_dual,
     connes_b_dual_matrix,
 )
 from .linalg import Complex, Matrix, SparseMatrix, rank
+from .reports import CheckReport
 
 
 class CyclicComplex:
@@ -62,7 +63,8 @@ class CyclicComplex:
 
     def _total_differential(self, n: int) -> SparseMatrix:
         """Rows of Tot^n -> Tot^{n+1}: block k' receives the Hochschild
-        differential of column k' and the rotation image of column k'-1."""
+        differential of column k' and the rotation image of column k'-1.
+        The two source columns are disjoint, so entries are only set."""
         f = self.alg.field
         src_cols = self.columns(n)
         dst_cols = self.columns(n + 1)
@@ -71,24 +73,17 @@ class CyclicComplex:
         rows = [dict() for _ in range(dst_dim)]
         src_off = {k: off for (k, m, off, d) in src_cols}
         for (kd, md, offd, dd) in dst_cols:
+            blocks = []
             # Hochschild differential from source column kd (degree md - 1)
             if kd in src_off and md >= 1:
-                dmat = self.bar.complex.differential(md - 1)
-                o = src_off[kd]
-                for r in range(dd):
-                    for c, v in dmat.rows[r].items():
-                        rows[offd + r][o + c] = v
+                blocks.append((self.bar.complex.differential(md - 1), src_off[kd]))
             # rotation from source column kd - 1 (degree md + 1)
             if kd - 1 in src_off:
-                bmat = self._b_matrices[md + 1]
-                o = src_off[kd - 1]
+                blocks.append((self._b_matrices[md + 1], src_off[kd - 1]))
+            for mat, o in blocks:
                 for r in range(dd):
-                    for c, v in bmat.rows[r].items():
-                        s = f.add(rows[offd + r].get(o + c, f.zero), v)
-                        if f.is_zero(s):
-                            rows[offd + r].pop(o + c, None)
-                        else:
-                            rows[offd + r][o + c] = s
+                    for c, v in mat.rows[r].items():
+                        rows[offd + r][o + c] = v
         return SparseMatrix(f, dst_dim, src_dim, rows)
 
     # -- cohomology -------------------------------------------------------------
@@ -141,33 +136,6 @@ class CyclicComplex:
         return out
 
 
-class HCClass:
-    """A cyclic cohomology class: coordinates in the deterministic basis
-    plus a representative total cocycle."""
-
-    __slots__ = ("space", "degree", "coords", "representative")
-
-    def __init__(self, space, degree, coords, representative):
-        self.space = space
-        self.degree = degree
-        self.coords = coords
-        self.representative = representative
-
-    def is_zero(self):
-        f = self.space.alg.field
-        return all(f.is_zero(c) for c in self.coords)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HCClass)
-            and self.degree == other.degree
-            and self.coords == other.coords
-        )
-
-    def __repr__(self):
-        return f"HCClass(degree {self.degree}, coords {self.coords})"
-
-
 class CyclicCohomology:
     """HC^*(A) with the Connes sequence maps into the Hochschild machinery."""
 
@@ -198,35 +166,30 @@ class CyclicCohomology:
             for i, rep in enumerate(data.representatives):
                 coords = [f.zero] * data.dim
                 coords[i] = f.one
-                out.append(HCClass(self, n, coords, dict(rep)))
+                out.append(CohomologyClass(self, n, coords, dict(rep)))
             self._classes[n] = out
         return self._classes[n]
 
-    def project(self, n: int, vec: dict) -> HCClass:
+    def project(self, n: int, vec: dict) -> CohomologyClass:
         if n < 0:
-            return HCClass(self, n, [], dict(vec))
+            return CohomologyClass(self, n, [], dict(vec))
         data = self.total.cohomology(n)
-        return HCClass(self, n, data.project(vec), dict(vec))
-
-    def zero_class(self, n: int) -> HCClass:
-        f = self.alg.field
-        dim = self.total.cohomology(n).dim if 0 <= n <= self.max_degree else 0
-        return HCClass(self, n, [f.zero] * dim, {})
+        return CohomologyClass(self, n, data.project(vec), dict(vec))
 
     # -- the long exact sequence maps --------------------------------------------
 
-    def to_hochschild(self, cls: HCClass, hh) -> HHClass:
+    def to_hochschild(self, cls: CohomologyClass, hh) -> CohomologyClass:
         """I : HC^n -> HH^n(A; A-dual), projection to column zero."""
         bar_vec = self.total.block(cls.degree, cls.representative, 0)
         c = hh.bar.vec_to_cochain(cls.degree, bar_vec)
         return hh.project(c)
 
-    def periodicity(self, cls: HCClass) -> HCClass:
+    def periodicity(self, cls: CohomologyClass) -> CohomologyClass:
         """S : HC^n -> HC^{n+2}, the column shift."""
         shifted = self.total.shift(cls.degree, cls.representative)
         return self.project(cls.degree + 2, shifted)
 
-    def connecting(self, hh_cls: HHClass, hh) -> HCClass:
+    def connecting(self, hh_cls: CohomologyClass, hh) -> CohomologyClass:
         """The connecting map HH^n(A; A-dual) -> HC^{n-1} by the zig-zag:
         lift to column zero, apply the total differential, unshift."""
         n = hh_cls.degree
@@ -238,24 +201,6 @@ class CyclicCohomology:
             raise ValueError("representative is not a cocycle")
         chi = self.total.unshift(n + 1, dtot)
         return self.project(n - 1, chi)
-
-
-class ConnesSequenceReport:
-    def __init__(self):
-        self.checks = []
-
-    def record(self, name, ok, witness=None):
-        self.checks.append((name, bool(ok), witness))
-
-    def all_ok(self):
-        return all(ok for _, ok, _ in self.checks)
-
-    def failures(self):
-        return [(n, w) for n, ok, w in self.checks if not ok]
-
-    def __repr__(self):
-        good = sum(1 for _, ok, _ in self.checks if ok)
-        return f"ConnesSequenceReport({good}/{len(self.checks)} pass)"
 
 
 def _map_matrix(field, images, target_dim):
@@ -277,7 +222,7 @@ def connes_maps(alg: FDAlgebra, max_degree: int, budget: int | None = None,
     hc = hc or CyclicCohomology(alg, max_degree, budget)
     hh = hh or HochschildCohomology(alg, "dual", max_degree, budget)
     W = hc.certified
-    report = ConnesSequenceReport()
+    report = CheckReport()
 
     I_mats = {}
     S_mats = {}
@@ -369,7 +314,7 @@ class StringBracket:
     def certified(self):
         return self.hc.certified
 
-    def bracket(self, x: HCClass, y: HCClass) -> HCClass:
+    def bracket(self, x: CohomologyClass, y: CohomologyClass) -> CohomologyClass:
         """{x, y} := (-1)^{|x| - d} connecting(I(x) u I(y)), the cup routed
         through HH(A;A) since dual-coefficient cochains cannot be cupped."""
         f = self.alg.field
@@ -387,14 +332,15 @@ class StringBracket:
         exp = (x.degree - d) % 2
         if exp:
             coords = [f.neg(c) for c in out.coords]
-            return HCClass(self.hc, out.degree, coords,
-                           {k: f.neg(vv) for k, vv in out.representative.items()})
+            return CohomologyClass(
+                self.hc, out.degree, coords,
+                {k: f.neg(vv) for k, vv in out.representative.items()})
         return out
 
     def morphism_check(self):
         """The map x -> D(I(x)) sends the string bracket to the Gerstenhaber
         bracket: {M(x), M(y)} = M({x, y}) on all certified pairs."""
-        report = ConnesSequenceReport()
+        report = CheckReport()
         W = self.certified()
         for nx in range(W + 1):
             for ny in range(W + 1 - nx):
@@ -427,7 +373,7 @@ class StringBracket:
         certified basis classes."""
         f = self.alg.field
         d = self.pairing_shift
-        report = ConnesSequenceReport()
+        report = CheckReport()
         W = self.certified()
 
         def neg(coords):

@@ -46,7 +46,8 @@ from itertools import product
 
 from .algebra import FDAlgebra, FrobeniusStructure, PreconditionError
 from .groups import FiniteGroup
-from .linalg import Complex, Matrix, SparseMatrix, inverse
+from .linalg import Complex, Matrix, SparseMatrix, accumulate, inverse
+from .reports import CheckReport
 
 DEFAULT_BUDGET = 20000
 
@@ -125,11 +126,7 @@ class Cochain:
             raise ValueError("cochain sum degree/coefficient mismatch")
         table = dict(self.table)
         for k, v in other.table.items():
-            s = f.add(table.get(k, f.zero), v)
-            if f.is_zero(s):
-                table.pop(k, None)
-            else:
-                table[k] = s
+            accumulate(f, table, k, v)
         return Cochain(self.alg, self.coeff, self.degree, table)
 
     def minus(self, other: "Cochain") -> "Cochain":
@@ -156,30 +153,23 @@ def chain_b(alg: FDAlgebra, n: int, a0: int, tup: tuple):
     f = alg.field
     unit = alg.unit_index
     out: dict = {}
-
-    def add(key, c):
-        s = f.add(out.get(key, f.zero), c)
-        if f.is_zero(s):
-            out.pop(key, None)
-        else:
-            out[key] = s
-
     if n == 0:
         return out
     degs0 = alg.degrees[a0]
     degs = [alg.degrees[x] for x in tup]
     for w, cw in alg.mul_basis(a0, tup[0]).items():
-        add((w, tup[1:]), cw)
+        accumulate(f, out, (w, tup[1:]), cw)
     for i in range(1, n):
         sgn = f.neg(f.one) if i % 2 else f.one
         for u, cu in alg.mul_basis(tup[i - 1], tup[i]).items():
             if u == unit:
                 continue
-            add((a0, tup[:i - 1] + (u,) + tup[i + 1:]), f.mul(sgn, cu))
+            accumulate(f, out, (a0, tup[:i - 1] + (u,) + tup[i + 1:]),
+                       f.mul(sgn, cu))
     exp = n + degs[n - 1] * (degs0 + sum(degs[:n - 1]))
     sgn = f.neg(f.one) if exp % 2 else f.one
     for w, cw in alg.mul_basis(tup[n - 1], a0).items():
-        add((w, tup[:n - 1]), f.mul(sgn, cw))
+        accumulate(f, out, (w, tup[:n - 1]), f.mul(sgn, cw))
     return out
 
 
@@ -199,12 +189,7 @@ def chain_connes_B(alg: FDAlgebra, n: int, a0: int, tup: tuple):
         else:
             new_tup = tup[j - 1:] + (a0,) + tup[:j - 1]
             exp = n * j + (degs0 + sum(degs[:j - 1])) * sum(degs[j - 1:])
-        c = f.neg(f.one) if exp % 2 else f.one
-        s = f.add(out.get((unit, new_tup), f.zero), c)
-        if f.is_zero(s):
-            out.pop((unit, new_tup), None)
-        else:
-            out[(unit, new_tup)] = s
+        accumulate(f, out, (unit, new_tup), f.neg(f.one) if exp % 2 else f.one)
     return out
 
 
@@ -280,22 +265,15 @@ class BarComplex:
     # -- differentials ----------------------------------------------------------
 
     def _dual_differential(self, n: int) -> SparseMatrix:
-        """Transpose of the chain differential b : C_{n+1} -> C_n."""
+        """Transpose of the chain differential b : C_{n+1} -> C_n.  Row
+        entries are the chain coefficients re-keyed by ``encode``, which is
+        injective, so no two of them meet."""
         alg = self.alg
         f = alg.field
         m = alg.dim
-        rows = []
-        for s in product(self.nonunit, repeat=n + 1):
-            for w in range(m):
-                row: dict = {}
-                for (a0, t), c in chain_b(alg, n + 1, w, s).items():
-                    col = self.encode(t, a0)
-                    v = f.add(row.get(col, f.zero), c)
-                    if f.is_zero(v):
-                        row.pop(col, None)
-                    else:
-                        row[col] = v
-                rows.append(row)
+        rows = [{self.encode(t, a0): c
+                 for (a0, t), c in chain_b(alg, n + 1, w, s).items()}
+                for s in product(self.nonunit, repeat=n + 1) for w in range(m)]
         return SparseMatrix(f, (m - 1) ** (n + 1) * m, (m - 1) ** n * m, rows)
 
     def _self_differential(self, n: int) -> SparseMatrix:
@@ -311,14 +289,6 @@ class BarComplex:
             degs = [alg.degrees[x] for x in s] if graded else None
             for w in range(m):
                 row: dict = {}
-
-                def add(col, coef, row=row):
-                    v = f.add(row.get(col, f.zero), coef)
-                    if f.is_zero(v):
-                        row.pop(col, None)
-                    else:
-                        row[col] = v
-
                 # (-1)^{|a_1| t} a_1 . f(a_2..)
                 for v in range(m):
                     c = alg.mul_basis(s[0], v).get(w)
@@ -328,20 +298,21 @@ class BarComplex:
                         t_col = alg.degrees[v] - sum(degs[1:])
                         if (degs[0] * t_col) % 2:
                             c = f.neg(c)
-                    add(self.encode(s[1:], v), c)
+                    accumulate(f, row, self.encode(s[1:], v), c)
                 # (-1)^i f(.., a_i a_{i+1}, ..)
                 for i in range(n):
                     sgn = neg_one if i % 2 == 0 else one
                     for u, cu in alg.mul_basis(s[i], s[i + 1]).items():
                         if u == unit:
                             continue
-                        add(self.encode(s[:i] + (u,) + s[i + 2:], w), f.mul(sgn, cu))
+                        accumulate(f, row, self.encode(s[:i] + (u,) + s[i + 2:], w),
+                                   f.mul(sgn, cu))
                 # (-1)^{n+1} f(a_1..a_n) . a_{n+1}
                 sgn = one if (n + 1) % 2 == 0 else neg_one
                 for v in range(m):
                     c = alg.mul_basis(v, s[n]).get(w)
                     if c is not None:
-                        add(self.encode(s[:n], v), f.mul(sgn, c))
+                        accumulate(f, row, self.encode(s[:n], v), f.mul(sgn, c))
                 rows.append(row)
         return SparseMatrix(f, (m - 1) ** (n + 1) * m, (m - 1) ** n * m, rows)
 
@@ -424,12 +395,7 @@ def cup(f: Cochain, g: Cochain) -> Cochain:
                     values[w] = c
             tup = t1 + t2
             for w, cw in values.items():
-                key = (tup, w)
-                s = fl.add(table.get(key, fl.zero), fl.mul(coef, cw))
-                if fl.is_zero(s):
-                    table.pop(key, None)
-                else:
-                    table[key] = s
+                accumulate(fl, table, (tup, w), fl.mul(coef, cw))
     return Cochain(alg, out_coeff, f.degree + g.degree, table)
 
 
@@ -451,12 +417,7 @@ def circle(f: Cochain, g: Cochain) -> Cochain:
                 coef = fl.mul(cf, cg)
                 if ((q - 1) * i) % 2:
                     coef = fl.neg(coef)
-                key = (tf[:i] + tg + tf[i + 1:], vf)
-                s = fl.add(table.get(key, fl.zero), coef)
-                if fl.is_zero(s):
-                    table.pop(key, None)
-                else:
-                    table[key] = s
+                accumulate(fl, table, (tf[:i] + tg + tf[i + 1:], vf), coef)
     return Cochain(alg, "self", f.degree + q - 1, table)
 
 
@@ -506,13 +467,7 @@ def connes_b_dual(f: Cochain) -> Cochain:
                 dpre = d0 + sum(alg.degrees[x] for x in tup[n - j + 1:])
                 dpost = sum(degs) - dpre
                 exp = (n - 1) * j + dpre * dpost
-            coef = fl.neg(c) if exp % 2 else c
-            key = (out_tup, a0)
-            s = fl.add(table.get(key, fl.zero), coef)
-            if fl.is_zero(s):
-                table.pop(key, None)
-            else:
-                table[key] = s
+            accumulate(fl, table, (out_tup, a0), fl.neg(c) if exp % 2 else c)
     return Cochain(alg, "dual", n - 1, table)
 
 
@@ -527,18 +482,9 @@ def connes_b_dual_matrix(bar: BarComplex, n: int) -> SparseMatrix:
     if n == 0:
         return SparseMatrix(f, 0, src)
     dst = (m - 1) ** (n - 1) * m
-    rows = []
-    for s in product(bar.nonunit, repeat=n - 1):
-        for w in range(m):
-            row: dict = {}
-            for (a0, t), c in chain_connes_B(alg, n - 1, w, s).items():
-                col = bar.encode(t, a0)
-                v = f.add(row.get(col, f.zero), c)
-                if f.is_zero(v):
-                    row.pop(col, None)
-                else:
-                    row[col] = v
-            rows.append(row)
+    rows = [{bar.encode(t, a0): c
+             for (a0, t), c in chain_connes_B(alg, n - 1, w, s).items()}
+            for s in product(bar.nonunit, repeat=n - 1) for w in range(m)]
     return SparseMatrix(f, dst, src, rows)
 
 
@@ -546,9 +492,10 @@ def connes_b_dual_matrix(bar: BarComplex, n: int) -> SparseMatrix:
 # cohomology with classes
 
 
-class HHClass:
-    """A Hochschild cohomology class: coordinates in the deterministic basis
-    plus a chosen representative cocycle."""
+class CohomologyClass:
+    """A Hochschild or cyclic cohomology class: coordinates in the
+    deterministic basis of its space plus a chosen representative cocycle
+    (a ``Cochain`` in HH, a total vector in HC)."""
 
     __slots__ = ("space", "degree", "coords", "representative")
 
@@ -564,13 +511,13 @@ class HHClass:
 
     def __eq__(self, other):
         return (
-            isinstance(other, HHClass)
+            isinstance(other, CohomologyClass)
             and self.degree == other.degree
             and self.coords == other.coords
         )
 
     def __repr__(self):
-        return f"HHClass(degree {self.degree}, coords {self.coords})"
+        return f"CohomologyClass(degree {self.degree}, coords {self.coords})"
 
 
 class HochschildCohomology:
@@ -604,26 +551,27 @@ class HochschildCohomology:
             for i, rep in enumerate(data.representatives):
                 coords = [f.zero] * data.dim
                 coords[i] = f.one
-                out.append(HHClass(self, n, coords, self.bar.vec_to_cochain(n, rep)))
+                out.append(CohomologyClass(self, n, coords,
+                                           self.bar.vec_to_cochain(n, rep)))
             self._classes[n] = out
         return self._classes[n]
 
-    def project(self, c: Cochain) -> HHClass:
+    def project(self, c: Cochain) -> CohomologyClass:
         """The class of a cocycle; equality of classes is decided by
         coboundary membership, never representative equality."""
         if c.degree < 0:
-            return HHClass(self, c.degree, [], c)
+            return CohomologyClass(self, c.degree, [], c)
         data = self.bar.cohomology(c.degree)
         coords = data.project(self.bar.cochain_to_vec(c))
-        return HHClass(self, c.degree, coords, c)
+        return CohomologyClass(self, c.degree, coords, c)
 
-    def zero_class(self, n: int) -> HHClass:
+    def zero_class(self, n: int) -> CohomologyClass:
         dim = self.dim(n) if 0 <= n <= self.max_degree else 0
         f = self.alg.field
-        return HHClass(self, n, [f.zero] * dim,
-                       Cochain(self.alg, self.coeff, max(n, 0), {}))
+        return CohomologyClass(self, n, [f.zero] * dim,
+                               Cochain(self.alg, self.coeff, max(n, 0), {}))
 
-    def unit_class(self) -> HHClass:
+    def unit_class(self) -> CohomologyClass:
         if self.coeff != "self":
             raise CoefficientError("the unit class lives in HH^0(A;A)")
         return self.project(unit_cochain(self.alg))
@@ -679,12 +627,7 @@ class BVStructure:
                 mv = mat.data[w][v]
                 if f.is_zero(mv):
                     continue
-                key = (tup, w)
-                s = f.add(table.get(key, f.zero), f.mul(coef, mv))
-                if f.is_zero(s):
-                    table.pop(key, None)
-                else:
-                    table[key] = s
+                accumulate(f, table, (tup, w), f.mul(coef, mv))
         return Cochain(self.alg, out_coeff, c.degree, table)
 
     def to_self(self, c: Cochain) -> Cochain:
@@ -697,24 +640,24 @@ class BVStructure:
         """Post-compose a self-coefficient cochain with the pairing map."""
         return self._compose_values(c, self.lam, "dual")
 
-    def duality(self, cls: HHClass) -> HHClass:
+    def duality(self, cls: CohomologyClass) -> CohomologyClass:
         """D : HH(A; A-dual) -> HH(A; A)."""
         return self.hh.project(self.to_self(cls.representative))
 
-    def duality_inv(self, cls: HHClass) -> HHClass:
+    def duality_inv(self, cls: CohomologyClass) -> CohomologyClass:
         """D^{-1} : HH(A; A) -> HH(A; A-dual)."""
         return self.hh_dual.project(self.to_dual(cls.representative))
 
     # -- the BV operator --------------------------------------------------------
 
-    def delta(self, cls: HHClass) -> HHClass:
+    def delta(self, cls: CohomologyClass) -> CohomologyClass:
         """Delta = D o (rotation transpose) o D^{-1}, lowering degree by 1."""
         if cls.degree == 0:
             return self.hh.zero_class(0)
         rotated = connes_b_dual(self.to_dual(cls.representative))
         return self.hh.project(self.to_self(rotated))
 
-    def delta_dual(self, cls: HHClass) -> HHClass:
+    def delta_dual(self, cls: CohomologyClass) -> CohomologyClass:
         """The rotation operator on HH(A; A-dual) classes."""
         if cls.degree == 0:
             return self.hh_dual.zero_class(0)
@@ -722,12 +665,12 @@ class BVStructure:
 
     # -- class-level products -----------------------------------------------------
 
-    def cup_classes(self, x: HHClass, y: HHClass) -> HHClass:
+    def cup_classes(self, x: CohomologyClass, y: CohomologyClass) -> CohomologyClass:
         if x.degree + y.degree > self.max_degree:
             raise ValueError("cup product lands above the truncation degree")
         return self.hh.project(cup(x.representative, y.representative))
 
-    def bracket_classes(self, x: HHClass, y: HHClass) -> HHClass:
+    def bracket_classes(self, x: CohomologyClass, y: CohomologyClass) -> CohomologyClass:
         if x.degree + y.degree - 1 > self.max_degree:
             raise ValueError("bracket lands above the truncation degree")
         return self.hh.project(
@@ -735,30 +678,9 @@ class BVStructure:
         )
 
 
-class BVReport:
-    def __init__(self):
-        self.checks = []  # (name, ok, witness-or-None)
-
-    def record(self, name, ok, witness=None):
-        self.checks.append((name, bool(ok), witness))
-
-    def all_ok(self):
-        return all(ok for _, ok, _ in self.checks)
-
-    def failures(self):
-        return [(n, w) for n, ok, w in self.checks if not ok]
-
-    def counts(self):
-        good = sum(1 for _, ok, _ in self.checks if ok)
-        return good, len(self.checks)
-
-    def __repr__(self):
-        good, total = self.counts()
-        return f"BVReport({good}/{total} checks pass)"
-
-
 def bv_check(alg: FDAlgebra, frob: FrobeniusStructure, max_degree: int,
-             budget: int | None = None, flip_sign_convention: bool = False) -> BVReport:
+             budget: int | None = None,
+             flip_sign_convention: bool = False) -> CheckReport:
     """The full BV verification suite on cohomology classes.
 
     Within the certified window (cochain degrees of the arguments summing to
@@ -776,7 +698,7 @@ def bv_check(alg: FDAlgebra, frob: FrobeniusStructure, max_degree: int,
     f = alg.field
     N = max_degree
     window = N - 2
-    report = BVReport()
+    report = CheckReport()
 
     one = bv.hh.unit_class()
     report.record("delta(1) = 0", bv.delta(one).is_zero())
@@ -910,21 +832,13 @@ def group_cochain_dims(g: FiniteGroup, field, max_degree: int,
         for s in product(nu, repeat=n + 1):
             row = rows[r]
             r += 1
-
-            def add(col, coef, row=row):
-                v = f.add(row.get(col, f.zero), coef)
-                if f.is_zero(v):
-                    row.pop(col, None)
-                else:
-                    row[col] = v
-
-            add(encode(s[1:]), one)
+            accumulate(f, row, encode(s[1:]), one)
             for i in range(n):
                 u = g.table[s[i]][s[i + 1]]
                 if u != g.identity:
-                    add(encode(s[:i] + (u,) + s[i + 2:]),
-                        neg_one if i % 2 == 0 else one)
-            add(encode(s[:n]), one if (n + 1) % 2 == 0 else neg_one)
+                    accumulate(f, row, encode(s[:i] + (u,) + s[i + 2:]),
+                               neg_one if i % 2 == 0 else one)
+            accumulate(f, row, encode(s[:n]), one if (n + 1) % 2 == 0 else neg_one)
         diffs[n] = SparseMatrix(f, dims[n + 1], dims[n], rows)
     cx = Complex(f, dims, diffs)
     return [cx.cohomology_dim(n) for n in range(max_degree + 1)]

@@ -7,16 +7,19 @@ used by all small structural computations (pairings, antipodes, TQFT maps).
 at the top truncation degree rule out dense storage; rank and kernel engines
 on it are exact over both Q and F_p.
 
-Determinism: the dense ``rref`` eliminates with the leftmost-pivot /
-topmost-row rule, and the sparse echelon reproduces the same (unique) reduced
-form, so chosen kernel vectors and cohomology representatives are bit-stable.
-The rank-only engine instead pivots on the largest column index, which is
-empirically near fill-free on bar differentials; rank does not depend on the
-pivot rule.
+Elimination.  One forward echelon per arithmetic, pivoting on the largest
+column index (empirically near fill-free on bar differentials), serves both
+rank and kernel: ``_echelon_fp`` over F_p and the fraction-free
+``_echelon_q`` over Q.  Rank over F_2 uses bitset rows instead.  The sparse
+kernel basis equals, vector for vector, the one the dense leftmost-pivot
+``rref`` gives, since the reduced kernel basis is unique.  ``EchelonStore``
+pivots on the smallest column, because the cohomology representatives it
+selects, and so every coordinate in a report, depend on that rule.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
 from .fields import RationalField
@@ -28,6 +31,15 @@ class LinalgError(ValueError):
 
 class WindowError(LinalgError):
     """Degree outside a complex's stored window."""
+
+
+def accumulate(f, d, key, value):
+    """``d[key] += value`` over the field ``f``, dropping the key at zero."""
+    s = f.add(d.get(key, f.zero), value)
+    if f.is_zero(s):
+        d.pop(key, None)
+    else:
+        d[key] = s
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +342,6 @@ class SparseMatrix:
         ]
         return cls(f, m.nrows, m.ncols, rows)
 
-    def to_matrix(self) -> Matrix:
-        m = Matrix(self.field, self.nrows, self.ncols)
-        for i, row in enumerate(self.rows):
-            for j, v in row.items():
-                m.data[i][j] = v
-        return m
-
     def columns(self):
         """Column-oriented copy: list of dicts row -> value."""
         cols = [dict() for _ in range(self.ncols)]
@@ -417,10 +422,10 @@ def _rank_rows_f2(rows) -> int:
     return rk
 
 
-def _rank_rows_fp(rows, p) -> int:
-    """Rank over F_p, dict rows, max-column pivot."""
+def _echelon_fp(rows, p) -> dict:
+    """Forward echelon over F_p, dict rows, max-column pivot: returns
+    ``{pivot: row}`` with every row scaled to pivot entry 1."""
     ech: dict[int, dict] = {}
-    rk = 0
     for r in rows:
         cur = {c: v % p for c, v in r.items() if v % p}
         while cur:
@@ -431,7 +436,6 @@ def _rank_rows_fp(rows, p) -> int:
                 if inv != 1:
                     cur = {c: (v * inv) % p for c, v in cur.items()}
                 ech[pc] = cur
-                rk += 1
                 break
             coef = cur.pop(pc)
             for c, v in er.items():
@@ -442,7 +446,7 @@ def _rank_rows_fp(rows, p) -> int:
                     cur[c] = nv
                 else:
                     cur.pop(c, None)
-    return rk
+    return ech
 
 
 def _strip_content(row: dict) -> dict:
@@ -456,13 +460,15 @@ def _strip_content(row: dict) -> dict:
     return row
 
 
-def _rank_rows_q(rows) -> int:
-    """Rank over Q.  Rows are scaled to content-free integer vectors; updates
-    are fraction-free cross-multiplications, so no Fraction churn in the loop.
-    Against a pivot of +-1 the row is reduced in place without scaling, and
-    its content is left for the next non-unit step to strip."""
+def _echelon_q(rows) -> dict:
+    """Forward echelon over Q, max-column pivot: returns ``{pivot: row}``
+    with integer rows, each a nonzero multiple of the row the same
+    elimination over Fractions would store.  Rows are scaled to integer
+    vectors and updated by fraction-free cross-multiplication, so there is
+    no Fraction churn in the loop.  Against a pivot of +-1 the row is reduced
+    in place without scaling, and its content is left for the next non-unit
+    step to strip."""
     ech: dict[int, dict] = {}
-    rk = 0
     for r in rows:
         dens = 1
         for v in r.values():
@@ -476,7 +482,6 @@ def _rank_rows_q(rows) -> int:
             er = ech.get(pc)
             if er is None:
                 ech[pc] = cur
-                rk += 1
                 break
             a = cur.pop(pc)
             b = er[pc]
@@ -501,7 +506,16 @@ def _rank_rows_q(rows) -> int:
                 else:
                     new.pop(c, None)
             cur = _strip_content(new)
-    return rk
+    return ech
+
+
+def _echelon(f, rows) -> dict:
+    """Max-column forward echelon over the field ``f``: ``{pivot: row}``,
+    every row a field vector with pivot entry 1."""
+    if isinstance(f, RationalField):
+        return {pc: {c: Fraction(v, row[pc]) for c, v in row.items()}
+                for pc, row in _echelon_q(rows).items()}
+    return _echelon_fp(rows, f.char)
 
 
 def sparse_rank(sm: SparseMatrix) -> int:
@@ -510,92 +524,12 @@ def sparse_rank(sm: SparseMatrix) -> int:
     total = 0
     for comp in _column_components(sm.rows):
         if isinstance(f, RationalField):
-            total += _rank_rows_q(comp)
+            total += len(_echelon_q(comp))
         elif f.char == 2:
             total += _rank_rows_f2(comp)
         else:
-            total += _rank_rows_fp(comp, f.char)
+            total += len(_echelon_fp(comp, f.char))
     return total
-
-
-def sparse_rref(sm: SparseMatrix):
-    """Sparse reduced echelon: returns ``(pivot_rows, pivots)``.
-
-    ``pivots`` is strictly increasing and ``pivot_rows[i]`` is the (unique)
-    reduced row with leading 1 in column ``pivots[i]``, identical to the
-    rows of the dense ``rref`` on the same matrix.
-    """
-    f = sm.field
-    ech: dict[int, dict] = {}
-    for r in sm.rows:
-        cur = dict(r)
-        while cur:
-            pc = min(cur)
-            er = ech.get(pc)
-            if er is None:
-                inv = f.inv(cur[pc])
-                if inv != f.one:
-                    cur = {c: f.mul(inv, v) for c, v in cur.items()}
-                ech[pc] = cur
-                break
-            coef = cur.pop(pc)
-            for c, v in er.items():
-                if c == pc:
-                    continue
-                nv = f.sub(cur.get(c, f.zero), f.mul(coef, v))
-                if f.is_zero(nv):
-                    cur.pop(c, None)
-                else:
-                    cur[c] = nv
-    pivots = sorted(ech)
-    # back-eliminate pivot columns from earlier rows, right to left
-    for pc in reversed(pivots):
-        prow = ech[pc]
-        for qc in pivots:
-            if qc >= pc:
-                break
-            row = ech[qc]
-            coef = row.get(pc)
-            if coef is None:
-                continue
-            del row[pc]
-            for c, v in prow.items():
-                if c == pc:
-                    continue
-                nv = f.sub(row.get(c, f.zero), f.mul(coef, v))
-                if f.is_zero(nv):
-                    row.pop(c, None)
-                else:
-                    row[c] = nv
-    return [ech[pc] for pc in pivots], pivots
-
-
-def _maxcol_echelon(sm: SparseMatrix):
-    """Forward echelon with pivot = largest column (fast on bar-type
-    matrices); rows normalized to pivot 1, keyed by pivot column."""
-    f = sm.field
-    ech: dict[int, dict] = {}
-    for r in sm.rows:
-        cur = {c: v for c, v in r.items() if not f.is_zero(v)}
-        while cur:
-            pc = max(cur)
-            er = ech.get(pc)
-            if er is None:
-                inv = f.inv(cur[pc])
-                if inv != f.one:
-                    cur = {c: f.mul(inv, v) for c, v in cur.items()}
-                ech[pc] = cur
-                break
-            coef = cur.pop(pc)
-            for c, v in er.items():
-                if c == pc:
-                    continue
-                nv = f.sub(cur.get(c, f.zero), f.mul(coef, v))
-                if f.is_zero(nv):
-                    cur.pop(c, None)
-                else:
-                    cur[c] = nv
-    return ech
 
 
 def sparse_kernel_basis(sm: SparseMatrix):
@@ -603,17 +537,17 @@ def sparse_kernel_basis(sm: SparseMatrix):
     identical vector-for-vector to ``kernel_basis`` on the dense form.
 
     The canonical (leftmost-pivot RREF) kernel basis is computed without the
-    slow leftmost elimination: a fast max-column echelon parameterizes the
-    kernel, and re-reducing the kernel vectors under the max-column rule
-    yields the unique basis whose vectors carry 1 on their own free column
-    and 0 on every other free column, which is exactly the RREF kernel basis.
+    slow leftmost elimination: the max-column echelon parameterizes the
+    kernel, and re-reducing the kernel vectors with the same echelon, then
+    back-eliminating, yields the unique basis whose vectors carry 1 on their
+    own free column and 0 on every other free column, which is exactly the
+    RREF kernel basis.
     """
     f = sm.field
-    ech = _maxcol_echelon(sm)
-    pivot_set = set(ech)
+    ech = _echelon(f, sm.rows)
     raw = []
     for c in range(sm.ncols):
-        if c in pivot_set:
+        if c in ech:
             continue
         vec = {c: f.one}
         # rows have support at columns <= pivot: solve in increasing order
@@ -629,28 +563,7 @@ def sparse_kernel_basis(sm: SparseMatrix):
             if not f.is_zero(s):
                 vec[pc] = f.neg(s)
         raw.append(vec)
-    # canonicalize: fully reduced max-column echelon of the kernel space
-    kech: dict[int, dict] = {}
-    for vec in raw:
-        cur = dict(vec)
-        while cur:
-            pc = max(cur)
-            er = kech.get(pc)
-            if er is None:
-                inv = f.inv(cur[pc])
-                if inv != f.one:
-                    cur = {c: f.mul(inv, v) for c, v in cur.items()}
-                kech[pc] = cur
-                break
-            coef = cur.pop(pc)
-            for c, v in er.items():
-                if c == pc:
-                    continue
-                nv = f.sub(cur.get(c, f.zero), f.mul(coef, v))
-                if f.is_zero(nv):
-                    cur.pop(c, None)
-                else:
-                    cur[c] = nv
+    kech = _echelon(f, raw)
     pivs = sorted(kech, reverse=True)
     for pc in pivs:
         prow = kech[pc]
@@ -658,18 +571,13 @@ def sparse_kernel_basis(sm: SparseMatrix):
             if qc <= pc:
                 continue
             row = kech[qc]
-            coef = row.get(pc)
+            coef = row.pop(pc, None)
             if coef is None:
                 continue
-            del row[pc]
+            coef = f.neg(coef)
             for c, v in prow.items():
-                if c == pc:
-                    continue
-                nv = f.sub(row.get(c, f.zero), f.mul(coef, v))
-                if f.is_zero(nv):
-                    row.pop(c, None)
-                else:
-                    row[c] = nv
+                if c != pc:
+                    accumulate(f, row, c, f.mul(coef, v))
     return [kech[pc] for pc in sorted(kech)]
 
 
@@ -701,15 +609,11 @@ class EchelonStore:
             if track:
                 tag = self.tags[pc]
                 if tag >= 0:
-                    coeffs[tag] = f.add(coeffs.get(tag, f.zero), coef)
+                    accumulate(f, coeffs, tag, coef)
+            coef = f.neg(coef)
             for c, v in er.items():
-                if c == pc:
-                    continue
-                nv = f.sub(cur.get(c, f.zero), f.mul(coef, v))
-                if f.is_zero(nv):
-                    cur.pop(c, None)
-                else:
-                    cur[c] = nv
+                if c != pc:
+                    accumulate(f, cur, c, f.mul(coef, v))
         return cur, coeffs
 
     def insert(self, vec: dict, tag: int = -1):
@@ -736,36 +640,7 @@ class EchelonStore:
 
 
 # ---------------------------------------------------------------------------
-# graded spaces and complexes
-
-
-class GradedVectorSpace:
-    """Degree -> dimension table with optional basis labels per degree.
-    Degrees outside the stored support are zero-dimensional."""
-
-    def __init__(self, dims: dict, labels: dict | None = None):
-        self.dims = {n: d for n, d in dims.items() if d}
-        self.labels = labels or {}
-        for n, d in self.dims.items():
-            if d < 0:
-                raise LinalgError(f"negative dimension at degree {n}")
-            if n in self.labels and len(self.labels[n]) != d:
-                raise LinalgError(f"label count mismatch at degree {n}")
-
-    def dim(self, n) -> int:
-        return self.dims.get(n, 0)
-
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
-    def support(self):
-        return sorted(self.dims)
-
-    def __eq__(self, other):
-        return isinstance(other, GradedVectorSpace) and self.dims == other.dims
-
-    def __repr__(self):
-        return f"GradedVectorSpace({self.dims})"
+# complexes
 
 
 class CohomologyData:

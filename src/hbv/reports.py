@@ -54,8 +54,34 @@ def emit(report: dict, path=None) -> str:
     return text
 
 
-def checks_from(report_obj) -> list:
-    """Flatten a BVReport/ConnesSequenceReport-style object into check dicts."""
+class CheckReport:
+    """The outcome of an identity suite: named checks in the order they ran,
+    each with its verdict and, when it fails, an optional witness."""
+
+    def __init__(self):
+        self.checks = []  # (name, ok, witness-or-None)
+
+    def record(self, name, ok, witness=None):
+        self.checks.append((name, bool(ok), witness))
+
+    def all_ok(self):
+        return all(ok for _, ok, _ in self.checks)
+
+    def failures(self):
+        return [(n, w) for n, ok, w in self.checks if not ok]
+
+    def counts(self):
+        good = sum(1 for _, ok, _ in self.checks if ok)
+        return good, len(self.checks)
+
+    def __repr__(self):
+        good, total = self.counts()
+        return f"CheckReport({good}/{total} checks pass)"
+
+
+def checks_from(report_obj: CheckReport) -> list:
+    """Flatten a ``CheckReport`` into check dicts; a witness is kept only on
+    a failed check."""
     out = []
     for name, ok, witness in report_obj.checks:
         entry = {"name": name, "ok": bool(ok)}

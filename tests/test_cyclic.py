@@ -92,8 +92,8 @@ def test_connecting_independent_of_representative():
                     n,
                     _vec_add(f, bar.cochain_to_vec(x.representative), col),
                 )
-                from hbv.hochschild import HHClass
-                x2 = HHClass(hh, n, x.coords, pert)
+                from hbv.hochschild import CohomologyClass
+                x2 = CohomologyClass(hh, n, x.coords, pert)
                 assert hc.connecting(x2, hh).coords == base
                 break
 

@@ -7,7 +7,6 @@ import pytest
 from hbv.fields import QQ, GF, field_by_name, FieldError
 from hbv.linalg import (
     Complex,
-    GradedVectorSpace,
     LinalgError,
     Matrix,
     SparseMatrix,
@@ -21,7 +20,6 @@ from hbv.linalg import (
     solve,
     sparse_kernel_basis,
     sparse_rank,
-    sparse_rref,
 )
 
 
@@ -183,28 +181,61 @@ def test_kron_entries():
 
 # -- sparse engines agree with dense ------------------------------------------
 
+def _dense(sm):
+    m = Matrix(sm.field, sm.nrows, sm.ncols)
+    for i, row in enumerate(sm.rows):
+        for j, v in row.items():
+            m.data[i][j] = v
+    return m
+
+
+def assert_kernels_agree(sm):
+    """The sparse kernel basis equals the dense one vector for vector; over
+    Q every entry is a ``Fraction`` (an ``int`` would render differently in
+    a report)."""
+    field = sm.field
+    dense_k = kernel_basis(_dense(sm))
+    sparse_k = sparse_kernel_basis(sm)
+    assert len(dense_k) == len(sparse_k)
+    for dv, sv in zip(dense_k, sparse_k):
+        assert dv == [sv.get(i, field.zero) for i in range(sm.ncols)]
+        if field is QQ:
+            assert all(type(v) is Fraction for v in sv.values())
+
+
 def test_sparse_matches_dense():
     rng = random.Random(17)
-    for field in (QQ, GF(2), GF(5)):
+    rationals = [Fraction(v) for v in (-2, -1, 0, 1, 2)]
+    rationals += [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)]
+    for field in (QQ, GF(2), GF(3), GF(5)):
         for _ in range(30):
             nr, nc = rng.randint(1, 6), rng.randint(1, 6)
-            m = Matrix.from_rows(
-                field,
-                [[field.of_int(rng.randint(-2, 2)) for _ in range(nc)]
-                 for _ in range(nr)],
-            )
+            if field is QQ:
+                data = [[rng.choice(rationals) for _ in range(nc)]
+                        for _ in range(nr)]
+            else:
+                data = [[field.of_int(rng.randint(-2, 2)) for _ in range(nc)]
+                        for _ in range(nr)]
+            m = Matrix.from_rows(field, data)
             sm = SparseMatrix.from_matrix(m)
             assert sparse_rank(sm) == rank(m)
-            dense_k = kernel_basis(m)
-            sparse_k = sparse_kernel_basis(sm)
-            assert len(dense_k) == len(sparse_k)
-            for dv, sv in zip(dense_k, sparse_k):
-                assert dv == [sv.get(i, field.zero) for i in range(nc)]
-            prows, pivots = sparse_rref(sm)
-            e, dpivots, _ = rref(m)
-            assert pivots == dpivots
-            for prow, pr in zip(prows, range(len(pivots))):
-                assert [prow.get(j, field.zero) for j in range(nc)] == e.data[pr]
+            assert_kernels_agree(sm)
+
+
+@pytest.mark.parametrize("name, field, gens", [
+    ("Z3", QQ, None), ("Z3", GF(3), None), ("ext3", QQ, [3]), ("ext35", QQ, [3, 5]),
+])
+@pytest.mark.parametrize("coeff", ["self", "dual"])
+def test_sparse_kernel_matches_dense_on_bar_differentials(name, field, gens, coeff):
+    from hbv.algebra import exterior_algebra, group_algebra
+    from hbv.groups import preset
+    from hbv.hochschild import BarComplex
+
+    alg = (group_algebra(preset(name), field) if gens is None
+           else exterior_algebra(gens, field))
+    bar = BarComplex(alg, coeff, 3)
+    for n in sorted(bar.complex.diffs):
+        assert_kernels_agree(bar.complex.differential(n))
 
 
 def test_rank_q_unit_and_nonunit_pivots():
@@ -296,7 +327,7 @@ def test_cohomology_dim_invariant_under_conjugation():
                 continue
         diffs = {}
         for k in range(3):
-            mat = bar.complex.differential(k).to_matrix()
+            mat = _dense(bar.complex.differential(k))
             if k == n:
                 mat = mat * minv
             if k == n - 1:
@@ -304,11 +335,3 @@ def test_cohomology_dim_invariant_under_conjugation():
             diffs[k] = SparseMatrix.from_matrix(mat)
         cx = Complex(f, dict(bar.complex.dims), diffs)
         assert [cx.cohomology_dim(j) for j in range(3)] == base_dims
-
-
-def test_graded_vector_space():
-    v = GradedVectorSpace({0: 1, 3: 1, 5: 0})
-    assert v.dim(3) == 1 and v.dim(5) == 0 and v.dim(17) == 0
-    assert v.total_dim() == 2 and v.support() == [0, 3]
-    with pytest.raises(LinalgError):
-        GradedVectorSpace({0: -1})
