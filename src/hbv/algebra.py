@@ -17,7 +17,7 @@ from importlib import resources
 
 from .fields import field_by_name
 from .groups import FiniteGroup
-from .linalg import Matrix, accumulate, inverse, kernel_basis, LinalgError
+from .linalg import Matrix, inverse, kernel_basis, LinalgError, sum_terms
 
 
 class AlgebraError(ValueError):
@@ -219,13 +219,9 @@ class HopfData:
 
     def coproduct_of_vec(self, vec) -> dict:
         f = self.alg.field
-        out: dict = {}
-        for i, a in enumerate(vec):
-            if f.is_zero(a):
-                continue
-            for jk, c in self.coproduct.get(i, {}).items():
-                accumulate(f, out, jk, f.mul(a, c))
-        return out
+        return sum_terms(f, [(jk, a * c) for i, a in enumerate(vec)
+                             if not f.is_zero(a)
+                             for jk, c in self.coproduct.get(i, {}).items()])
 
     def counit_of_vec(self, vec):
         f = self.alg.field
@@ -241,19 +237,16 @@ class HopfData:
         """Product in A (x) A with the Koszul sign."""
         alg = self.alg
         f = alg.field
-        out: dict = {}
+        terms = []
         for (j1, k1), c1 in x.items():
             for (j2, k2), c2 in y.items():
-                sign = (
-                    f.neg(f.one)
-                    if (alg.degrees[k1] * alg.degrees[j2]) % 2
-                    else f.one
-                )
-                coef = f.mul(f.mul(c1, c2), sign)
+                coef = c1 * c2
+                if (alg.degrees[k1] * alg.degrees[j2]) % 2:
+                    coef = -coef
                 for j, cj in alg.mul_basis(j1, j2).items():
                     for k, ck in alg.mul_basis(k1, k2).items():
-                        accumulate(f, out, (j, k), f.mul(coef, f.mul(cj, ck)))
-        return out
+                        terms.append(((j, k), coef * (cj * ck)))
+        return sum_terms(f, terms)
 
     def _check_axioms(self):
         alg = self.alg

@@ -2,7 +2,8 @@
 and verification suites, emit deterministic JSON reports.
 
 Exit status: 0 when every check in the report passes, 1 when a verification
-failed (the report names it), 2 on input, validation or budget errors.
+failed (the report names it), 2 on input, validation or budget errors, 3 when
+an internal invariant broke (a differential with d o d != 0).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .hochschild import (
     centralizer_oracle,
     hochschild_dims,
 )
-from .linalg import LinalgError
+from .linalg import LinalgError, SquareZeroError
 from .reports import build_report, checks_from, emit
 
 
@@ -385,6 +386,9 @@ def main(argv=None):
         if getattr(args, "output", None) is not None:
             _check_output(args.output)
         status = args.func(args)
+    except SquareZeroError as exc:
+        print(f"hbv: internal error: {exc}", file=sys.stderr)
+        return 3
     except (InputError, FieldError, GroupError, AlgebraError, CobordismError,
             BudgetError, LinalgError, OSError, ValueError) as exc:
         print(f"hbv: error: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ from .hochschild import (
     BVStructure,
     CohomologyClass,
     HochschildCohomology,
+    basis_classes,
     connes_b_dual,
     connes_b_dual_matrix,
 )
@@ -154,21 +155,8 @@ class CyclicCohomology:
         return self.total.cohomology_dim(n)
 
     def classes(self, n: int):
-        if n < 0 or n > self.max_degree:
-            return []
-        if n not in self._classes:
-            if self.dim(n) == 0:
-                self._classes[n] = []
-                return self._classes[n]
-            data = self.total.cohomology(n)
-            f = self.alg.field
-            out = []
-            for i, rep in enumerate(data.representatives):
-                coords = [f.zero] * data.dim
-                coords[i] = f.one
-                out.append(CohomologyClass(self, n, coords, dict(rep)))
-            self._classes[n] = out
-        return self._classes[n]
+        return basis_classes(self, n, self.total.cohomology,
+                             lambda n, rep: dict(rep))
 
     def project(self, n: int, vec: dict) -> CohomologyClass:
         if n < 0:

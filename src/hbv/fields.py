@@ -34,8 +34,9 @@ class RationalField:
     zero = Fraction(0)
     one = Fraction(1)
 
-    def of_int(self, n: int) -> Fraction:
-        return Fraction(n)
+    def of_int(self, n) -> Fraction:
+        """The element an int, or an exact rational, stands for."""
+        return n if type(n) is Fraction else Fraction(n)
 
     def add(self, a, b):
         return a + b

@@ -42,11 +42,11 @@ vanish.
 from __future__ import annotations
 
 import os
-from itertools import product
+from itertools import chain, product
 
 from .algebra import FDAlgebra, FrobeniusStructure, PreconditionError
 from .groups import FiniteGroup
-from .linalg import Complex, Matrix, SparseMatrix, accumulate, inverse
+from .linalg import Complex, Matrix, SparseMatrix, inverse, sum_terms
 from .reports import CheckReport
 
 DEFAULT_BUDGET = 20000
@@ -124,9 +124,7 @@ class Cochain:
         f = self.alg.field
         if other.degree != self.degree or other.coeff != self.coeff:
             raise ValueError("cochain sum degree/coefficient mismatch")
-        table = dict(self.table)
-        for k, v in other.table.items():
-            accumulate(f, table, k, v)
+        table = sum_terms(f, chain(self.table.items(), other.table.items()))
         return Cochain(self.alg, self.coeff, self.degree, table)
 
     def minus(self, other: "Cochain") -> "Cochain":
@@ -145,43 +143,19 @@ def unit_cochain(alg: FDAlgebra) -> Cochain:
 
 
 # ---------------------------------------------------------------------------
-# chain-level operators (the dual complex is their transpose)
-
-
-def chain_b(alg: FDAlgebra, n: int, a0: int, tup: tuple):
-    """b applied to the chain basis element a0[tup], as {(a0', tup'): coeff}."""
-    f = alg.field
-    unit = alg.unit_index
-    out: dict = {}
-    if n == 0:
-        return out
-    degs0 = alg.degrees[a0]
-    degs = [alg.degrees[x] for x in tup]
-    for w, cw in alg.mul_basis(a0, tup[0]).items():
-        accumulate(f, out, (w, tup[1:]), cw)
-    for i in range(1, n):
-        sgn = f.neg(f.one) if i % 2 else f.one
-        for u, cu in alg.mul_basis(tup[i - 1], tup[i]).items():
-            if u == unit:
-                continue
-            accumulate(f, out, (a0, tup[:i - 1] + (u,) + tup[i + 1:]),
-                       f.mul(sgn, cu))
-    exp = n + degs[n - 1] * (degs0 + sum(degs[:n - 1]))
-    sgn = f.neg(f.one) if exp % 2 else f.one
-    for w, cw in alg.mul_basis(tup[n - 1], a0).items():
-        accumulate(f, out, (w, tup[:n - 1]), f.mul(sgn, cw))
-    return out
+# the chain-level rotation (the dual complex is the transpose of the chain
+# complex; its differential is built in BarComplex._dual_differential)
 
 
 def chain_connes_B(alg: FDAlgebra, n: int, a0: int, tup: tuple):
     """The normalized Connes boundary on a0[tup] in C_n, as {(1, tup'): coeff}."""
     f = alg.field
     unit = alg.unit_index
-    out: dict = {}
     if a0 == unit:
-        return out
+        return {}
     degs0 = alg.degrees[a0]
     degs = [alg.degrees[x] for x in tup]
+    terms = []
     for j in range(n + 1):
         if j == 0:
             new_tup = (a0,) + tup
@@ -189,12 +163,21 @@ def chain_connes_B(alg: FDAlgebra, n: int, a0: int, tup: tuple):
         else:
             new_tup = tup[j - 1:] + (a0,) + tup[:j - 1]
             exp = n * j + (degs0 + sum(degs[:j - 1])) * sum(degs[j - 1:])
-        accumulate(f, out, (unit, new_tup), f.neg(f.one) if exp % 2 else f.one)
-    return out
+        terms.append(((unit, new_tup), -1 if exp % 2 else 1))
+    return sum_terms(f, terms)
 
 
 # ---------------------------------------------------------------------------
 # the bar cochain complex
+
+
+def _lifted_products(alg: FDAlgebra) -> dict:
+    """``(i, j) -> [(k, c), ...]``: the terms of e_i e_j in ``mul_basis``
+    order, each constant as an exact representative for ``sum_terms``: an
+    int (F_p elements are ints), or a Fraction if it is not integral."""
+    return {(i, j): [(k, c.numerator if c.denominator == 1 else c)
+                     for k, c in alg.mul_basis(i, j).items()]
+            for i in range(alg.dim) for j in range(alg.dim)}
 
 
 class BarComplex:
@@ -265,15 +248,31 @@ class BarComplex:
     # -- differentials ----------------------------------------------------------
 
     def _dual_differential(self, n: int) -> SparseMatrix:
-        """Transpose of the chain differential b : C_{n+1} -> C_n.  Row
-        entries are the chain coefficients re-keyed by ``encode``, which is
-        injective, so no two of them meet."""
+        """Transpose of the chain differential b : C_{n+1} -> C_n (module
+        docstring): row (s, w) holds b(w[s]), its terms keyed by ``encode``,
+        which is injective, so they meet exactly where the chain terms do."""
         alg = self.alg
         f = alg.field
         m = alg.dim
-        rows = [{self.encode(t, a0): c
-                 for (a0, t), c in chain_b(alg, n + 1, w, s).items()}
-                for s in product(self.nonunit, repeat=n + 1) for w in range(m)]
+        unit = alg.unit_index
+        deg = alg.degrees
+        prod = _lifted_products(alg)
+        rows = []
+        for s in product(self.nonunit, repeat=n + 1):
+            head = self.encode(s[1:], 0)     # (a0 a_1)[a_2..a_{n+1}]
+            tail = self.encode(s[:n], 0)     # (a_{n+1} a0)[a_1..a_n]
+            # sum_{0<i<n+1} (-1)^i a0[..|a_i a_{i+1}|..], keyed up to a0
+            mids = [(self.encode(s[:i - 1] + (u,) + s[i + 1:], 0),
+                     -c if i % 2 else c)
+                    for i in range(1, n + 1)
+                    for u, c in prod[s[i - 1], s[i]] if u != unit]
+            inner = sum(deg[x] for x in s[:n])
+            for w in range(m):
+                odd = (n + 1 + deg[s[n]] * (deg[w] + inner)) % 2
+                terms = [(head + x, c) for x, c in prod[w, s[0]]]
+                terms += [(k + w, c) for k, c in mids]
+                terms += [(tail + x, -c if odd else c) for x, c in prod[s[n], w]]
+                rows.append(sum_terms(f, terms))
         return SparseMatrix(f, (m - 1) ** (n + 1) * m, (m - 1) ** n * m, rows)
 
     def _self_differential(self, n: int) -> SparseMatrix:
@@ -281,39 +280,38 @@ class BarComplex:
         f = alg.field
         m = alg.dim
         unit = alg.unit_index
-        graded = alg.is_graded()
-        one = f.one
-        neg_one = f.neg(one)
+        deg = alg.degrees
+        prod = _lifted_products(alg)
+        # left[a][w] / right[a][w]: the (v, c) with c the e_w coefficient of
+        # e_a e_v / e_v e_a, v increasing
+        left = {a: [[] for _ in range(m)] for a in self.nonunit}
+        right = {a: [[] for _ in range(m)] for a in self.nonunit}
+        for v in range(m):
+            for a in self.nonunit:
+                for w, c in prod[a, v]:
+                    left[a][w].append((v, c))
+                for w, c in prod[v, a]:
+                    right[a][w].append((v, c))
         rows = []
         for s in product(self.nonunit, repeat=n + 1):
-            degs = [alg.degrees[x] for x in s] if graded else None
+            head = self.encode(s[1:], 0)
+            tail = self.encode(s[:n], 0)
+            # (-1)^i f(.., a_i a_{i+1}, ..), keyed up to the value index
+            mids = [(self.encode(s[:i] + (u,) + s[i + 2:], 0),
+                     c if i % 2 else -c)
+                    for i in range(n)
+                    for u, c in prod[s[i], s[i + 1]] if u != unit]
+            rest = sum(deg[x] for x in s[1:])
+            d0 = deg[s[0]]
             for w in range(m):
-                row: dict = {}
-                # (-1)^{|a_1| t} a_1 . f(a_2..)
-                for v in range(m):
-                    c = alg.mul_basis(s[0], v).get(w)
-                    if c is None:
-                        continue
-                    if graded:
-                        t_col = alg.degrees[v] - sum(degs[1:])
-                        if (degs[0] * t_col) % 2:
-                            c = f.neg(c)
-                    accumulate(f, row, self.encode(s[1:], v), c)
-                # (-1)^i f(.., a_i a_{i+1}, ..)
-                for i in range(n):
-                    sgn = neg_one if i % 2 == 0 else one
-                    for u, cu in alg.mul_basis(s[i], s[i + 1]).items():
-                        if u == unit:
-                            continue
-                        accumulate(f, row, self.encode(s[:i] + (u,) + s[i + 2:], w),
-                                   f.mul(sgn, cu))
+                # (-1)^{|a_1| t} a_1 . f(a_2..), t the degree f raises
+                terms = [(head + v, -c if (d0 * (deg[v] - rest)) % 2 else c)
+                         for v, c in left[s[0]][w]]
+                terms += [(k + w, c) for k, c in mids]
                 # (-1)^{n+1} f(a_1..a_n) . a_{n+1}
-                sgn = one if (n + 1) % 2 == 0 else neg_one
-                for v in range(m):
-                    c = alg.mul_basis(v, s[n]).get(w)
-                    if c is not None:
-                        accumulate(f, row, self.encode(s[:n], v), f.mul(sgn, c))
-                rows.append(row)
+                terms += [(tail + v, c if n % 2 else -c)
+                          for v, c in right[s[n]][w]]
+                rows.append(sum_terms(f, terms))
         return SparseMatrix(f, (m - 1) ** (n + 1) * m, (m - 1) ** n * m, rows)
 
     # -- views --------------------------------------------------------------
@@ -355,7 +353,7 @@ def cup(f: Cochain, g: Cochain) -> Cochain:
         raise CoefficientError("cannot cup two dual-coefficient cochains")
     out_coeff = "dual" if "dual" in (f.coeff, g.coeff) else "self"
     graded = alg.is_graded()
-    table: dict = {}
+    terms = []
     for (t1, v1), c1 in f.table.items():
         s_p = sum(alg.degrees[i] for i in t1) if graded else 0
         dv1 = alg.degrees[v1]
@@ -394,9 +392,8 @@ def cup(f: Cochain, g: Cochain) -> Cochain:
                         c = fl.neg(c)
                     values[w] = c
             tup = t1 + t2
-            for w, cw in values.items():
-                accumulate(fl, table, (tup, w), fl.mul(coef, cw))
-    return Cochain(alg, out_coeff, f.degree + g.degree, table)
+            terms += [((tup, w), coef * cw) for w, cw in values.items()]
+    return Cochain(alg, out_coeff, f.degree + g.degree, sum_terms(fl, terms))
 
 
 def circle(f: Cochain, g: Cochain) -> Cochain:
@@ -407,18 +404,17 @@ def circle(f: Cochain, g: Cochain) -> Cochain:
     if f.coeff != "self" or g.coeff != "self":
         raise CoefficientError("the circle product lives on HH*(A;A)")
     q = g.degree
-    table: dict = {}
+    terms = []
     for (tf, vf), cf in f.table.items():
         for i in range(len(tf)):
             slot = tf[i]
             for (tg, vg), cg in g.table.items():
                 if vg != slot:
                     continue
-                coef = fl.mul(cf, cg)
-                if ((q - 1) * i) % 2:
-                    coef = fl.neg(coef)
-                accumulate(fl, table, (tf[:i] + tg + tf[i + 1:], vf), coef)
-    return Cochain(alg, "self", f.degree + q - 1, table)
+                coef = cf * cg
+                terms.append(((tf[:i] + tg + tf[i + 1:], vf),
+                              -coef if ((q - 1) * i) % 2 else coef))
+    return Cochain(alg, "self", f.degree + q - 1, sum_terms(fl, terms))
 
 
 def gerstenhaber_bracket(f: Cochain, g: Cochain) -> Cochain:
@@ -449,7 +445,7 @@ def connes_b_dual(f: Cochain) -> Cochain:
     if n == 0:
         return Cochain(alg, "dual", -1, {})
     unit = alg.unit_index
-    table: dict = {}
+    terms = []
     for (tup, v), c in f.table.items():
         if v != unit:
             continue
@@ -467,8 +463,8 @@ def connes_b_dual(f: Cochain) -> Cochain:
                 dpre = d0 + sum(alg.degrees[x] for x in tup[n - j + 1:])
                 dpost = sum(degs) - dpre
                 exp = (n - 1) * j + dpre * dpost
-            accumulate(fl, table, (out_tup, a0), fl.neg(c) if exp % 2 else c)
-    return Cochain(alg, "dual", n - 1, table)
+            terms.append(((out_tup, a0), -c if exp % 2 else c))
+    return Cochain(alg, "dual", n - 1, sum_terms(fl, terms))
 
 
 def connes_b_dual_matrix(bar: BarComplex, n: int) -> SparseMatrix:
@@ -520,6 +516,26 @@ class CohomologyClass:
         return f"CohomologyClass(degree {self.degree}, coords {self.coords})"
 
 
+def basis_classes(space, n: int, cohomology, wrap):
+    """The basis classes of ``space`` (HH or HC) in degree n, kept in
+    ``space._classes``: unit coordinates on each representative of
+    ``cohomology(n)``, wrapped as ``wrap(n, rep)``.  A degree of dimension 0
+    needs only ranks, not the representative machinery."""
+    if n < 0 or n > space.max_degree:
+        return []
+    if n not in space._classes:
+        out = []
+        if space.dim(n):
+            data = cohomology(n)
+            f = space.alg.field
+            for i, rep in enumerate(data.representatives):
+                coords = [f.zero] * data.dim
+                coords[i] = f.one
+                out.append(CohomologyClass(space, n, coords, wrap(n, rep)))
+        space._classes[n] = out
+    return space._classes[n]
+
+
 class HochschildCohomology:
     """HH^*(A; M) up to a truncation degree, with class-level projection."""
 
@@ -538,23 +554,7 @@ class HochschildCohomology:
         return self.bar.complex.cohomology_dim(n)
 
     def classes(self, n: int):
-        if n < 0 or n > self.max_degree:
-            return []
-        if n not in self._classes:
-            if self.dim(n) == 0:
-                # rank-only check suffices: no representative machinery
-                self._classes[n] = []
-                return self._classes[n]
-            data = self.bar.cohomology(n)
-            f = self.alg.field
-            out = []
-            for i, rep in enumerate(data.representatives):
-                coords = [f.zero] * data.dim
-                coords[i] = f.one
-                out.append(CohomologyClass(self, n, coords,
-                                           self.bar.vec_to_cochain(n, rep)))
-            self._classes[n] = out
-        return self._classes[n]
+        return basis_classes(self, n, self.bar.cohomology, self.bar.vec_to_cochain)
 
     def project(self, c: Cochain) -> CohomologyClass:
         """The class of a cocycle; equality of classes is decided by
@@ -621,14 +621,13 @@ class BVStructure:
 
     def _compose_values(self, c: Cochain, mat: Matrix, out_coeff: str) -> Cochain:
         f = self.alg.field
-        table: dict = {}
+        terms = []
         for (tup, v), coef in c.table.items():
             for w in range(self.alg.dim):
                 mv = mat.data[w][v]
-                if f.is_zero(mv):
-                    continue
-                accumulate(f, table, (tup, w), f.mul(coef, mv))
-        return Cochain(self.alg, out_coeff, c.degree, table)
+                if not f.is_zero(mv):
+                    terms.append(((tup, w), coef * mv))
+        return Cochain(self.alg, out_coeff, c.degree, sum_terms(f, terms))
 
     def to_self(self, c: Cochain) -> Cochain:
         """Post-compose a dual-coefficient cochain with the pairing inverse.
@@ -823,22 +822,18 @@ def group_cochain_dims(g: FiniteGroup, field, max_degree: int,
             c = c * (m - 1) + nu_pos[x]
         return c
 
-    one = f.one
-    neg_one = f.neg(one)
     diffs = {}
     for n in range(max_degree + 1):
-        rows = [dict() for _ in range(dims[n + 1])]
-        r = 0
+        rows = []
         for s in product(nu, repeat=n + 1):
-            row = rows[r]
-            r += 1
-            accumulate(f, row, encode(s[1:]), one)
+            terms = [(encode(s[1:]), 1)]
             for i in range(n):
                 u = g.table[s[i]][s[i + 1]]
                 if u != g.identity:
-                    accumulate(f, row, encode(s[:i] + (u,) + s[i + 2:]),
-                               neg_one if i % 2 == 0 else one)
-            accumulate(f, row, encode(s[:n]), one if (n + 1) % 2 == 0 else neg_one)
+                    terms.append((encode(s[:i] + (u,) + s[i + 2:]),
+                                  -1 if i % 2 == 0 else 1))
+            terms.append((encode(s[:n]), 1 if (n + 1) % 2 == 0 else -1))
+            rows.append(sum_terms(f, terms))
         diffs[n] = SparseMatrix(f, dims[n + 1], dims[n], rows)
     cx = Complex(f, dims, diffs)
     return [cx.cohomology_dim(n) for n in range(max_degree + 1)]

@@ -7,6 +7,11 @@ used by all small structural computations (pairings, antipodes, TQFT maps).
 at the top truncation degree rule out dense storage; rank and kernel engines
 on it are exact over both Q and F_p.
 
+Arithmetic.  Differentials are built (``sum_terms``) and checked
+(``Complex``) by the same code for F_2, F_p and Q: plain sums of exact
+representatives (ints; Fractions only for non-integral rationals), mapped
+into the field as each entry is stored, or tested once per product column.
+
 Elimination.  One forward echelon per arithmetic, pivoting on the largest
 column index (empirically near fill-free on bar differentials), serves both
 rank and kernel: ``_echelon_fp`` over F_p and the fraction-free
@@ -20,7 +25,7 @@ selects, and so every coordinate in a report, depend on that rule.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .fields import RationalField
 
@@ -33,13 +38,36 @@ class WindowError(LinalgError):
     """Degree outside a complex's stored window."""
 
 
-def accumulate(f, d, key, value):
-    """``d[key] += value`` over the field ``f``, dropping the key at zero."""
-    s = f.add(d.get(key, f.zero), value)
-    if f.is_zero(s):
-        d.pop(key, None)
-    else:
-        d[key] = s
+class SquareZeroError(LinalgError):
+    """A complex with d^{n+1} o d^n != 0: a broken internal invariant.
+    ``column`` is the first column of C^n the composite does not kill."""
+
+    def __init__(self, degree, column):
+        super().__init__(f"d^{degree + 1} o d^{degree} != 0 at column {column}")
+        self.degree = degree
+        self.column = column
+
+
+def sum_terms(f, terms) -> dict:
+    """The sparse vector over ``f`` summing ``(key, c)`` terms, each ``c`` an
+    exact representative of a field element (the element itself will do):
+    an int, or a Fraction for a non-integral rational.  Terms are added
+    with plain ``+`` and each running sum is mapped into the field by
+    ``f.of_int`` as it is stored: one field call per term, where a field
+    accumulation makes a multiply, an add and a zero test.  Keys keep the order of their first term, except that a key whose running
+    sum vanishes drops out (and comes back at the end if a later term hits
+    it): the order a loop of field additions that drops zeros leaves."""
+    of_int = f.of_int
+    out: dict = {}
+    for key, c in terms:
+        if key in out:
+            c += out[key]
+        c = of_int(c)
+        if c:
+            out[key] = c
+        else:
+            out.pop(key, None)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +572,7 @@ def sparse_kernel_basis(sm: SparseMatrix):
     RREF kernel basis.
     """
     f = sm.field
+    p = f.char
     ech = _echelon(f, sm.rows)
     raw = []
     for c in range(sm.ncols):
@@ -574,10 +603,16 @@ def sparse_kernel_basis(sm: SparseMatrix):
             coef = row.pop(pc, None)
             if coef is None:
                 continue
-            coef = f.neg(coef)
             for c, v in prow.items():
-                if c != pc:
-                    accumulate(f, row, c, f.mul(coef, v))
+                if c == pc:
+                    continue
+                s = row.get(c, 0) - coef * v
+                if p:
+                    s %= p
+                if s:
+                    row[c] = s
+                else:
+                    row.pop(c, None)
     return [kech[pc] for pc in sorted(kech)]
 
 
@@ -597,23 +632,34 @@ class EchelonStore:
         self.tags: dict[int, int] = {}
 
     def reduce(self, vec: dict, track: bool = False):
-        f = self.field
+        """``vec`` minus its components along the stored rows, pivot by pivot
+        from the smallest column, and (with ``track``) the coefficient taken
+        against each tagged row.  The row updates are inlined, as in the
+        ``_echelon_*`` engines: reduced mod p over F_p, plain Fractions
+        over Q."""
+        p = self.field.char
+        ech = self.ech
         cur = dict(vec)
         coeffs: dict[int, object] = {}
         while cur:
             pc = min(cur)
-            er = self.ech.get(pc)
+            er = ech.get(pc)
             if er is None:
                 break
             coef = cur.pop(pc)
-            if track:
-                tag = self.tags[pc]
-                if tag >= 0:
-                    accumulate(f, coeffs, tag, coef)
-            coef = f.neg(coef)
+            if track and self.tags[pc] >= 0:
+                # pivots come in increasing order, so each tag is met once
+                coeffs[self.tags[pc]] = coef
             for c, v in er.items():
-                if c != pc:
-                    accumulate(f, cur, c, f.mul(coef, v))
+                if c == pc:
+                    continue
+                s = cur.get(c, 0) - coef * v
+                if p:
+                    s %= p
+                if s:
+                    cur[c] = s
+                else:
+                    cur.pop(c, None)
         return cur, coeffs
 
     def insert(self, vec: dict, tag: int = -1):
@@ -641,6 +687,25 @@ class EchelonStore:
 
 # ---------------------------------------------------------------------------
 # complexes
+
+
+def _integer_columns(sm: SparseMatrix):
+    """The columns of ``c * sm`` as flat ``[row, value, row, value, ...]``
+    lists of ints, where ``c`` is the lcm of the entries' denominators: 1
+    over F_p, whose entries are ints, and over Q unless an entry is not
+    integral."""
+    c = 1
+    for row in sm.rows:
+        for v in row.values():
+            if v.denominator != 1:
+                c = lcm(c, v.denominator)
+    cols: list = [[] for _ in range(sm.ncols)]
+    for i, row in enumerate(sm.rows):
+        for j, v in row.items():
+            col = cols[j]
+            col.append(i)
+            col.append(v.numerator if c == 1 else (c * v).numerator)
+    return cols
 
 
 class CohomologyData:
@@ -671,7 +736,20 @@ class Complex:
 
     ``dims[n]`` is the dimension of the degree-n term; ``diffs[n]`` the
     sparse matrix of d^n : C^n -> C^{n+1}.  Degrees outside the window are
-    treated as zero.  ``d^{n+1} o d^n = 0`` is asserted at construction.
+    treated as zero.
+
+    ``d^{n+1} o d^n = 0`` is checked at construction, for every adjacent
+    pair, in plain integer arithmetic: each differential is turned once into
+    integer column lists, which serve as the right factor of its pair with
+    the next differential and the left factor of its pair with the previous
+    one, and each column of the product is summed exactly and tested once.
+    This is exact over every field.  Over F_p the entries are integer
+    representatives and reduction mod p is a ring map, so a column vanishes
+    over F_p iff its integer sums are 0 mod p.  Over Q each matrix is first
+    multiplied by the lcm of its denominators (1 unless an entry is not
+    integral); a nonzero scalar on either factor changes neither which
+    columns of the product vanish nor the first that does not.  A failure
+    raises ``SquareZeroError`` naming that first column.
     """
 
     def __init__(self, field, dims: dict, diffs: dict, check: bool = True):
@@ -691,15 +769,25 @@ class Complex:
         self._rank_cache: dict[int, int] = {}
 
     def _check_square_zero(self):
+        p = self.field.char
+        right_n, right = None, None
         for n in sorted(self.diffs):
-            d1 = self.diffs.get(n)
-            d2 = self.diffs.get(n + 1)
-            if d1 is None or d2 is None:
+            if n + 1 not in self.diffs:
                 continue
-            colview = d2.columns()
-            for j, col in enumerate(d1.columns()):
-                if d2.apply_sparse(col, colview=colview):
-                    raise LinalgError(f"d^{n + 1} o d^{n} != 0 at column {j}")
+            if right_n != n:
+                right = _integer_columns(self.diffs[n])
+            left = _integer_columns(self.diffs[n + 1])
+            for j, col in enumerate(right):
+                acc: dict = {}
+                it = iter(col)
+                for i, a in zip(it, it):
+                    lt = iter(left[i])
+                    for k, b in zip(lt, lt):
+                        acc[k] = acc.get(k, 0) + a * b
+                if any(x % p for x in acc.values()) if p else any(acc.values()):
+                    raise SquareZeroError(n, j)
+            # the columns of d^{n+1} are the right factor of the next pair
+            right_n, right = n + 1, left
 
     def dim(self, n) -> int:
         return self.dims.get(n, 0)

@@ -241,3 +241,40 @@ def test_unwritable_output_fails_before_computing(capsys, monkeypatch, tmp_path)
         assert captured.out == ""
         assert str(target) in captured.err
     assert not missing.parent.exists()
+
+
+def test_broken_differential_exits_3(capsys, monkeypatch):
+    from hbv.hochschild import BarComplex
+
+    build = BarComplex._self_differential
+
+    def broken(self, n):
+        d = build(self, n)
+        if n == 0:
+            # d^0 of the commutative Q[Z3] is zero; no basis 1-cochain is a
+            # cocycle, so d^1 d^0 picks up the nonzero column 4 of d^1 in
+            # column 2
+            d.rows[4][2] = self.alg.field.one
+        return d
+
+    monkeypatch.setattr(BarComplex, "_self_differential", broken)
+    status = main(["hochschild", "--group", "Z3", "--field", "Q",
+                   "--max-degree", "3"])
+    captured = capsys.readouterr()
+    assert status == 3
+    assert captured.out == ""
+    assert "d^1 o d^0 != 0 at column 2" in captured.err
+
+
+def test_other_linalg_errors_exit_2(capsys, monkeypatch):
+    import hbv.cli
+    from hbv.linalg import LinalgError
+
+    def fails(*args, **kwargs):
+        raise LinalgError("vector is not a cocycle modulo the image")
+
+    monkeypatch.setattr(hbv.cli, "hochschild_dims", fails)
+    status = main(["hochschild", "--group", "Z3", "--field", "Q",
+                   "--max-degree", "3"])
+    assert status == 2
+    assert "not a cocycle" in capsys.readouterr().err

@@ -43,6 +43,27 @@ def test_dimension_counts():
     assert bar.complex.dim(3) == 750
 
 
+@pytest.mark.parametrize("name, make, primes", [
+    ("S3", lambda f: group_algebra(preset("S3"), f), (2, 3)),
+    ("ext35", lambda f: exterior_algebra([3, 5], f), (3, 5)),
+])
+@pytest.mark.parametrize("coeff", ["self", "dual"])
+def test_fp_differentials_are_q_differentials_mod_p(name, make, primes, coeff):
+    # the bar differentials come from one integer build: over F_p each one
+    # is the Q one with its (integral) entries reduced mod p
+    q_bar = BarComplex(make(QQ), coeff, 3)
+    for p in primes:
+        fp_bar = BarComplex(make(GF(p)), coeff, 3)
+        for n, dq in q_bar.complex.diffs.items():
+            dp = fp_bar.complex.diffs[n]
+            assert (dp.nrows, dp.ncols) == (dq.nrows, dq.ncols)
+            for rq, rp in zip(dq.rows, dp.rows):
+                assert all(v.denominator == 1 for v in rq.values())
+                assert rp == {c: v.numerator % p for c, v in rq.items()
+                              if v.numerator % p}
+                assert all(type(v) is int for v in rp.values())
+
+
 def test_budget_guard():
     with pytest.raises(BudgetError) as err:
         BarComplex(group_algebra(preset("D4"), GF(2)), "self", 4, budget=20000)

@@ -10,6 +10,7 @@ from hbv.linalg import (
     LinalgError,
     Matrix,
     SparseMatrix,
+    SquareZeroError,
     WindowError,
     determinant,
     inverse,
@@ -20,6 +21,7 @@ from hbv.linalg import (
     solve,
     sparse_kernel_basis,
     sparse_rank,
+    sum_terms,
 )
 
 
@@ -300,6 +302,114 @@ def test_square_zero_enforced():
     bad = SparseMatrix.from_matrix(Matrix.identity(QQ, 1))
     with pytest.raises(LinalgError):
         Complex(QQ, {0: 1, 1: 1, 2: 1}, {0: bad, 1: bad})
+
+
+def _square_zero_oracle(cx):
+    """The column-by-column reference rule: the first
+    (degree n, column j) at which d^{n+1} applied to column j of d^n is
+    nonzero, or None."""
+    for n in sorted(cx.diffs):
+        d2 = cx.diffs.get(n + 1)
+        if d2 is None:
+            continue
+        colview = d2.columns()
+        for j, col in enumerate(cx.diffs[n].columns()):
+            if d2.apply_sparse(col, colview=colview):
+                return n, j
+    return None
+
+
+def _random_chain(rng, field, dims, entries, coefs):
+    """Dense d^0, d^1, ... with d^{n+1} d^n = 0: d^0 is random, each next
+    differential combines vectors of the previous one's left kernel."""
+    mats = []
+    for n in range(len(dims) - 1):
+        rows, cols = dims[n + 1], dims[n]
+        if n == 0:
+            data = [[rng.choice(entries) if rng.random() < 0.5 else field.zero
+                     for _ in range(cols)] for _ in range(rows)]
+        else:
+            left = kernel_basis(mats[-1].transpose())
+            data = []
+            for _ in range(rows):
+                row = [field.zero] * cols
+                for y in left:
+                    c = rng.choice(coefs)
+                    row = [field.add(a, field.mul(c, b)) for a, b in zip(row, y)]
+                data.append(row)
+        mats.append(Matrix(field, rows, cols, data))
+    return mats
+
+
+def test_square_zero_check_matches_column_oracle():
+    # seeded chains d^0, d^1, d^2 with d o d = 0, half of them with one
+    # entry knocked off; the integer check must give the oracle's verdict
+    # and witness (degree, column)
+    rng = random.Random(59)
+    halves = [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 3)]
+    cases = {"pass": 0, "fail": 0, "vanishes only mod p": 0}
+    for field in (QQ, GF(2), GF(3), GF(5)):
+        if field is QQ:
+            entries = [Fraction(v) for v in (1, -1, 2, -2)] + halves
+            coefs = [Fraction(v) for v in (0, 1, -1, 2)] + halves
+        else:
+            entries = [field.of_int(v) for v in range(1, field.char)]
+            coefs = [field.of_int(v) for v in range(field.char)]
+        for _ in range(60):
+            dims = [rng.randint(1, 5) for _ in range(4)]
+            mats = _random_chain(rng, field, dims, entries, coefs)
+            if rng.random() < 0.5:
+                m = rng.choice(mats)
+                i, j = rng.randrange(m.nrows), rng.randrange(m.ncols)
+                m.data[i][j] = field.add(m.data[i][j], rng.choice(entries))
+            diffs = {n: SparseMatrix.from_matrix(m) for n, m in enumerate(mats)}
+            cx_dims = dict(enumerate(dims))
+            want = _square_zero_oracle(Complex(field, cx_dims, diffs, check=False))
+            if want is None:
+                Complex(field, cx_dims, diffs)
+                cases["pass"] += 1
+                if field.char and any(
+                        sum(a * b for a, b in zip(row, col))
+                        for d1, d2 in zip(mats, mats[1:])
+                        for row in d2.data for col in zip(*d1.data)):
+                    cases["vanishes only mod p"] += 1
+            else:
+                with pytest.raises(SquareZeroError) as err:
+                    Complex(field, cx_dims, diffs)
+                assert (err.value.degree, err.value.column) == want
+                assert str(err.value) == (
+                    f"d^{want[0] + 1} o d^{want[0]} != 0 at column {want[1]}")
+                cases["fail"] += 1
+    assert min(cases.values()) >= 20, cases
+
+
+def _accumulate(f, d, key, value):
+    """The field-arithmetic accumulation ``sum_terms`` replaced:
+    ``d[key] += value``, dropping the key at zero."""
+    s = f.add(d.get(key, f.zero), value)
+    if f.is_zero(s):
+        d.pop(key, None)
+    else:
+        d[key] = s
+
+
+def test_sum_terms_matches_field_accumulation():
+    # value, type and key order of a loop of field additions, with keys
+    # that vanish and come back
+    rng = random.Random(61)
+    for field in (QQ, GF(2), GF(3), GF(5)):
+        lifts = [-2, -1, 1, 2, 3]
+        if field is QQ:
+            lifts += [Fraction(1, 2), Fraction(-1, 3)]
+        for _ in range(200):
+            terms = [(rng.randrange(4), rng.choice(lifts))
+                     for _ in range(rng.randint(0, 12))]
+            want: dict = {}
+            for key, c in terms:
+                _accumulate(field, want, key, field.of_int(c))
+            got = sum_terms(field, terms)
+            assert list(got.items()) == list(want.items())
+            assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
 
 
 def test_cohomology_dim_invariant_under_conjugation():
