@@ -45,7 +45,7 @@ class FDAlgebra:
     construction.
     """
 
-    def __init__(self, field, names, degrees, mult, unit, check=True):
+    def __init__(self, field, names, degrees, mult, unit):
         self.field = field
         self.names = list(names)
         self.degrees = list(degrees)
@@ -63,8 +63,7 @@ class FDAlgebra:
         self.unit_index = self._unit_as_basis_index()
         self.hopf: HopfData | None = None
         self.group: FiniteGroup | None = None
-        if check:
-            self._check_axioms()
+        self._check_axioms()
 
     def _unit_as_basis_index(self):
         f = self.field
@@ -204,7 +203,7 @@ class HopfData:
     the matrix of S on the basis.
     """
 
-    def __init__(self, alg: FDAlgebra, coproduct, counit, antipode: Matrix, check=True):
+    def __init__(self, alg: FDAlgebra, coproduct, counit, antipode: Matrix):
         self.alg = alg
         f = alg.field
         self.coproduct = {
@@ -214,24 +213,13 @@ class HopfData:
         self.coproduct = {i: row for i, row in self.coproduct.items() if row}
         self.counit = list(counit)
         self.antipode = antipode
-        if check:
-            self._check_axioms()
+        self._check_axioms()
 
     def coproduct_of_vec(self, vec) -> dict:
         f = self.alg.field
         return sum_terms(f, [(jk, a * c) for i, a in enumerate(vec)
                              if not f.is_zero(a)
                              for jk, c in self.coproduct.get(i, {}).items()])
-
-    def counit_of_vec(self, vec):
-        f = self.alg.field
-        s = f.zero
-        for i, a in enumerate(vec):
-            s = f.add(s, f.mul(a, self.counit[i]))
-        return s
-
-    def antipode_of_vec(self, vec):
-        return self.antipode.apply(vec)
 
     def _tensor_mul(self, x: dict, y: dict) -> dict:
         """Product in A (x) A with the Koszul sign."""

@@ -287,27 +287,15 @@ class FrobeniusTQFT:
         self.strict = strict_positive_boundary
         self._components = {}   # (genus, p, q) -> Matrix, never handed out
         self._port_maps = {}    # sources -> [(index, sign)], never handed out
-        f = alg.field
-        m = alg.dim
-        C = inverse(frob.pairing)
         # copairing gamma = sum C[i][j] e_i (x) e_j,  delta(a) = (a.e_i) (x) e_j
-        self.copairing = C
+        self.copairing = inverse(frob.pairing)
         self.mult = self._mult_matrix()
         self.coproduct = self._coproduct_matrix()
         self.unit_vec = list(alg.unit)
-        self.counit_vec = [frob.pairing.data[i][alg.unit_index]
-                           if alg.unit_index is not None
-                           else self._counit_entry(i)
-                           for i in range(m)]
+        # counit(e_i) = <e_i, 1> = sum_j pairing[i][j] unit[j]
+        self.counit_vec = frob.pairing.apply(self.unit_vec)
         self.handle = self._handle_matrix()
         self._check_frobenius_axioms()
-
-    def _counit_entry(self, i):
-        f = self.alg.field
-        s = f.zero
-        for j, c in enumerate(self.alg.unit):
-            s = f.add(s, f.mul(c, self.frob.pairing.data[i][j]))
-        return s
 
     def _mult_matrix(self) -> Matrix:
         alg = self.alg
@@ -477,14 +465,9 @@ class FrobeniusTQFT:
         open_comps = []
         for genus, ins, outs in cob.components:
             if not ins and not outs:
-                # closed component: counit(handle^genus(1))
-                vec = list(self.unit_vec)
-                for _ in range(genus):
-                    vec = self.handle.apply(vec)
-                s = f.zero
-                for i, c in enumerate(vec):
-                    s = f.add(s, f.mul(c, self.counit_vec[i]))
-                scalar = f.mul(scalar, s)
+                # closed component: the 1x1 map counit(handle^genus(1))
+                value = self._component_matrix(genus, 0, 0).data[0][0]
+                scalar = f.mul(scalar, value)
             else:
                 open_comps.append((genus, ins, outs))
         block = None

@@ -1,12 +1,22 @@
 """Cyclic cohomology via the dual (b, B)-bicomplex, the long exact sequence
 maps I, S and the connecting map, and the string bracket.
 
-The total complex in degree n is the direct sum over k >= 0 of the
-dual-coefficient Hochschild cochain spaces C^{n-2k}; the total differential
-is the Hochschild differential on each column plus the rotation operator
-mapping column k to column k+1.  Everything is assembled from the matrices
-of the bar complex, so the mixed-complex identities guarantee that the total
-differential squares to zero.
+The total complex is laid out recursively as Tot^n = C^n (+) Tot^{n-2},
+with C^n the degree-n cochains of the dual-coefficient bar complex and
+Tot^n = 0 for n < 0.  The coordinates of C^n come first, at indices
+0 .. dim C^n - 1, and those of Tot^{n-2} follow, so
+dim Tot^n = dim C^n + dim Tot^{n-2} and Tot^n unrolls to
+C^n (+) C^{n-2} (+) C^{n-4} (+) ...  The total differential is
+
+    d_tot^n = [ d^n   0           ] : C^n (+) Tot^{n-2} -> C^{n+1} (+) Tot^{n-1}
+              [ B_n   d_tot^{n-2} ]
+
+with d^n the Hochschild differential and B_n : C^n -> C^{n-1} the rotation
+operator, which lands in the C^{n-1} at the front of Tot^{n-1}.  The
+mixed-complex identities make it square to zero, and ``Complex`` checks
+that.  The maps of the Connes sequence are index offsets: I keeps the
+indices below dim C^n, and the periodicity S : Tot^n -> Tot^{n+2} adds
+dim C^{n+2} to every index.
 
 Truncation at N certifies degrees up to N-2: the top two total degrees see
 a cut-off staircase.
@@ -29,112 +39,47 @@ from .reports import CheckReport
 
 
 class CyclicComplex:
-    """The truncated total complex of the dual (b, B)-bicomplex."""
+    """The truncated total complex Tot^n = C^n (+) Tot^{n-2} of the dual
+    (b, B)-bicomplex, for n = 0 .. N+1 (see the module docstring).
+
+    Row by row, d_tot^n lists the rows of d^n, then one row per coordinate
+    of Tot^{n-1}: the row of d_tot^{n-2} with its columns shifted by
+    dim C^n, followed by the row of B_n where B_n has one.  The two parts
+    occupy disjoint columns.  Only B_1 .. B_N are built.
+    """
 
     def __init__(self, alg: FDAlgebra, max_degree: int, budget: int | None = None):
         self.alg = alg
         self.max_degree = max_degree
-        self.certified = max_degree - 2
         self.bar = BarComplex(alg, "dual", max_degree, budget)
-        f = alg.field
-        self._b_matrices = {n: connes_b_dual_matrix(self.bar, n)
-                            for n in range(max_degree + 2)}
-        dims = {}
+        cdim = self.bar.complex.dim
+        dims = {-2: 0, -1: 0}
         for n in range(max_degree + 2):
-            dims[n] = sum(self.bar.complex.dim(n - 2 * k)
-                          for k in range(n // 2 + 1))
-        diffs = {n: self._total_differential(n) for n in range(max_degree + 1)}
-        self.complex = Complex(f, dims, diffs)
-
-    # -- bookkeeping ----------------------------------------------------------
-
-    def columns(self, n: int):
-        """The (k, cochain degree, offset, dim) layout of total degree n."""
-        out = []
-        off = 0
-        for k in range(n // 2 + 1):
-            m = n - 2 * k
-            d = self.bar.complex.dim(m)
-            out.append((k, m, off, d))
-            off += d
-        return out
+            dims[n] = cdim(n) + dims[n - 2]
+        # d_tot^{-2} and d_tot^{-1} start from Tot = 0: no columns
+        rows = {-2: [], -1: [{} for _ in range(dims[0])]}
+        for n in range(max_degree + 1):
+            b_rows = connes_b_dual_matrix(self.bar, n).rows if n else []
+            rows[n] = list(self.bar.complex.differential(n).rows)
+            off = cdim(n)
+            for r, lower in enumerate(rows[n - 2]):
+                row = {c + off: v for c, v in lower.items()}
+                if r < len(b_rows):
+                    row.update(b_rows[r])
+                rows[n].append(row)
+        diffs = {n: SparseMatrix(alg.field, dims[n + 1], dims[n], rows[n])
+                 for n in range(max_degree + 1)}
+        self.complex = Complex(alg.field,
+                               {n: dims[n] for n in range(max_degree + 2)}, diffs)
 
     def dim(self, n: int) -> int:
         return self.complex.dim(n)
-
-    def _total_differential(self, n: int) -> SparseMatrix:
-        """Rows of Tot^n -> Tot^{n+1}: block k' receives the Hochschild
-        differential of column k' and the rotation image of column k'-1.
-        The two source columns are disjoint, so entries are only set."""
-        f = self.alg.field
-        src_cols = self.columns(n)
-        dst_cols = self.columns(n + 1)
-        src_dim = sum(c[3] for c in src_cols)
-        dst_dim = sum(c[3] for c in dst_cols)
-        rows = [dict() for _ in range(dst_dim)]
-        src_off = {k: off for (k, m, off, d) in src_cols}
-        for (kd, md, offd, dd) in dst_cols:
-            blocks = []
-            # Hochschild differential from source column kd (degree md - 1)
-            if kd in src_off and md >= 1:
-                blocks.append((self.bar.complex.differential(md - 1), src_off[kd]))
-            # rotation from source column kd - 1 (degree md + 1)
-            if kd - 1 in src_off:
-                blocks.append((self._b_matrices[md + 1], src_off[kd - 1]))
-            for mat, o in blocks:
-                for r in range(dd):
-                    for c, v in mat.rows[r].items():
-                        rows[offd + r][o + c] = v
-        return SparseMatrix(f, dst_dim, src_dim, rows)
-
-    # -- cohomology -------------------------------------------------------------
 
     def cohomology(self, n):
         return self.complex.cohomology_at(n)
 
     def cohomology_dim(self, n) -> int:
         return self.complex.cohomology_dim(n)
-
-    def block(self, n: int, vec: dict, k: int) -> dict:
-        """Extract column k of a total vector, in bar-complex coordinates."""
-        for (kk, m, off, d) in self.columns(n):
-            if kk == k:
-                return {c - off: v for c, v in vec.items() if off <= c < off + d}
-        return {}
-
-    def embed(self, n: int, k: int, bar_vec: dict) -> dict:
-        for (kk, m, off, d) in self.columns(n):
-            if kk == k:
-                return {off + c: v for c, v in bar_vec.items()}
-        raise ValueError(f"total degree {n} has no column {k}")
-
-    def shift(self, n: int, vec: dict) -> dict:
-        """The column shift S : Tot^n -> Tot^{n+2} (image in column k+1)."""
-        out = {}
-        src = self.columns(n)
-        dst = {k: off for (k, m, off, d) in self.columns(n + 2)}
-        for (k, m, off, d) in src:
-            o2 = dst[k + 1]
-            for c, v in vec.items():
-                if off <= c < off + d:
-                    out[o2 + (c - off)] = v
-        return out
-
-    def unshift(self, n: int, vec: dict) -> dict:
-        """Inverse of the shift: Tot^n (column 0 empty) -> Tot^{n-2}."""
-        out = {}
-        src = self.columns(n)
-        dst = {k: off for (k, m, off, d) in self.columns(n - 2)}
-        for (k, m, off, d) in src:
-            chunk = {c - off: v for c, v in vec.items() if off <= c < off + d}
-            if not chunk:
-                continue
-            if k == 0:
-                raise ValueError("vector is not in the image of the shift")
-            o2 = dst[k - 1]
-            for c, v in chunk.items():
-                out[o2 + c] = v
-        return out
 
 
 class CyclicCohomology:
@@ -167,28 +112,28 @@ class CyclicCohomology:
     # -- the long exact sequence maps --------------------------------------------
 
     def to_hochschild(self, cls: CohomologyClass, hh) -> CohomologyClass:
-        """I : HC^n -> HH^n(A; A-dual), projection to column zero."""
-        bar_vec = self.total.block(cls.degree, cls.representative, 0)
-        c = hh.bar.vec_to_cochain(cls.degree, bar_vec)
-        return hh.project(c)
+        """I : HC^n -> HH^n(A; A-dual), the restriction to the front C^n."""
+        front = self.total.bar.complex.dim(cls.degree)
+        bar_vec = {c: v for c, v in cls.representative.items() if c < front}
+        return hh.project(hh.bar.vec_to_cochain(cls.degree, bar_vec))
 
     def periodicity(self, cls: CohomologyClass) -> CohomologyClass:
-        """S : HC^n -> HC^{n+2}, the column shift."""
-        shifted = self.total.shift(cls.degree, cls.representative)
+        """S : HC^n -> HC^{n+2}, Tot^n placed behind C^{n+2}."""
+        off = self.total.bar.complex.dim(cls.degree + 2)
+        shifted = {c + off: v for c, v in cls.representative.items()}
         return self.project(cls.degree + 2, shifted)
 
     def connecting(self, hh_cls: CohomologyClass, hh) -> CohomologyClass:
         """The connecting map HH^n(A; A-dual) -> HC^{n-1} by the zig-zag:
-        lift to column zero, apply the total differential, unshift."""
+        the cocycle sits at the front C^n of Tot^n, d_tot^n sends it to
+        0 in C^{n+1} plus the answer in Tot^{n-1} behind it."""
         n = hh_cls.degree
         vec = hh.bar.cochain_to_vec(hh_cls.representative)
-        lifted = self.total.embed(n, 0, vec)
-        dtot = self.total.complex.differential(n).apply_sparse(lifted)
-        # column 0 of the result is d(rep) = 0; the rest is S of the answer
-        if self.total.block(n + 1, dtot, 0):
+        dtot = self.total.complex.differential(n).apply_sparse(vec)
+        front = self.total.bar.complex.dim(n + 1)
+        if any(c < front for c in dtot):
             raise ValueError("representative is not a cocycle")
-        chi = self.total.unshift(n + 1, dtot)
-        return self.project(n - 1, chi)
+        return self.project(n - 1, {c - front: v for c, v in dtot.items()})
 
 
 def _map_matrix(field, images, target_dim):
@@ -200,15 +145,14 @@ def _map_matrix(field, images, target_dim):
     return m
 
 
-def connes_maps(alg: FDAlgebra, max_degree: int, budget: int | None = None,
-                hc: CyclicCohomology | None = None, hh=None):
+def connes_maps(alg: FDAlgebra, max_degree: int, budget: int | None = None):
     """Matrices of I, S and the connecting map on cohomology at every
     certified degree, plus the exactness report (rank identities and
     vanishing composites) and the identity  I o (connecting) = rotation.
     """
     f = alg.field
-    hc = hc or CyclicCohomology(alg, max_degree, budget)
-    hh = hh or HochschildCohomology(alg, "dual", max_degree, budget)
+    hc = CyclicCohomology(alg, max_degree, budget)
+    hh = HochschildCohomology(alg, "dual", max_degree, budget)
     W = hc.certified
     report = CheckReport()
 

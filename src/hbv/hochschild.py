@@ -329,10 +329,6 @@ class BarComplex:
     def is_cocycle(self, c: Cochain) -> bool:
         return not self.differential_vec(c.degree, self.cochain_to_vec(c))
 
-    def differential_cochain(self, c: Cochain) -> Cochain:
-        vec = self.differential_vec(c.degree, self.cochain_to_vec(c))
-        return self.vec_to_cochain(c.degree + 1, vec)
-
 
 # ---------------------------------------------------------------------------
 # operations on cochains
@@ -655,12 +651,6 @@ class BVStructure:
             return self.hh.zero_class(0)
         rotated = connes_b_dual(self.to_dual(cls.representative))
         return self.hh.project(self.to_self(rotated))
-
-    def delta_dual(self, cls: CohomologyClass) -> CohomologyClass:
-        """The rotation operator on HH(A; A-dual) classes."""
-        if cls.degree == 0:
-            return self.hh_dual.zero_class(0)
-        return self.hh_dual.project(connes_b_dual(cls.representative))
 
     # -- class-level products -----------------------------------------------------
 

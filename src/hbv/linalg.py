@@ -677,10 +677,6 @@ class EchelonStore:
         self.tags[pc] = tag
         return cur
 
-    def contains(self, vec: dict) -> bool:
-        residual, _ = self.reduce(vec)
-        return not residual
-
     def __len__(self):
         return len(self.ech)
 

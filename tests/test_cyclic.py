@@ -1,7 +1,7 @@
 
 from hbv.fields import QQ, GF
 from hbv.groups import preset
-from hbv.algebra import group_algebra, group_frobenius
+from hbv.algebra import exterior_algebra, group_algebra, group_frobenius
 from hbv.cyclic import (
     CyclicCohomology,
     StringBracket,
@@ -9,7 +9,7 @@ from hbv.cyclic import (
     cyclic_cohomology,
     trace_space_dim,
 )
-from hbv.hochschild import HochschildCohomology, connes_b_dual
+from hbv.hochschild import HochschildCohomology, connes_b_dual, connes_b_dual_matrix
 
 
 def test_hc0_is_trace_space():
@@ -39,6 +39,70 @@ def test_staircase_dimensions():
     for n in range(5):
         expected = sum(bar_dims[n - 2 * k] for k in range(n // 2 + 1))
         assert hc.total.dim(n) == expected
+
+
+def _column_layout(bar, n):
+    """(k, cochain degree, offset, dim) of each column C^{n-2k} of Tot^n,
+    the columns stacked in increasing k."""
+    out, off = [], 0
+    for k in range(n // 2 + 1):
+        d = bar.complex.dim(n - 2 * k)
+        out.append((k, n - 2 * k, off, d))
+        off += d
+    return out
+
+
+def _block_total_differential(bar, n):
+    """Rows of d_tot^n assembled block by block: column k of Tot^{n+1}
+    receives the Hochschild differential of column k of Tot^n, then the
+    rotation image of column k-1."""
+    src_off = {k: off for k, _, off, _ in _column_layout(bar, n)}
+    dst = _column_layout(bar, n + 1)
+    rows = [{} for _ in range(sum(d for *_, d in dst))]
+    for k, m, off, d in dst:
+        blocks = []
+        if k in src_off and m >= 1:
+            blocks.append((bar.complex.differential(m - 1), src_off[k]))
+        if k - 1 in src_off:
+            blocks.append((connes_b_dual_matrix(bar, m + 1), src_off[k - 1]))
+        for mat, o in blocks:
+            for r in range(d):
+                for c, v in mat.rows[r].items():
+                    rows[off + r][o + c] = v
+    return rows
+
+
+def _column_shift(bar, n, vec):
+    """S : Tot^n -> Tot^{n+2}, column k moved to column k+1."""
+    dst = {k: off for k, _, off, _ in _column_layout(bar, n + 2)}
+    return {dst[k + 1] + c - off: v
+            for k, _, off, d in _column_layout(bar, n)
+            for c, v in vec.items() if off <= c < off + d}
+
+
+def test_total_differential_matches_block_layout():
+    # the recursive layout Tot^n = C^n + Tot^{n-2} against the column-block
+    # assembly: same shape, entries and row key order at every degree
+    cases = [(group_algebra(preset("Z2"), GF(2)), 4),
+             (group_algebra(preset("Z3"), GF(3)), 4),
+             (group_algebra(preset("S3"), QQ), 3),
+             (exterior_algebra([3, 5], QQ), 4)]
+    for alg, N in cases:
+        hc = CyclicCohomology(alg, N)
+        tot = hc.total
+        for n in range(N + 1):
+            want = _block_total_differential(tot.bar, n)
+            d = tot.complex.differential(n)
+            assert (d.nrows, d.ncols) == (len(want), tot.dim(n))
+            assert tot.dim(n) == sum(c[3] for c in _column_layout(tot.bar, n))
+            assert [list(r.items()) for r in d.rows] == \
+                [list(r.items()) for r in want]
+        for n in range(N - 1):
+            for x in hc.classes(n):
+                shifted = _column_shift(tot.bar, n, x.representative)
+                s = hc.periodicity(x)
+                assert s.representative == shifted
+                assert s.coords == hc.project(n + 2, shifted).coords
 
 
 def test_connes_sequence_f2_z2():
