@@ -129,7 +129,7 @@ class CyclicCohomology:
         0 in C^{n+1} plus the answer in Tot^{n-1} behind it."""
         n = hh_cls.degree
         vec = hh.bar.cochain_to_vec(hh_cls.representative)
-        dtot = self.total.complex.differential(n).apply_sparse(vec)
+        dtot = self.total.complex.apply(n, vec)
         front = self.total.bar.complex.dim(n + 1)
         if any(c < front for c in dtot):
             raise ValueError("representative is not a cocycle")
@@ -232,7 +232,15 @@ def connes_maps(alg: FDAlgebra, max_degree: int, budget: int | None = None):
 
 class StringBracket:
     """The bracket {x, y} = +- connecting(I(x) u I(y)) on cyclic classes,
-    with the cup computed in HH(A;A) through the Frobenius duality."""
+    with the cup computed in HH(A;A) through the Frobenius duality.
+
+    Each distinct bracket is computed once per instance: ``bracket`` keeps
+    its results keyed by the exact arguments, degree and representative
+    with its key order, never by coordinates.  Two representatives of one
+    class are therefore each computed, so the suites still test that the
+    bracket is well defined on classes.  Every call returns a fresh class
+    with its own coordinates and representative.
+    """
 
     def __init__(self, alg: FDAlgebra, frob: FrobeniusStructure,
                  max_degree: int, budget: int | None = None):
@@ -242,6 +250,7 @@ class StringBracket:
         self.hc = CyclicCohomology(alg, max_degree, budget)
         self.bv = BVStructure(alg, frob, max_degree, budget)
         self.pairing_shift = -(frob.degree or 0)  # d >= 0: pairing degree -d
+        self._brackets: dict[tuple, CohomologyClass] = {}
 
     def certified(self):
         return self.hc.certified
@@ -249,10 +258,19 @@ class StringBracket:
     def bracket(self, x: CohomologyClass, y: CohomologyClass) -> CohomologyClass:
         """{x, y} := (-1)^{|x| - d} connecting(I(x) u I(y)), the cup routed
         through HH(A;A) since dual-coefficient cochains cannot be cupped."""
-        f = self.alg.field
-        d = self.pairing_shift
         if x.degree + y.degree > self.hc.certified:
             raise ValueError("bracket exceeds the certified window")
+        key = (x.degree, tuple(x.representative.items()),
+               y.degree, tuple(y.representative.items()))
+        out = self._brackets.get(key)
+        if out is None:
+            out = self._brackets[key] = self._compute_bracket(x, y)
+        return CohomologyClass(out.space, out.degree, list(out.coords),
+                               dict(out.representative))
+
+    def _compute_bracket(self, x, y):
+        f = self.alg.field
+        d = self.pairing_shift
         ix = self.hc.to_hochschild(x, self.bv.hh_dual)
         iy = self.hc.to_hochschild(y, self.bv.hh_dual)
         u = self.bv.duality(ix)

@@ -42,7 +42,7 @@ vanish.
 from __future__ import annotations
 
 import os
-from itertools import chain, product
+from itertools import product
 
 from .algebra import FDAlgebra, FrobeniusStructure, PreconditionError
 from .groups import FiniteGroup
@@ -124,7 +124,7 @@ class Cochain:
         f = self.alg.field
         if other.degree != self.degree or other.coeff != self.coeff:
             raise ValueError("cochain sum degree/coefficient mismatch")
-        table = sum_terms(f, chain(self.table.items(), other.table.items()))
+        table = sum_terms(f, other.table.items(), dict(self.table))
         return Cochain(self.alg, self.coeff, self.degree, table)
 
     def minus(self, other: "Cochain") -> "Cochain":
@@ -323,11 +323,8 @@ class BarComplex:
     def cohomology(self, n):
         return self.complex.cohomology_at(n)
 
-    def differential_vec(self, n: int, vec: dict) -> dict:
-        return self.complex.differential(n).apply_sparse(vec)
-
     def is_cocycle(self, c: Cochain) -> bool:
-        return not self.differential_vec(c.degree, self.cochain_to_vec(c))
+        return not self.complex.apply(c.degree, self.cochain_to_vec(c))
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ class SquareZeroError(LinalgError):
         self.column = column
 
 
-def sum_terms(f, terms) -> dict:
+def sum_terms(f, terms, start: dict | None = None) -> dict:
     """The sparse vector over ``f`` summing ``(key, c)`` terms, each ``c`` an
     exact representative of a field element (the element itself will do):
     an int, or a Fraction for a non-integral rational.  Terms are added
@@ -56,9 +56,13 @@ def sum_terms(f, terms) -> dict:
     ``f.of_int`` as it is stored: one field call per term, where a field
     accumulation makes a multiply, an add and a zero test.  Keys keep the order of their first term, except that a key whose running
     sum vanishes drops out (and comes back at the end if a later term hits
-    it): the order a loop of field additions that drops zeros leaves."""
+    it): the order a loop of field additions that drops zeros leaves.
+
+    ``start``, a dict of nonzero field elements, is summed into in place and
+    returned; the result is the one its items would give as the first
+    terms."""
     of_int = f.of_int
-    out: dict = {}
+    out: dict = {} if start is None else start
     for key, c in terms:
         if key in out:
             c += out[key]
@@ -763,6 +767,7 @@ class Complex:
             self._check_square_zero()
         self._cohomology_cache: dict[int, CohomologyData] = {}
         self._rank_cache: dict[int, int] = {}
+        self._columns: dict[int, list] = {}
 
     def _check_square_zero(self):
         p = self.field.char
@@ -793,6 +798,17 @@ class Complex:
             return self.diffs[n]
         return SparseMatrix(self.field, self.dims.get(n + 1, 0), self.dims.get(n, 0))
 
+    def columns(self, n) -> list:
+        """The column view of d^n (``SparseMatrix.columns``), built on first
+        use and kept: nothing mutates a differential once it is built."""
+        if n not in self._columns:
+            self._columns[n] = self.differential(n).columns()
+        return self._columns[n]
+
+    def apply(self, n, vec: dict) -> dict:
+        """d^n applied to a sparse vector, through the kept column view."""
+        return self.differential(n).apply_sparse(vec, self.columns(n))
+
     def rank_d(self, n) -> int:
         if n not in self._rank_cache:
             self._rank_cache[n] = (
@@ -819,7 +835,7 @@ class Complex:
             kernel = [{i: f.one} for i in range(self.dims.get(n, 0))]
         store = EchelonStore(f)
         if n - 1 in self.diffs:
-            for col in self.diffs[n - 1].columns():
+            for col in self.columns(n - 1):
                 if col:
                     store.insert(col)
         reps = []

@@ -9,7 +9,12 @@ from hbv.cyclic import (
     cyclic_cohomology,
     trace_space_dim,
 )
-from hbv.hochschild import HochschildCohomology, connes_b_dual, connes_b_dual_matrix
+from hbv.hochschild import (
+    CohomologyClass,
+    HochschildCohomology,
+    connes_b_dual,
+    connes_b_dual_matrix,
+)
 
 
 def test_hc0_is_trace_space():
@@ -156,7 +161,6 @@ def test_connecting_independent_of_representative():
                     n,
                     _vec_add(f, bar.cochain_to_vec(x.representative), col),
                 )
-                from hbv.hochschild import CohomologyClass
                 x2 = CohomologyClass(hh, n, x.coords, pert)
                 assert hc.connecting(x2, hh).coords == base
                 break
@@ -245,3 +249,122 @@ def test_cyclic_cohomology_table():
     table = cyclic_cohomology(alg, 4)
     assert [n for n, _, _ in table] == list(range(5))
     assert all(dim == len(classes) for _, dim, classes in table)
+
+
+# -- the bracket memo ---------------------------------------------------------
+
+MEMO_CASES = (("Z4", GF(2), 5), ("Z3", GF(3), 6))
+
+
+def _string_bracket(name, field, n):
+    alg = group_algebra(preset(name), field)
+    return StringBracket(alg, group_frobenius(alg), n)
+
+
+def _snapshot(cls):
+    return cls.degree, list(cls.coords), list(cls.representative.items())
+
+
+def _basis_pairs(sb):
+    W = sb.certified()
+    for nx in range(W + 1):
+        for ny in range(W + 1 - nx):
+            for x in sb.hc.classes(nx):
+                for y in sb.hc.classes(ny):
+                    yield x, y
+
+
+def _nested_pairs(sb):
+    """Pairs shaped like the Jacobi check's nested brackets: (z, {x, y})
+    and ({x, y}, z) on basis classes, wherever {x, y} is in degree >= 0
+    and the outer bracket stays in the certified window."""
+    W = sb.certified()
+    for x, y in _basis_pairs(sb):
+        inner = sb.bracket(x, y)
+        if inner.degree < 0:
+            continue
+        for nz in range(W + 1 - x.degree - y.degree):
+            for z in sb.hc.classes(nz):
+                yield z, inner
+                yield inner, z
+
+
+def _bracket_from_parts(sb, x, y):
+    """{x, y} = (-1)^{|x| - d} connecting(I(x) u I(y)) composed from the
+    parts of ``sb``, past any memo."""
+    f = sb.alg.field
+    hh = sb.bv.hh_dual
+    u = sb.bv.duality(sb.hc.to_hochschild(x, hh))
+    v = sb.bv.duality(sb.hc.to_hochschild(y, hh))
+    out = sb.hc.connecting(sb.bv.duality_inv(sb.bv.cup_classes(u, v)), hh)
+    if (x.degree - sb.pairing_shift) % 2:
+        return (out.degree, [f.neg(c) for c in out.coords],
+                [(k, f.neg(c)) for k, c in out.representative.items()])
+    return _snapshot(out)
+
+
+def test_bracket_memo_matches_fresh_instance():
+    # the memo is filled by the suites, then every basis pair and every
+    # nested pair must read what the parts of a fresh instance compose to
+    # from scratch: degree, coordinates and representative with its key
+    # order
+    for name, field, n in MEMO_CASES:
+        sb = _string_bracket(name, field, n)
+        sb.antisymmetry_jacobi_check()
+        sb.morphism_check()
+        fresh = _string_bracket(name, field, n)
+        pairs = list(_basis_pairs(sb))
+        nested = list(_nested_pairs(sb))
+        assert nested
+        for x, y in pairs + nested:
+            assert _snapshot(sb.bracket(x, y)) == _bracket_from_parts(fresh, x, y)
+
+
+def test_bracket_memo_hands_out_copies():
+    for name, field, n in MEMO_CASES:
+        sb = _string_bracket(name, field, n)
+        f = field
+        seen = 0
+        for x, y in _basis_pairs(sb):
+            first = sb.bracket(x, y)
+            if first.degree < 0 or first.is_zero():
+                continue
+            want = _snapshot(first)
+            first.coords[0] = f.add(first.coords[0], f.one)
+            first.representative[next(iter(first.representative))] = f.zero
+            first.representative[-1] = f.one
+            again = sb.bracket(x, y)
+            assert _snapshot(again) == want
+            again.coords.clear()
+            again.representative.clear()
+            assert _snapshot(sb.bracket(x, y)) == want
+            seen += 1
+        assert seen
+
+
+def test_bracket_memo_computes_each_representative(monkeypatch):
+    # two representatives of one class, differing by a coboundary of the
+    # total complex, are two computations; repeating either is none
+    for name, field, n in MEMO_CASES:
+        sb = _string_bracket(name, field, n)
+        computed = []
+        connecting = sb.hc.connecting
+        monkeypatch.setattr(sb.hc, "connecting",
+                            lambda cls, hh: computed.append(1) or connecting(cls, hh))
+        x, y = next((x, y) for x in sb.hc.classes(2) for y in sb.hc.classes(1)
+                    if not sb.bracket(x, y).is_zero())
+        base = len(computed)
+        # d_tot^0 vanishes on these commutative algebras; d_tot^1 does not
+        col = next(c for c in sb.hc.total.complex.columns(1) if c)
+        x2 = CohomologyClass(sb.hc, 2, list(x.coords),
+                             _vec_add(field, x.representative, col))
+        assert x2.representative != x.representative
+        assert sb.hc.project(2, x2.representative).coords == x.coords
+        counts = []
+        for args in ((x, y), (x2, y), (x2, y), (y, x2), (y, x), (y, x2)):
+            sb.bracket(*args)
+            counts.append(len(computed) - base)
+        assert counts == [0, 1, 1, 2, 3, 3]
+        assert sb.bracket(x2, y).coords == sb.bracket(x, y).coords
+        assert sb.bracket(y, x2).coords == sb.bracket(y, x).coords
+        monkeypatch.undo()

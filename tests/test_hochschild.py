@@ -1,6 +1,7 @@
 import random
 
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -31,6 +32,7 @@ from hbv.hochschild import (
     hochschild_dims,
     unit_cochain,
 )
+from hbv.linalg import sum_terms
 
 
 # -- complex construction ---------------------------------------------------------
@@ -158,6 +160,39 @@ def test_cup_class_sums_in_center():
     assert hh.project(prod).coords == hh.project(expected).coords
     # and on the nose in the center
     assert prod.table == expected.table
+
+
+def test_cochain_plus_matches_sum_terms():
+    # a.plus(b).plus(c) and a.minus(b) against sum_terms over all the
+    # tables at once: same keys, values (with their types) and key order,
+    # where a key of a cancels against b and c brings it back at the end
+    rng = random.Random(71)
+    returned = 0
+    for field in (GF(2), GF(3), QQ):
+        alg = group_algebra(preset("Z3"), field)
+        f = alg.field
+        keys = [((i, j), v) for i in range(3) for j in range(3) for v in range(3)
+                if alg.unit_index not in (i, j)]
+        values = [f.one, f.neg(f.one), f.add(f.one, f.one)]
+        for _ in range(40):
+            a = {k: rng.choice(values) for k in rng.sample(keys, rng.randint(0, 4))}
+            b = {k: f.neg(v) if rng.random() < 0.5 else rng.choice(values)
+                 for k, v in a.items()}
+            b.update((k, rng.choice(values)) for k in rng.sample(keys, 2))
+            c = {k: rng.choice(values) for k in rng.sample(keys, rng.randint(0, 3))}
+            c.update((k, f.one) for k in list(a)[:2])
+            A, B, C = (Cochain(alg, "self", 2, t) for t in (a, b, c))
+            got = A.plus(B).plus(C).table
+            want = sum_terms(f, chain(A.table.items(), B.table.items(),
+                                      C.table.items()))
+            assert list(got.items()) == list(want.items())
+            assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+            neg_b = ((k, f.neg(v)) for k, v in B.table.items())
+            want = sum_terms(f, chain(A.table.items(), neg_b))
+            assert list(A.minus(B).table.items()) == list(want.items())
+            ab = sum_terms(f, chain(A.table.items(), B.table.items()))
+            returned += sum(k in A.table and k not in ab for k in C.table)
+    assert returned
 
 
 def test_cup_commutative_up_to_coboundary():

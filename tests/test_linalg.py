@@ -445,3 +445,50 @@ def test_cohomology_dim_invariant_under_conjugation():
             diffs[k] = SparseMatrix.from_matrix(mat)
         cx = Complex(f, dict(bar.complex.dims), diffs)
         assert [cx.cohomology_dim(j) for j in range(3)] == base_dims
+
+
+def test_column_view_kept_per_degree(monkeypatch):
+    # Complex.columns and Complex.apply read one kept view per degree; they
+    # must equal a fresh SparseMatrix.columns and apply_sparse entry for
+    # entry and in key order, and no degree's view may be built twice,
+    # cohomology_at included
+    rng = random.Random(67)
+    fresh_columns = SparseMatrix.columns
+    built = []
+
+    def counting(sm):
+        built.append(sm)
+        return fresh_columns(sm)
+
+    for field in (QQ, GF(2), GF(3)):
+        if field is QQ:
+            entries = [Fraction(v) for v in (1, -1, 2, Fraction(1, 2))]
+        else:
+            entries = [field.of_int(v) for v in range(1, field.char)]
+        coefs = [field.zero] + entries
+        for _ in range(10):
+            dims = [rng.randint(1, 5) for _ in range(4)]
+            mats = _random_chain(rng, field, dims, entries, coefs)
+            cx = Complex(field, dict(enumerate(dims)),
+                         {n: SparseMatrix.from_matrix(m) for n, m in enumerate(mats)})
+            degrees = range(-1, len(dims))
+            vecs = {n: [{j: rng.choice(entries) for j in range(cx.dim(n))
+                         if rng.random() < 0.6} for _ in range(4)]
+                    for n in degrees}
+            want_cols = {n: [list(c.items()) for c in cx.differential(n).columns()]
+                         for n in degrees}
+            want_apply = {n: [list(cx.differential(n).apply_sparse(v).items())
+                              for v in vecs[n]] for n in degrees}
+            monkeypatch.setattr(SparseMatrix, "columns", counting)
+            built.clear()
+            for _ in range(2):
+                for n in degrees:
+                    assert [list(c.items()) for c in cx.columns(n)] == want_cols[n]
+                    assert cx.columns(n) is cx.columns(n)
+                    assert [list(cx.apply(n, v).items())
+                            for v in vecs[n]] == want_apply[n]
+                for n in range(len(dims)):
+                    cx.cohomology_at(n)
+            assert len(built) == len(degrees)
+            assert len({id(sm) for sm in built}) == len(degrees)
+            monkeypatch.undo()
