@@ -31,7 +31,6 @@ from .hochschild import (
     connes_b_dual,
     cup,
     gerstenhaber_bracket,
-    hochschild_cohomology,
     hochschild_dims,
 )
 from .cyclic import (
@@ -77,7 +76,6 @@ __all__ = [
     "connes_b_dual",
     "cup",
     "gerstenhaber_bracket",
-    "hochschild_cohomology",
     "hochschild_dims",
     "CyclicCohomology",
     "StringBracket",

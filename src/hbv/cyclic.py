@@ -31,8 +31,12 @@ from .hochschild import (
     CohomologyClass,
     HochschildCohomology,
     basis_classes,
+    combine,
     connes_b_dual,
     connes_b_dual_matrix,
+    signed,
+    window_label,
+    window_tuples,
 )
 from .linalg import Complex, Matrix, SparseMatrix, rank
 from .reports import CheckReport
@@ -91,10 +95,6 @@ class CyclicCohomology:
         self.certified = max_degree - 2
         self.total = CyclicComplex(alg, max_degree, budget)
         self._classes: dict[int, list] = {}
-
-    def dims(self, upto: int | None = None):
-        upto = self.max_degree if upto is None else upto
-        return [(n, self.total.cohomology_dim(n)) for n in range(upto + 1)]
 
     def dim(self, n: int) -> int:
         return self.total.cohomology_dim(n)
@@ -160,6 +160,7 @@ def connes_maps(alg: FDAlgebra, max_degree: int, budget: int | None = None):
     S_mats = {}
     C_mats = {}
     rot_mats = {}
+    connected = {}  # the connecting image of each basis class of HH^n
     for n in range(W + 1):
         I_mats[n] = _map_matrix(
             f, [hc.to_hochschild(x, hh).coords for x in hc.classes(n)], hh.dim(n)
@@ -170,10 +171,9 @@ def connes_maps(alg: FDAlgebra, max_degree: int, budget: int | None = None):
                 hc.dim(n + 2),
             )
         if n >= 1:
+            connected[n] = [hc.connecting(x, hh) for x in hh.classes(n)]
             C_mats[n] = _map_matrix(
-                f, [hc.connecting(x, hh).coords for x in hh.classes(n)],
-                hc.dim(n - 1),
-            )
+                f, [c.coords for c in connected[n]], hc.dim(n - 1))
             # rotation on cohomology, via the class-level operator
             rot_imgs = []
             for x in hh.classes(n):
@@ -183,9 +183,7 @@ def connes_maps(alg: FDAlgebra, max_degree: int, budget: int | None = None):
 
     # I o connecting = rotation, as matrices on cohomology
     for n in range(1, W + 1):
-        imgs = []
-        for x in hh.classes(n):
-            imgs.append(hc.to_hochschild(hc.connecting(x, hh), hh).coords)
+        imgs = [hc.to_hochschild(c, hh).coords for c in connected[n]]
         comp = _map_matrix(f, imgs, hh.dim(n - 1))
         report.record(
             f"I o connecting = rotation at degree {n}",
@@ -271,111 +269,75 @@ class StringBracket:
     def _compute_bracket(self, x, y):
         f = self.alg.field
         d = self.pairing_shift
-        ix = self.hc.to_hochschild(x, self.bv.hh_dual)
-        iy = self.hc.to_hochschild(y, self.bv.hh_dual)
-        u = self.bv.duality(ix)
-        v = self.bv.duality(iy)
-        w = self.bv.cup_classes(u, v)
+        w = self.bv.cup_classes(self._to_hh(x), self._to_hh(y))
         back = self.bv.duality_inv(w)
         out = self.hc.connecting(back, self.bv.hh_dual)
         # total degree of x in the cyclic grading
-        exp = (x.degree - d) % 2
-        if exp:
-            coords = [f.neg(c) for c in out.coords]
+        if (x.degree - d) % 2:
             return CohomologyClass(
-                self.hc, out.degree, coords,
+                self.hc, out.degree, [f.neg(c) for c in out.coords],
                 {k: f.neg(vv) for k, vv in out.representative.items()})
         return out
 
+    def _basis(self):
+        """The basis classes of HC^0 .. HC^W, W the certified degree."""
+        return [self.hc.classes(n) for n in range(self.certified() + 1)]
+
+    def _to_hh(self, x: CohomologyClass) -> CohomologyClass:
+        """M = D o I : HC^n -> HH^n(A; A)."""
+        return self.bv.duality(self.hc.to_hochschild(x, self.bv.hh_dual))
+
     def morphism_check(self):
-        """The map x -> D(I(x)) sends the string bracket to the Gerstenhaber
-        bracket: {M(x), M(y)} = M({x, y}) on all certified pairs."""
+        """The map M = D o I sends the string bracket to the Gerstenhaber
+        bracket: {M(x), M(y)} = M({x, y}) on all certified pairs, from
+        ``window_tuples``; M of each basis class is computed once."""
         report = CheckReport()
-        W = self.certified()
-        for nx in range(W + 1):
-            for ny in range(W + 1 - nx):
-                if nx + ny == 0:
-                    continue
-                for i, x in enumerate(self.hc.classes(nx)):
-                    mx = self.bv.duality(self.hc.to_hochschild(x, self.bv.hh_dual))
-                    for j, y in enumerate(self.hc.classes(ny)):
-                        my = self.bv.duality(self.hc.to_hochschild(y, self.bv.hh_dual))
-                        lhs = self.bv.bracket_classes(mx, my)
-                        br = self.bracket(x, y)
-                        rhs = (
-                            self.bv.duality(
-                                self.hc.to_hochschild(br, self.bv.hh_dual))
-                            if br.degree >= 0
-                            else self.bv.hh.zero_class(0)
-                        )
-                        ok = (lhs.coords == rhs.coords
-                              if br.degree >= 0
-                              else lhs.is_zero())
-                        report.record(
-                            f"morphism at ({nx},{ny}) basis ({i},{j})",
-                            ok,
-                            None if ok else (nx, ny, i, j, lhs.coords),
-                        )
+        basis = self._basis()
+        W = len(basis) - 1
+        M = {(n, i): self._to_hh(x)
+             for (n,), (i,), (x,) in window_tuples(basis, 1, 0, W)}
+        for (nx, ny), (i, j), (x, y) in window_tuples(basis, 2, 1, W):
+            lhs = self.bv.bracket_classes(M[nx, i], M[ny, j])
+            # {x, y} lies in degree nx + ny - 1 >= 0
+            ok = lhs.coords == self._to_hh(self.bracket(x, y)).coords
+            report.record(f"morphism {window_label((nx, ny), (i, j))}", ok,
+                          None if ok else (nx, ny, i, j, lhs.coords))
         return report
 
     def antisymmetry_jacobi_check(self):
         """Graded antisymmetry and Jacobi for the bracket of degree -1-d on
-        certified basis classes."""
+        the certified basis classes, each over ``window_tuples``."""
         f = self.alg.field
         d = self.pairing_shift
         report = CheckReport()
-        W = self.certified()
+        basis = self._basis()
+        W = len(basis) - 1
 
-        def neg(coords):
-            return [f.neg(c) for c in coords]
-
-        for nx in range(W + 1):
-            for ny in range(W + 1 - nx):
-                if nx + ny == 0:
-                    continue
-                for i, x in enumerate(self.hc.classes(nx)):
-                    for j, y in enumerate(self.hc.classes(ny)):
-                        lhs = self.bracket(x, y)
-                        rhs = self.bracket(y, x)
-                        # bracket of degree -1-d: antisymmetry sign
-                        exp = (nx - 1 - d) * (ny - 1 - d)
-                        want = neg(rhs.coords) if exp % 2 == 0 else rhs.coords
-                        report.record(
-                            f"antisymmetry at ({nx},{ny}) basis ({i},{j})",
-                            lhs.coords == want,
-                            None if lhs.coords == want else (lhs.coords, rhs.coords),
-                        )
+        for (nx, ny), (i, j), (x, y) in window_tuples(basis, 2, 1, W):
+            lhs = self.bracket(x, y)
+            rhs = self.bracket(y, x)
+            # bracket of degree -1-d: antisymmetry sign
+            want = signed(f, (nx - 1 - d) * (ny - 1 - d) % 2 == 0, rhs.coords)
+            report.record(
+                f"antisymmetry {window_label((nx, ny), (i, j))}",
+                lhs.coords == want,
+                None if lhs.coords == want else (lhs.coords, rhs.coords),
+            )
         # Jacobi in Leibniz form on triples whose nested brackets stay in window
-        for nx in range(W + 1):
-            for ny in range(W + 1 - nx):
-                for nz in range(W + 1 - nx - ny):
-                    if nx + ny + nz < 2 * (1 + d):
-                        continue
-                    for x in self.hc.classes(nx):
-                        for y in self.hc.classes(ny):
-                            for z in self.hc.classes(nz):
-                                inner = self.bracket(y, z)
-                                if inner.degree < 0:
-                                    continue
-                                l = self.bracket(x, inner)
-                                xy = self.bracket(x, y)
-                                r1 = (self.bracket(xy, z)
-                                      if xy.degree >= 0 else None)
-                                xz = self.bracket(x, z)
-                                r2 = (self.bracket(y, xz)
-                                      if xz.degree >= 0 else None)
-                                exp = (nx - 1 - d) * (ny - 1 - d)
-                                f_ = self.alg.field
-                                rc1 = r1.coords if r1 else [f_.zero] * len(l.coords)
-                                rc2 = r2.coords if r2 else [f_.zero] * len(l.coords)
-                                if exp % 2:
-                                    rc2 = [f_.neg(c) for c in rc2]
-                                rhs = [f_.add(a, b) for a, b in zip(rc1, rc2)]
-                                report.record(
-                                    f"jacobi at ({nx},{ny},{nz})",
-                                    l.coords == rhs,
-                                    None if l.coords == rhs else (l.coords, rhs),
-                                )
+        for degrees, _, (x, y, z) in window_tuples(basis, 3, 2 * (1 + d), W):
+            inner = self.bracket(y, z)
+            if inner.degree < 0:
+                continue
+            lhs = self.bracket(x, inner).coords
+            zero = [f.zero] * len(lhs)
+            xy = self.bracket(x, y)
+            r1 = self.bracket(xy, z).coords if xy.degree >= 0 else zero
+            xz = self.bracket(x, z)
+            r2 = self.bracket(y, xz).coords if xz.degree >= 0 else zero
+            nx, ny, _ = degrees
+            rhs = combine(f, r1, r2, (nx - 1 - d) * (ny - 1 - d) % 2)
+            report.record(f"jacobi {window_label(degrees)}", lhs == rhs,
+                          None if lhs == rhs else (lhs, rhs))
         return report
 
 

@@ -316,9 +316,9 @@ class BarComplex:
 
     # -- views --------------------------------------------------------------
 
-    def dims_table(self, upto: int | None = None):
-        upto = self.max_degree if upto is None else upto
-        return [(n, self.complex.cohomology_dim(n)) for n in range(upto + 1)]
+    def dims_table(self):
+        return [(n, self.complex.cohomology_dim(n))
+                for n in range(self.max_degree + 1)]
 
     def cohomology(self, n):
         return self.complex.cohomology_at(n)
@@ -540,9 +540,6 @@ class HochschildCohomology:
         self.bar = BarComplex(alg, coeff, max_degree, budget)
         self._classes: dict[int, list] = {}
 
-    def dims(self, upto: int | None = None):
-        return self.bar.dims_table(upto)
-
     def dim(self, n: int) -> int:
         return self.bar.complex.cohomology_dim(n)
 
@@ -570,16 +567,46 @@ class HochschildCohomology:
         return self.project(unit_cochain(self.alg))
 
 
-def hochschild_cohomology(alg, coeff, max_degree, budget=None):
-    """The (degree, dimension, basis classes) table."""
-    hh = HochschildCohomology(alg, coeff, max_degree, budget)
-    return [(n, hh.dim(n), hh.classes(n)) for n in range(max_degree + 1)]
-
-
 def hochschild_dims(alg, coeff, max_degree, budget=None):
     """Dimension table only; skips all representative machinery."""
     bar = BarComplex(alg, coeff, max_degree, budget)
     return bar.dims_table()
+
+
+# ---------------------------------------------------------------------------
+# the certified window of the identity suites
+
+
+def window_tuples(basis, arity: int, lo: int, hi: int):
+    """Every ``arity``-tuple of basis classes whose degrees sum to lo..hi,
+    as ``(degrees, indices, classes)``, with ``basis[n]`` the classes of
+    degree n.  Degree tuples come in lexicographic order and, within one,
+    index tuples do too: the order of loops nested over the degrees, then
+    over the classes of each."""
+    for degrees in product(range(hi + 1), repeat=arity):
+        if lo <= sum(degrees) <= hi:
+            for picked in product(*(enumerate(basis[n]) for n in degrees)):
+                indices, classes = zip(*picked)
+                yield degrees, indices, classes
+
+
+def window_label(degrees, indices=None) -> str:
+    """Where a window check sits, ``at (1,2) basis (0,1)``; without the
+    basis part when ``indices`` is None."""
+    label = "at (" + ",".join(map(str, degrees)) + ")"
+    if indices is not None:
+        label += " basis (" + ",".join(map(str, indices)) + ")"
+    return label
+
+
+def signed(f, odd, coords):
+    """The coordinates times (-1)^odd."""
+    return [f.neg(c) for c in coords] if odd else coords
+
+
+def combine(f, a, b, odd):
+    """a + (-1)^odd b, coordinate by coordinate."""
+    return [f.sub(x, y) if odd else f.add(x, y) for x, y in zip(a, b)]
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +622,7 @@ class BVStructure:
     """
 
     def __init__(self, alg: FDAlgebra, frob: FrobeniusStructure,
-                 max_degree: int, budget: int | None = None,
-                 flip_sign_convention: bool = False):
+                 max_degree: int, budget: int | None = None):
         if not frob.report.symmetric or not frob.report.nondegenerate:
             raise PreconditionError(
                 "BV structure needs a symmetric nondegenerate Frobenius pairing"
@@ -604,7 +630,6 @@ class BVStructure:
         self.alg = alg
         self.frob = frob
         self.max_degree = max_degree
-        self.flip = flip_sign_convention
         self.hh = HochschildCohomology(alg, "self", max_degree, budget)
         self.hh_dual = HochschildCohomology(alg, "dual", max_degree, budget)
         self.lam = frob.lambda_matrix()
@@ -675,12 +700,13 @@ def bv_check(alg: FDAlgebra, frob: FrobeniusStructure, max_degree: int,
         [x, y] = (-1)^{|x|} ( Delta(x u y) - Delta(x) u y
                               - (-1)^{|x|} x u Delta(y) ),
 
-    |.| the cochain degree, plus graded Jacobi and the Poisson rule.  The
-    ``flip_sign_convention`` switch negates the seven-term right side, the
-    alternative convention, kept for comparison runs.  The report lists
-    failures with witnesses.
+    |.| the cochain degree, plus graded Jacobi and the Poisson rule.  Each
+    check runs over ``window_tuples`` of the basis classes, and Delta of each
+    basis class is computed once.  The ``flip_sign_convention`` switch
+    negates the seven-term right side, the alternative convention, kept for
+    comparison runs.  The report lists failures with witnesses.
     """
-    bv = BVStructure(alg, frob, max_degree, budget, flip_sign_convention)
+    bv = BVStructure(alg, frob, max_degree, budget)
     f = alg.field
     N = max_degree
     window = N - 2
@@ -689,96 +715,58 @@ def bv_check(alg: FDAlgebra, frob: FrobeniusStructure, max_degree: int,
     one = bv.hh.unit_class()
     report.record("delta(1) = 0", bv.delta(one).is_zero())
 
-    basis = {n: bv.hh.classes(n) for n in range(N + 1)}
+    # HH^N is fetched too, though no check reads it: leaving it out changes
+    # the ranks a run computes, which perfbench/reference.json pins
+    # (ROADMAP item 4)
+    basis = [bv.hh.classes(n) for n in range(N + 1)]
+    # Delta of each basis class, once; Delta^2 is certified on degrees <= N - 1
+    delta = {(n, i): bv.delta(x)
+             for (n,), (i,), (x,) in window_tuples(basis, 1, 1, N - 1)}
 
-    for n in range(2, N):  # Delta^2 certified on degrees <= N - 1
-        for i, x in enumerate(basis[n]):
-            d2 = bv.delta(bv.delta(x))
-            report.record(
-                f"delta^2 = 0 at degree {n} basis {i}",
-                d2.is_zero(),
-                None if d2.is_zero() else (n, i, d2.coords),
-            )
+    for (n,), (i,), _ in window_tuples(basis, 1, 2, N - 1):
+        d2 = bv.delta(delta[n, i])
+        report.record(
+            f"delta^2 = 0 at degree {n} basis {i}",
+            d2.is_zero(),
+            None if d2.is_zero() else (n, i, d2.coords),
+        )
 
-    def neg_if(cond, v):
-        return f.neg(v) if cond else v
+    for (nx, ny), (i, j), (x, y) in window_tuples(basis, 2, 1, window):
+        lhs = bv.bracket_classes(x, y).coords
+        t1 = bv.delta(bv.cup_classes(x, y)).coords
+        zero = [f.zero] * len(lhs)
+        t2 = bv.cup_classes(delta[nx, i], y).coords if nx else zero
+        t3 = bv.cup_classes(x, delta[ny, j]).coords if ny else zero
+        odd = nx % 2
+        # (-1)^{|x|} (t1 - t2 - (-1)^{|x|} t3), negated once more if flipped
+        rhs = signed(f, odd ^ flip_sign_convention,
+                     combine(f, combine(f, t1, t2, 1), t3, 1 - odd))
+        ok = lhs == rhs
+        report.record(f"seven-term {window_label((nx, ny), (i, j))}", ok,
+                      None if ok else (nx, ny, i, j, (lhs, rhs)))
 
-    def seven_term(x, y):
-        target = x.degree + y.degree - 1
-        lhs = bv.bracket_classes(x, y)
-        t1 = bv.delta(bv.cup_classes(x, y))
-        t2 = (bv.cup_classes(bv.delta(x), y) if x.degree >= 1
-              else bv.hh.zero_class(target))
-        t3 = (bv.cup_classes(x, bv.delta(y)) if y.degree >= 1
-              else bv.hh.zero_class(target))
-        odd = x.degree % 2
-        rhs = [
-            neg_if(odd, f.sub(f.sub(a, b), neg_if(odd, c)))
-            for a, b, c in zip(t1.coords, t2.coords, t3.coords)
-        ]
-        if bv.flip:
-            rhs = [f.neg(v) for v in rhs]
-        return lhs.coords == rhs, (lhs.coords, rhs)
+    def internal(x):
+        return x.representative.internal_degree()
 
-    for nx in range(window + 1):
-        for ny in range(window + 1 - nx):
-            if nx + ny == 0:
-                continue  # both sides land in degree -1
-            for i, x in enumerate(basis[nx]):
-                for j, y in enumerate(basis[ny]):
-                    ok, wit = seven_term(x, y)
-                    report.record(
-                        f"seven-term at ({nx},{ny}) basis ({i},{j})",
-                        ok,
-                        None if ok else (nx, ny, i, j, wit),
-                    )
-
-    def jacobi(x, y, z):
-        """Graded Leibniz form: [[x,y],z] = [x,[y,z]] - +-[y,[x,z]],
-        the exchange sign matching the bracket's antisymmetry convention."""
-        ex = ((x.degree - 1) * (y.degree - 1)
-              + x.representative.internal_degree() * y.representative.internal_degree())
+    # graded Leibniz form: [[x,y],z] = [x,[y,z]] - +-[y,[x,z]], the exchange
+    # sign matching the bracket's antisymmetry convention; a nested bracket
+    # of total degree < 2 lands in degree < 0
+    for (nx, ny, nz), ijk, (x, y, z) in window_tuples(basis, 3, 2, window):
+        ex = (nx - 1) * (ny - 1) + internal(x) * internal(y)
         lhs = bv.bracket_classes(bv.bracket_classes(x, y), z)
         r1 = bv.bracket_classes(x, bv.bracket_classes(y, z))
         r2 = bv.bracket_classes(y, bv.bracket_classes(x, z))
-        rhs = [f.sub(a, neg_if(ex % 2, b)) for a, b in zip(r1.coords, r2.coords)]
-        return lhs.coords == rhs
+        report.record(f"jacobi {window_label((nx, ny, nz), ijk)}",
+                      lhs.coords == combine(f, r1.coords, r2.coords, 1 - ex % 2))
 
-    for nx in range(window + 1):
-        for ny in range(window + 1 - nx):
-            for nz in range(window + 1 - nx - ny):
-                if nx + ny + nz < 2:
-                    continue  # a nested bracket lands in degree < 0
-                for i, x in enumerate(basis[nx]):
-                    for j, y in enumerate(basis[ny]):
-                        for k, z in enumerate(basis[nz]):
-                            report.record(
-                                f"jacobi at ({nx},{ny},{nz}) basis ({i},{j},{k})",
-                                jacobi(x, y, z),
-                            )
-
-    def poisson(x, y, z):
-        """[x, y u z] = [x,y] u z + (-1)^{(|x|-1)|y| + t(x) t(y)} y u [x,z]."""
-        ex = ((x.degree - 1) * y.degree
-              + x.representative.internal_degree() * y.representative.internal_degree())
+    # [x, y u z] = [x,y] u z + (-1)^{(|x|-1)|y| + t(x) t(y)} y u [x,z]
+    for (nx, ny, nz), ijk, (x, y, z) in window_tuples(basis, 3, 1, window):
+        ex = (nx - 1) * ny + internal(x) * internal(y)
         lhs = bv.bracket_classes(x, bv.cup_classes(y, z))
         r1 = bv.cup_classes(bv.bracket_classes(x, y), z)
         r2 = bv.cup_classes(y, bv.bracket_classes(x, z))
-        rhs = [f.add(a, neg_if(ex % 2, b)) for a, b in zip(r1.coords, r2.coords)]
-        return lhs.coords == rhs
-
-    for nx in range(window + 1):
-        for ny in range(window + 1 - nx):
-            for nz in range(window + 1 - nx - ny):
-                if nx + ny + nz == 0:
-                    continue
-                for i, x in enumerate(basis[nx]):
-                    for j, y in enumerate(basis[ny]):
-                        for k, z in enumerate(basis[nz]):
-                            report.record(
-                                f"poisson at ({nx},{ny},{nz}) basis ({i},{j},{k})",
-                                poisson(x, y, z),
-                            )
+        report.record(f"poisson {window_label((nx, ny, nz), ijk)}",
+                      lhs.coords == combine(f, r1.coords, r2.coords, ex % 2))
     return report
 
 

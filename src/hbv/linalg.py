@@ -404,36 +404,6 @@ class SparseMatrix:
         return f"SparseMatrix({self.field}, {self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
 
-def _column_components(rows):
-    """Split rows into groups by connected components of shared columns."""
-    parent: dict[int, int] = {}
-
-    def find(x):
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
-    for row in rows:
-        it = iter(row)
-        try:
-            c0 = find(next(it))
-        except StopIteration:
-            continue
-        for c in it:
-            rc = find(c)
-            if rc != c0:
-                parent[rc] = c0
-    comps: dict[int, list] = {}
-    for row in rows:
-        if not row:
-            continue
-        comps.setdefault(find(next(iter(row))), []).append(row)
-    return [comps[k] for k in sorted(comps)]
-
-
 def _rank_rows_f2(rows) -> int:
     """Rank over F_2 with bitset rows; pivot = highest set bit."""
     ech: dict[int, int] = {}
@@ -551,17 +521,16 @@ def _echelon(f, rows) -> dict:
 
 
 def sparse_rank(sm: SparseMatrix) -> int:
-    """Exact rank; splits into column-connected components first."""
+    """Exact rank by max-column forward elimination over all rows at once.
+    A row is only ever reduced by a stored row holding its pivot column, so
+    rows that share no column never meet: splitting the matrix into blocks
+    of connected columns first would make the same eliminations."""
     f = sm.field
-    total = 0
-    for comp in _column_components(sm.rows):
-        if isinstance(f, RationalField):
-            total += len(_echelon_q(comp))
-        elif f.char == 2:
-            total += _rank_rows_f2(comp)
-        else:
-            total += len(_echelon_fp(comp, f.char))
-    return total
+    if isinstance(f, RationalField):
+        return len(_echelon_q(sm.rows))
+    if f.char == 2:
+        return _rank_rows_f2(sm.rows)
+    return len(_echelon_fp(sm.rows, f.char))
 
 
 def sparse_kernel_basis(sm: SparseMatrix):

@@ -1,3 +1,4 @@
+import pytest
 
 from hbv.fields import QQ, GF
 from hbv.groups import preset
@@ -242,6 +243,38 @@ def test_string_bracket_nonzero_somewhere():
                     if br.degree >= 0 and not br.is_zero():
                         found = True
     assert found
+
+
+def _string_bracket_names(dims, W, d):
+    """The check names of both ``StringBracket`` suites in the order their
+    hand-nested loops wrote them, from the dimensions of HC^0 .. HC^W."""
+    anti, jacobi, morphism = [], [], []
+    for nx in range(W + 1):
+        for ny in range(W + 1 - nx):
+            if nx + ny:
+                at = [f"at ({nx},{ny}) basis ({i},{j})"
+                      for i in range(dims[nx]) for j in range(dims[ny])]
+                anti += ["antisymmetry " + a for a in at]
+                morphism += ["morphism " + a for a in at]
+            for nz in range(W + 1 - nx - ny):
+                # one check per triple whose inner bracket {y, z} has degree >= 0
+                if nx + ny + nz >= 2 * (1 + d) and ny + nz:
+                    jacobi += ([f"jacobi at ({nx},{ny},{nz})"]
+                               * (dims[nx] * dims[ny] * dims[nz]))
+    return anti + jacobi, morphism
+
+
+@pytest.mark.parametrize("name, p, counts",
+                         [("Z2", 2, (47, 17)), ("Z3", 3, (112, 31))])
+def test_string_bracket_check_names(name, p, counts):
+    alg = group_algebra(preset(name), GF(p))
+    sb = StringBracket(alg, group_frobenius(alg), 4)
+    W = sb.certified()
+    aj = [check for check, _, _ in sb.antisymmetry_jacobi_check().checks]
+    mo = [check for check, _, _ in sb.morphism_check().checks]
+    dims = [sb.hc.dim(n) for n in range(W + 1)]
+    assert (aj, mo) == _string_bracket_names(dims, W, sb.pairing_shift)
+    assert (len(aj), len(mo)) == counts
 
 
 def test_cyclic_cohomology_table():

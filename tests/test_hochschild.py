@@ -31,6 +31,8 @@ from hbv.hochschild import (
     group_cochain_dims,
     hochschild_dims,
     unit_cochain,
+    window_label,
+    window_tuples,
 )
 from hbv.linalg import sum_terms
 
@@ -445,6 +447,40 @@ def test_bv_check_flipped_convention_fails_with_witness():
     assert failures and failures[0][1] is not None  # witness carried
 
 
+def _bv_check_names(dims, N):
+    """The check names of ``bv_check`` in the order its hand-nested loops
+    wrote them, from the dimensions of HH^0 .. HH^N."""
+    W = N - 2
+    names = ["delta(1) = 0"]
+    names += [f"delta^2 = 0 at degree {n} basis {i}"
+              for n in range(2, N) for i in range(dims[n])]
+    for nx in range(W + 1):
+        for ny in range(W + 1 - nx):
+            if nx + ny:
+                names += [f"seven-term at ({nx},{ny}) basis ({i},{j})"
+                          for i in range(dims[nx]) for j in range(dims[ny])]
+    for kind, lo in (("jacobi", 2), ("poisson", 1)):
+        for nx in range(W + 1):
+            for ny in range(W + 1 - nx):
+                for nz in range(W + 1 - nx - ny):
+                    if nx + ny + nz >= lo:
+                        names += [
+                            f"{kind} at ({nx},{ny},{nz}) basis ({i},{j},{k})"
+                            for i in range(dims[nx]) for j in range(dims[ny])
+                            for k in range(dims[nz])]
+    return names
+
+
+@pytest.mark.parametrize("name, p, total", [("Z2", 2, 145), ("Z3", 3, 457)])
+def test_bv_check_names(name, p, total):
+    alg = group_algebra(preset(name), GF(p))
+    rep = bv_check(alg, group_frobenius(alg), 4)
+    dims = [HochschildCohomology(alg, "self", 4).dim(n) for n in range(5)]
+    names = [check for check, _, _ in rep.checks]
+    assert names == _bv_check_names(dims, 4)
+    assert len(names) == total
+
+
 def test_bv_requires_symmetric_structure():
     from hbv.algebra import dual_left_integrals, frobenius_from_integral, s_square_conjugator
     from hbv.algebra import PreconditionError
@@ -482,3 +518,54 @@ def test_oracle_matches_direct_small():
         direct = [d for _, d in hochschild_dims(alg, "self", 3, budget=50000)]
         oracle = [d for _, d in centralizer_oracle(g, field, 3, budget=50000)]
         assert direct == oracle
+
+
+# -- the certified window of the identity suites -------------------------------
+
+
+def _nested_window(basis, arity, lo, hi):
+    """The loops the identity suites nested by hand, kept as the oracle of
+    ``window_tuples``: degrees outermost and increasing, then the classes of
+    each degree in turn."""
+    out = []
+    for nx in range(hi + 1):
+        if arity == 1:
+            if nx >= lo:
+                out += [((nx,), (i,), (x,)) for i, x in enumerate(basis[nx])]
+            continue
+        for ny in range(hi + 1 - nx):
+            if arity == 2:
+                if nx + ny >= lo:
+                    for i, x in enumerate(basis[nx]):
+                        for j, y in enumerate(basis[ny]):
+                            out.append(((nx, ny), (i, j), (x, y)))
+                continue
+            for nz in range(hi + 1 - nx - ny):
+                if nx + ny + nz < lo:
+                    continue
+                for i, x in enumerate(basis[nx]):
+                    for j, y in enumerate(basis[ny]):
+                        for k, z in enumerate(basis[nz]):
+                            out.append(((nx, ny, nz), (i, j, k), (x, y, z)))
+    return out
+
+
+# classes per degree 0..4, some degrees empty
+WINDOW_SIZES = ([1, 2, 0, 3, 1], [0, 0, 2, 1, 0], [2, 1, 1, 1, 2],
+                [1, 0, 0, 0, 0], [0, 0, 0, 0, 0])
+
+
+def test_window_tuples_matches_nested_loops():
+    for sizes in WINDOW_SIZES:
+        basis = [[f"{n}.{i}" for i in range(size)] for n, size in enumerate(sizes)]
+        for arity in (1, 2, 3):
+            for hi in range(5):
+                for lo in range(4):
+                    assert (list(window_tuples(basis, arity, lo, hi))
+                            == _nested_window(basis, arity, lo, hi))
+
+
+def test_window_label():
+    assert window_label((1, 2), (0, 1)) == "at (1,2) basis (0,1)"
+    assert window_label((2,), (4,)) == "at (2) basis (4)"
+    assert window_label((0, 1, 3)) == "at (0,1,3)"

@@ -205,22 +205,50 @@ def assert_kernels_agree(sm):
             assert all(type(v) is Fraction for v in sv.values())
 
 
+RATIONALS = [Fraction(v) for v in (-2, -1, 0, 1, 2)]
+RATIONALS += [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)]
+
+
+def _random_rows(rng, field, nr, nc):
+    if field is QQ:
+        return [[rng.choice(RATIONALS) for _ in range(nc)] for _ in range(nr)]
+    return [[field.of_int(rng.randint(-2, 2)) for _ in range(nc)]
+            for _ in range(nr)]
+
+
+def _interleaved_block_diagonal(field, blocks):
+    """The block-diagonal matrix of ``blocks`` with their rows and their
+    columns dealt out in turn, so that no block holds a contiguous range and
+    the blocks' columns alternate in every row order."""
+    row_ids = sorted((r, b) for b, blk in enumerate(blocks) for r in range(len(blk)))
+    col_ids = sorted((c, b) for b, blk in enumerate(blocks)
+                     for c in range(len(blk[0])))
+    col_at = {key: k for k, key in enumerate(col_ids)}
+    data = [[field.zero] * len(col_ids) for _ in row_ids]
+    for k, (r, b) in enumerate(row_ids):
+        for c, v in enumerate(blocks[b][r]):
+            data[k][col_at[c, b]] = v
+    return Matrix.from_rows(field, data)
+
+
 def test_sparse_matches_dense():
     rng = random.Random(17)
-    rationals = [Fraction(v) for v in (-2, -1, 0, 1, 2)]
-    rationals += [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)]
     for field in (QQ, GF(2), GF(3), GF(5)):
         for _ in range(30):
             nr, nc = rng.randint(1, 6), rng.randint(1, 6)
-            if field is QQ:
-                data = [[rng.choice(rationals) for _ in range(nc)]
-                        for _ in range(nr)]
-            else:
-                data = [[field.of_int(rng.randint(-2, 2)) for _ in range(nc)]
-                        for _ in range(nr)]
-            m = Matrix.from_rows(field, data)
+            m = Matrix.from_rows(field, _random_rows(rng, field, nr, nc))
             sm = SparseMatrix.from_matrix(m)
             assert sparse_rank(sm) == rank(m)
+            assert_kernels_agree(sm)
+    # blocks sharing no column, interleaved: the rank is the sum of theirs
+    for field in (QQ, GF(2), GF(3)):
+        for _ in range(20):
+            blocks = [Matrix.from_rows(field, _random_rows(
+                          rng, field, rng.randint(1, 5), rng.randint(1, 5)))
+                      for _ in range(rng.randint(2, 4))]
+            m = _interleaved_block_diagonal(field, [b.data for b in blocks])
+            sm = SparseMatrix.from_matrix(m)
+            assert sparse_rank(sm) == rank(m) == sum(rank(b) for b in blocks)
             assert_kernels_agree(sm)
 
 
