@@ -14,17 +14,20 @@ into the field as each entry is stored, or tested once per product column.
 
 Elimination.  One forward echelon per arithmetic, pivoting on the largest
 column index (empirically near fill-free on bar differentials), serves both
-rank and kernel: ``_echelon_fp`` over F_p and the fraction-free
-``_echelon_q`` over Q.  Rank over F_2 uses bitset rows instead.  The sparse
-kernel basis equals, vector for vector, the one the dense leftmost-pivot
-``rref`` gives, since the reduced kernel basis is unique.  ``EchelonStore``
-pivots on the smallest column, because the cohomology representatives it
-selects, and so every coordinate in a report, depend on that rule.
+rank and kernel: ``_echelon_f2`` on bitset rows (ints) over F_2,
+``_echelon_fp`` over F_p and the fraction-free ``_echelon_q`` over Q.  The
+sparse kernel basis equals, vector for vector, the one the dense
+leftmost-pivot ``rref`` gives, since the reduced kernel basis is unique;
+over F_2 its keys are in ascending order.  ``EchelonStore`` pivots on the
+smallest column, because the cohomology representatives it selects, and so
+every coordinate in a report, depend on that rule; over F_2 it too keeps
+bitset rows, and hands vectors back with ascending keys.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .fields import RationalField
@@ -404,24 +407,67 @@ class SparseMatrix:
         return f"SparseMatrix({self.field}, {self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
 
-def _rank_rows_f2(rows) -> int:
-    """Rank over F_2 with bitset rows; pivot = highest set bit."""
+def _f2_bits(row: dict) -> int:
+    """A sparse vector over F_2 as a bitset: bit c is entry c."""
+    bits = 0
+    for c, v in row.items():
+        if v & 1:
+            bits |= 1 << c
+    return bits
+
+
+def _f2_support(bits: int) -> list:
+    """The set bits of ``bits``, ascending.  ``str.find`` scans the binary
+    digits, so the Python loop runs once per set bit, not once per bit."""
+    digits = bin(bits)
+    top = len(digits) - 1
+    out = []
+    i = digits.find("1", 2)
+    while i != -1:
+        out.append(top - i)
+        i = digits.find("1", i + 1)
+    out.reverse()
+    return out
+
+
+def _f2_dict(bits: int) -> dict:
+    """A bitset as a sparse vector over F_2, keys ascending."""
+    return dict.fromkeys(_f2_support(bits), 1)
+
+
+def _echelon_f2(rows) -> dict:
+    """Forward echelon over F_2 of bitset rows, max-column pivot: returns
+    ``{pivot: bits}``."""
     ech: dict[int, int] = {}
-    rk = 0
-    for r in rows:
-        cur = 0
-        for c, v in r.items():
-            if v & 1:
-                cur |= 1 << c
+    for cur in rows:
         while cur:
-            p = cur.bit_length() - 1
-            er = ech.get(p)
+            pc = cur.bit_length() - 1
+            er = ech.get(pc)
             if er is None:
-                ech[p] = cur
-                rk += 1
+                ech[pc] = cur
                 break
             cur ^= er
-    return rk
+    return ech
+
+
+def _reduce_f2(ech: dict) -> dict:
+    """The reduced form of a max-column F_2 echelon: the same pivots, and no
+    row has a bit at another row's pivot.  Rows are reduced in increasing
+    pivot order, so the rows they are reduced by are already reduced, and
+    each pivot bit is cleared with one XOR."""
+    pivots = 0
+    for pc in ech:
+        pivots |= 1 << pc
+    out: dict[int, int] = {}
+    for pc in sorted(ech):
+        row = ech[pc]
+        hit = (row & pivots) ^ (1 << pc)
+        while hit:
+            q = hit.bit_length() - 1
+            row ^= out[q]
+            hit ^= 1 << q
+        out[pc] = row
+    return out
 
 
 def _echelon_fp(rows, p) -> dict:
@@ -529,7 +575,7 @@ def sparse_rank(sm: SparseMatrix) -> int:
     if isinstance(f, RationalField):
         return len(_echelon_q(sm.rows))
     if f.char == 2:
-        return _rank_rows_f2(sm.rows)
+        return len(_echelon_f2(map(_f2_bits, sm.rows)))
     return len(_echelon_fp(sm.rows, f.char))
 
 
@@ -542,21 +588,45 @@ def sparse_kernel_basis(sm: SparseMatrix):
     kernel, and re-reducing the kernel vectors with the same echelon, then
     back-eliminating, yields the unique basis whose vectors carry 1 on their
     own free column and 0 on every other free column, which is exactly the
-    RREF kernel basis.
+    RREF kernel basis.  Over F_2 the same steps run on bitsets: the echelon
+    is reduced first, so each raw kernel vector is read off its rows.  Over
+    F_p and Q the back-substitution of a free column visits only the pivot
+    rows its nonzeros reach.
     """
     f = sm.field
     p = f.char
+    if p == 2:
+        ech = _reduce_f2(_echelon_f2(map(_f2_bits, sm.rows)))
+        # free column c: e_c plus every pivot whose reduced row has bit c
+        raw = {c: 1 << c for c in range(sm.ncols) if c not in ech}
+        for pc, row in ech.items():
+            for c in _f2_support(row ^ (1 << pc)):
+                raw[c] |= 1 << pc
+        kech = _reduce_f2(_echelon_f2(raw.values()))
+        return [_f2_dict(kech[pc]) for pc in sorted(kech)]
     ech = _echelon(f, sm.rows)
+    # users[c]: the pivots whose rows hold column c.  Rows have support at
+    # columns <= pivot, so every row reached from a column lies above it,
+    # and the heap yields the reached pivots in increasing order: the
+    # order of a scan over all pivots above c, without the rows no nonzero
+    # of the vector reaches (their sums are 0)
+    users: dict[int, list] = {}
+    for pc, row in ech.items():
+        for c in row:
+            if c != pc:
+                users.setdefault(c, []).append(pc)
     raw = []
     for c in range(sm.ncols):
         if c in ech:
             continue
         vec = {c: f.one}
-        # rows have support at columns <= pivot: solve in increasing order
-        for pc in sorted(p for p in ech if p > c):
-            row = ech[pc]
+        heap = list(users.get(c, ()))
+        heapify(heap)
+        seen = set(heap)
+        while heap:
+            pc = heappop(heap)
             s = f.zero
-            for cc, v in row.items():
+            for cc, v in ech[pc].items():
                 if cc == pc:
                     continue
                 x = vec.get(cc)
@@ -564,6 +634,10 @@ def sparse_kernel_basis(sm: SparseMatrix):
                     s = f.add(s, f.mul(v, x))
             if not f.is_zero(s):
                 vec[pc] = f.neg(s)
+                for q in users.get(pc, ()):
+                    if q not in seen:
+                        seen.add(q)
+                        heappush(heap, q)
         raw.append(vec)
     kech = _echelon(f, raw)
     pivs = sorted(kech, reverse=True)
@@ -597,20 +671,41 @@ class EchelonStore:
     the store therefore terminates at zero, which makes membership tests and
     coordinate extraction exact.  Rows may carry an integer tag; ``reduce``
     reports the coefficient used against each tagged row.
+
+    Over F_2 the rows are kept as bitsets (``ech`` maps pivot to int), under
+    the same rule; the vectors handed back are dicts with ascending keys.
     """
 
     def __init__(self, field):
         self.field = field
-        self.ech: dict[int, dict] = {}
+        self.ech: dict[int, dict | int] = {}
         self.tags: dict[int, int] = {}
+
+    def _reduce_bits(self, bits: int, track: bool):
+        """``reduce`` on a bitset: each step clears the lowest bit with the
+        row stored there, whose coefficient is 1."""
+        ech, tags = self.ech, self.tags
+        coeffs: dict[int, int] = {}
+        while bits:
+            pc = (bits & -bits).bit_length() - 1
+            er = ech.get(pc)
+            if er is None:
+                break
+            bits ^= er
+            if track and tags[pc] >= 0:
+                coeffs[tags[pc]] = 1
+        return bits, coeffs
 
     def reduce(self, vec: dict, track: bool = False):
         """``vec`` minus its components along the stored rows, pivot by pivot
         from the smallest column, and (with ``track``) the coefficient taken
         against each tagged row.  The row updates are inlined, as in the
         ``_echelon_*`` engines: reduced mod p over F_p, plain Fractions
-        over Q."""
+        over Q, and by XOR of bitsets over F_2."""
         p = self.field.char
+        if p == 2:
+            bits, coeffs = self._reduce_bits(_f2_bits(vec), track)
+            return (_f2_dict(bits) if bits else {}), coeffs
         ech = self.ech
         cur = dict(vec)
         coeffs: dict[int, object] = {}
@@ -639,6 +734,14 @@ class EchelonStore:
         """Reduce and, if independent of the store, add.  Returns the stored
         (reduced, normalized) row, or None if dependent."""
         f = self.field
+        if f.char == 2:
+            bits, _ = self._reduce_bits(_f2_bits(vec), False)
+            if not bits:
+                return None
+            pc = (bits & -bits).bit_length() - 1
+            self.ech[pc] = bits
+            self.tags[pc] = tag
+            return _f2_dict(bits)
         cur, _ = self.reduce(vec)
         if not cur:
             return None

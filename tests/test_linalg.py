@@ -6,7 +6,9 @@ import pytest
 
 from hbv.fields import QQ, GF, field_by_name, FieldError
 from hbv.linalg import (
+    CohomologyData,
     Complex,
+    EchelonStore,
     LinalgError,
     Matrix,
     SparseMatrix,
@@ -23,6 +25,7 @@ from hbv.linalg import (
     sparse_rank,
     sum_terms,
 )
+from hbv.linalg import _echelon
 
 
 def M(field, rows):
@@ -194,7 +197,8 @@ def _dense(sm):
 def assert_kernels_agree(sm):
     """The sparse kernel basis equals the dense one vector for vector; over
     Q every entry is a ``Fraction`` (an ``int`` would render differently in
-    a report)."""
+    a report).  Over F_2 the keys are ascending; over F_p and Q each
+    vector's key order is the all-pivot scan's."""
     field = sm.field
     dense_k = kernel_basis(_dense(sm))
     sparse_k = sparse_kernel_basis(sm)
@@ -203,6 +207,62 @@ def assert_kernels_agree(sm):
         assert dv == [sv.get(i, field.zero) for i in range(sm.ncols)]
         if field is QQ:
             assert all(type(v) is Fraction for v in sv.values())
+    if field.char == 2:
+        assert all(list(sv) == sorted(sv) for sv in sparse_k)
+    else:
+        assert_kernel_order_pinned(sm, sparse_k)
+
+
+def _kernel_all_pivot_scan(sm):
+    """The F_p/Q kernel basis by the rule ``sparse_kernel_basis`` replaced:
+    the back-substitution of each free column c scans every pivot above c
+    in increasing order.  The reference for values, types and key order."""
+    f = sm.field
+    p = f.char
+    ech = _echelon(f, sm.rows)
+    raw = []
+    for c in range(sm.ncols):
+        if c in ech:
+            continue
+        vec = {c: f.one}
+        for pc in sorted(q for q in ech if q > c):
+            s = f.zero
+            for cc, v in ech[pc].items():
+                if cc != pc and cc in vec:
+                    s = f.add(s, f.mul(v, vec[cc]))
+            if not f.is_zero(s):
+                vec[pc] = f.neg(s)
+        raw.append(vec)
+    kech = _echelon(f, raw)
+    pivs = sorted(kech, reverse=True)
+    for pc in pivs:
+        for qc in pivs:
+            if qc <= pc:
+                continue
+            row = kech[qc]
+            coef = row.pop(pc, None)
+            if coef is None:
+                continue
+            for c, v in kech[pc].items():
+                if c == pc:
+                    continue
+                s = row.get(c, 0) - coef * v
+                if p:
+                    s %= p
+                if s:
+                    row[c] = s
+                else:
+                    row.pop(c, None)
+    return [kech[pc] for pc in sorted(kech)]
+
+
+def assert_kernel_order_pinned(sm, kernel=None):
+    """Every kernel vector equals the all-pivot scan's in value, type and
+    key order."""
+    kernel = sparse_kernel_basis(sm) if kernel is None else kernel
+    def typed(k):
+        return [[(c, type(v), v) for c, v in vec.items()] for vec in k]
+    assert typed(kernel) == typed(_kernel_all_pivot_scan(sm))
 
 
 RATIONALS = [Fraction(v) for v in (-2, -1, 0, 1, 2)]
@@ -254,6 +314,7 @@ def test_sparse_matches_dense():
 
 @pytest.mark.parametrize("name, field, gens", [
     ("Z3", QQ, None), ("Z3", GF(3), None), ("ext3", QQ, [3]), ("ext35", QQ, [3, 5]),
+    ("Z2", GF(2), None), ("S3", GF(2), None),
 ])
 @pytest.mark.parametrize("coeff", ["self", "dual"])
 def test_sparse_kernel_matches_dense_on_bar_differentials(name, field, gens, coeff):
@@ -266,6 +327,174 @@ def test_sparse_kernel_matches_dense_on_bar_differentials(name, field, gens, coe
     bar = BarComplex(alg, coeff, 3)
     for n in sorted(bar.complex.diffs):
         assert_kernels_agree(bar.complex.differential(n))
+
+
+def test_sparse_kernel_with_empty_rows_and_columns():
+    # mostly-zero matrices with an all-zero row and column: free columns
+    # whose back-substitution reaches no pivot, and pivots reached late
+    rng = random.Random(73)
+    for field in (QQ, GF(2), GF(3), GF(5)):
+        for _ in range(40):
+            sm = SparseMatrix.from_matrix(
+                random_sparse(rng, field, rng.randint(1, 9), rng.randint(1, 9)))
+            assert_kernels_agree(sm)
+
+
+@pytest.mark.parametrize("name, field", [("S3", GF(3)), ("Z4", QQ), ("Z6", GF(5))])
+@pytest.mark.parametrize("coeff", ["self", "dual"])
+def test_kernel_order_pinned_on_larger_bar_differentials(name, field, coeff):
+    # beyond the reach of the dense oracle: the all-pivot scan alone
+    from hbv.algebra import group_algebra
+    from hbv.groups import preset
+    from hbv.hochschild import BarComplex
+
+    bar = BarComplex(group_algebra(preset(name), field), coeff, 3)
+    for n in sorted(bar.complex.diffs):
+        assert_kernel_order_pinned(bar.complex.differential(n))
+
+
+class _DictEchelonStore:
+    """The dict rule ``EchelonStore`` keeps over F_p and Q, and kept over F_2
+    before its rows became bitsets: the reference for the F_2 store."""
+
+    def __init__(self, field):
+        self.field = field
+        self.ech = {}
+        self.tags = {}
+
+    def reduce(self, vec, track=False):
+        p = self.field.char
+        cur = dict(vec)
+        coeffs = {}
+        while cur:
+            pc = min(cur)
+            er = self.ech.get(pc)
+            if er is None:
+                break
+            coef = cur.pop(pc)
+            if track and self.tags[pc] >= 0:
+                coeffs[self.tags[pc]] = coef
+            for c, v in er.items():
+                if c != pc:
+                    s = (cur.get(c, 0) - coef * v) % p
+                    if s:
+                        cur[c] = s
+                    else:
+                        cur.pop(c, None)
+        return cur, coeffs
+
+    def insert(self, vec, tag=-1):
+        f = self.field
+        cur, _ = self.reduce(vec)
+        if not cur:
+            return None
+        pc = min(cur)
+        inv = f.inv(cur[pc])
+        if inv != f.one:
+            cur = {c: f.mul(inv, v) for c, v in cur.items()}
+        self.ech[pc] = cur
+        self.tags[pc] = tag
+        return cur
+
+    def __len__(self):
+        return len(self.ech)
+
+
+def _project_or_raise(data, vec):
+    try:
+        return data.project(vec)
+    except LinalgError as err:
+        return str(err)
+
+
+def _f2_sum(vecs):
+    out = {}
+    for vec in vecs:
+        for c in vec:
+            if c in out:
+                del out[c]
+            else:
+                out[c] = 1
+    return out
+
+
+def _fill_stores(f, boundaries, kernel):
+    """As ``Complex.cohomology_at``: untagged boundaries, then kernel vectors
+    tagged by the number of representatives so far, into the bitset store
+    and the dict reference side by side; every insert must agree."""
+    store, ref = EchelonStore(f), _DictEchelonStore(f)
+    reps, ref_reps = [], []
+    for vec, tagged in [(v, False) for v in boundaries] + [(v, True) for v in kernel]:
+        got = store.insert(vec, tag=len(reps) if tagged else -1)
+        want = ref.insert(vec, tag=len(ref_reps) if tagged else -1)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got == want and list(got) == sorted(got)
+            if tagged:
+                reps.append(dict(got))
+                ref_reps.append(dict(want))
+        assert len(store) == len(ref)
+    return CohomologyData(f, reps, store), CohomologyData(f, ref_reps, ref)
+
+
+def test_f2_echelon_store_matches_dict_rule():
+    # seeded random F_2 vectors, with zero vectors and vectors dependent on
+    # earlier ones, inserted as boundaries and as tagged kernel vectors;
+    # then projections of spanned and of unspanned vectors
+    rng = random.Random(79)
+    f = GF(2)
+    outcomes = {"stored": 0, "dependent": 0, "projected": 0, "raised": 0}
+    for _ in range(60):
+        ncols = rng.randint(1, 40)
+
+        def draw(pool):
+            kind = rng.random()
+            if kind < 0.1:
+                return {}
+            if kind < 0.4 and pool:
+                return _f2_sum(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
+            return {c: 1 for c in rng.sample(range(ncols), rng.randint(1, min(6, ncols)))}
+
+        boundaries, kernel = [], []
+        for _ in range(rng.randint(0, 8)):
+            boundaries.append(draw(boundaries))
+        for _ in range(rng.randint(0, 10)):
+            kernel.append(draw(boundaries + kernel))
+        data, ref = _fill_stores(f, boundaries, kernel)
+        outcomes["stored"] += len(ref._store)
+        outcomes["dependent"] += len(boundaries) + len(kernel) - len(ref._store)
+        assert data.representatives == ref.representatives
+        for _ in range(10):
+            vec = draw(boundaries + kernel) if rng.random() < 0.7 else draw([])
+            got, want = _project_or_raise(data, vec), _project_or_raise(ref, vec)
+            assert got == want
+            outcomes["raised" if isinstance(want, str) else "projected"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+@pytest.mark.parametrize("name", ["Z4", "S3"])
+@pytest.mark.parametrize("coeff", ["self", "dual"])
+def test_f2_cohomology_representatives_match_dict_rule(name, coeff):
+    from hbv.algebra import group_algebra
+    from hbv.groups import preset
+    from hbv.hochschild import BarComplex
+
+    f = GF(2)
+    cx = BarComplex(group_algebra(preset(name), f), coeff, 3).complex
+    rng = random.Random(83)
+    for n in range(4):
+        data = cx.cohomology_at(n)
+        boundaries = cx.differential(n - 1).columns()
+        _, ref = _fill_stores(f, [c for c in boundaries if c],
+                              sparse_kernel_basis(cx.differential(n)))
+        assert data.representatives == ref.representatives
+        assert all(list(r) == sorted(r) for r in data.representatives)
+        for _ in range(10):
+            vec = _f2_sum(rng.sample(data.representatives,
+                                     rng.randint(0, len(data.representatives))))
+            if boundaries:
+                vec = _f2_sum([vec, rng.choice(boundaries)])
+            assert data.project(vec) == ref.project(vec)
 
 
 def test_rank_q_unit_and_nonunit_pivots():
