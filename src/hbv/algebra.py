@@ -347,28 +347,9 @@ class FrobeniusStructure:
         self.report = verify_frobenius(alg, pairing)
         self.degree = self.report.degree
 
-    @property
-    def symmetric(self):
-        return self.report.symmetric
-
-    @property
-    def nondegenerate(self):
-        return self.report.nondegenerate
-
     def lambda_matrix(self) -> Matrix:
         """Matrix of a -> <a, -> : A -> A-dual (rows index dual basis)."""
         return self.pairing.transpose()
-
-    def value(self, u, v):
-        f = self.alg.field
-        s = f.zero
-        for i, a in enumerate(u):
-            if f.is_zero(a):
-                continue
-            for j, b in enumerate(v):
-                if not f.is_zero(b):
-                    s = f.add(s, f.mul(f.mul(a, b), self.pairing.data[i][j]))
-        return s
 
 
 def verify_frobenius(alg: FDAlgebra, pairing: Matrix) -> FrobeniusReport:

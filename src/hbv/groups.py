@@ -69,9 +69,6 @@ class FiniteGroup:
 
     # -- structure ----------------------------------------------------------
 
-    def mul(self, i, j):
-        return self.table[i][j]
-
     def conjugate(self, g, x):
         """x g x^{-1}."""
         return self.table[self.table[x][g]][self.inv[x]]

@@ -28,9 +28,9 @@ models simultaneously):
     (d f)(a_1..a_{n+1}) = (-1)^{|a_1| t} a_1 f(a_2..a_{n+1})
                         + sum_i (-1)^i f(.., a_i a_{i+1}, ..)
                         + (-1)^{n+1} f(a_1..a_n) a_{n+1};
-* cup product: (f u g)(a_1..a_{p+q}) = +- f(a_1..a_p) g(a_{p+1}..a_{p+q})
-  with the sign (-1)^{t(g) |f-inputs|} (mixed-coefficient value actions
-  carry their own Koszul exponents, pinned by the Leibniz rule; see cup);
+* cup product, on self coefficients only:
+    (f u g)(a_1..a_{p+q}) = +- f(a_1..a_p) g(a_{p+1}..a_{p+q})
+  with the sign (-1)^{t(g) |f-inputs|};
 * circle product: insertion of g at 0-based slot i with sign (-1)^{(q-1) i},
   and [f, g] = f o g - (-1)^{(p-1)(q-1) + t(f) t(g)} g o f;
 * in cohomology, f u g = (-1)^{p q + t(f) t(g)} g u f.
@@ -332,61 +332,30 @@ class BarComplex:
 
 
 def cup(f: Cochain, g: Cochain) -> Cochain:
-    """The cup product (f u g)(a_1..a_{p+q}) = +- f(a_1..a_p) g(a_{p+1}..).
-
-    Self*self multiplies the values in A with the Koszul sign
-    (-1)^{t(g) . deg(f-inputs)}.  With one dual factor the value is acted on
-    through (a.phi)(x) = phi(x a) or (phi.b)(x) = phi(b x), with the Koszul
-    exponents pinned by the Leibniz rule (see module docstring); all signs
-    vanish on ungraded algebras.
+    """The cup product on self coefficients,
+    (f u g)(a_1..a_{p+q}) = +- f(a_1..a_p) g(a_{p+1}..a_{p+q}): the values
+    are multiplied in A, with the Koszul sign (-1)^{t(g) . deg(f-inputs)},
+    which vanishes on ungraded algebras.  A dual-coefficient factor raises
+    ``CoefficientError``.
     """
     alg = f.alg
     fl = alg.field
-    if f.coeff == "dual" and g.coeff == "dual":
-        raise CoefficientError("cannot cup two dual-coefficient cochains")
-    out_coeff = "dual" if "dual" in (f.coeff, g.coeff) else "self"
+    if f.coeff != "self" or g.coeff != "self":
+        raise CoefficientError("the cup product is taken on HH*(A;A)")
     graded = alg.is_graded()
     terms = []
     for (t1, v1), c1 in f.table.items():
         s_p = sum(alg.degrees[i] for i in t1) if graded else 0
-        dv1 = alg.degrees[v1]
-        t_f = (-dv1 if f.coeff == "dual" else dv1) - s_p
         for (t2, v2), c2 in g.table.items():
-            s_q = sum(alg.degrees[i] for i in t2) if graded else 0
             coef = fl.mul(c1, c2)
-            if f.coeff == "self" and g.coeff == "self":
-                if graded:
-                    tg = alg.degrees[v2] - s_q
-                    if (tg * s_p) % 2:
-                        coef = fl.neg(coef)
-                values = alg.mul_basis(v1, v2)
-            elif f.coeff == "self":
-                # value = f-value acting on g's functional from the left
-                values = {}
-                for w in range(alg.dim):
-                    c = alg.mul_basis(w, v1).get(v2)
-                    if c is None:
-                        continue
-                    if graded:
-                        exp = (dv1 * (alg.degrees[w] + alg.degrees[v2] + s_p)
-                               + t_f * s_q)
-                        if exp % 2:
-                            c = fl.neg(c)
-                    values[w] = c
-            else:
-                # value = g-value acting on f's functional from the right
-                values = {}
-                db = alg.degrees[v2]
-                for w in range(alg.dim):
-                    c = alg.mul_basis(v2, w).get(v1)
-                    if c is None:
-                        continue
-                    if graded and ((db + t_f) * s_q) % 2:
-                        c = fl.neg(c)
-                    values[w] = c
+            if graded:
+                tg = alg.degrees[v2] - sum(alg.degrees[i] for i in t2)
+                if (tg * s_p) % 2:
+                    coef = fl.neg(coef)
             tup = t1 + t2
-            terms += [((tup, w), coef * cw) for w, cw in values.items()]
-    return Cochain(alg, out_coeff, f.degree + g.degree, sum_terms(fl, terms))
+            terms += [((tup, w), coef * cw)
+                      for w, cw in alg.mul_basis(v1, v2).items()]
+    return Cochain(alg, "self", f.degree + g.degree, sum_terms(fl, terms))
 
 
 def circle(f: Cochain, g: Cochain) -> Cochain:
@@ -497,13 +466,6 @@ class CohomologyClass:
     def is_zero(self):
         f = self.space.alg.field
         return all(f.is_zero(c) for c in self.coords)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CohomologyClass)
-            and self.degree == other.degree
-            and self.coords == other.coords
-        )
 
     def __repr__(self):
         return f"CohomologyClass(degree {self.degree}, coords {self.coords})"

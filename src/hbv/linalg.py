@@ -16,18 +16,19 @@ Elimination.  One forward echelon per arithmetic, pivoting on the largest
 column index (empirically near fill-free on bar differentials), serves both
 rank and kernel: ``_echelon_f2`` on bitset rows (ints) over F_2,
 ``_echelon_fp`` over F_p and the fraction-free ``_echelon_q`` over Q.  The
-sparse kernel basis equals, vector for vector, the one the dense
-leftmost-pivot ``rref`` gives, since the reduced kernel basis is unique;
-over F_2 its keys are in ascending order.  ``EchelonStore`` pivots on the
-smallest column, because the cohomology representatives it selects, and so
-every coordinate in a report, depend on that rule; over F_2 it too keeps
-bitset rows, and hands vectors back with ascending keys.
+sparse kernel basis is one algorithm on every field (reduce the echelon,
+read the kernel off it, reduce again: ``_reduce_f2`` on bitsets, ``_reduce``
+on dict rows).  It equals, vector for vector, the one the dense
+leftmost-pivot ``rref`` gives, since the reduced kernel basis is unique,
+and its keys are in ascending order on every field.  ``EchelonStore``
+pivots on the smallest column, because the cohomology representatives it
+selects, and so every coordinate in a report, depend on that rule; over F_2
+it too keeps bitset rows, and hands vectors back with ascending keys.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .fields import RationalField
@@ -57,9 +58,10 @@ def sum_terms(f, terms, start: dict | None = None) -> dict:
     an int, or a Fraction for a non-integral rational.  Terms are added
     with plain ``+`` and each running sum is mapped into the field by
     ``f.of_int`` as it is stored: one field call per term, where a field
-    accumulation makes a multiply, an add and a zero test.  Keys keep the order of their first term, except that a key whose running
-    sum vanishes drops out (and comes back at the end if a later term hits
-    it): the order a loop of field additions that drops zeros leaves.
+    accumulation makes a multiply, an add and a zero test.  Keys keep the
+    order of their first term, except that a key whose running sum vanishes
+    drops out (and comes back at the end if a later term hits it): the
+    order a loop of field additions that drops zeros leaves.
 
     ``start``, a dict of nonzero field elements, is summed into in place and
     returned; the result is the one its items would give as the first
@@ -108,12 +110,6 @@ class Matrix:
         for i in range(n):
             m.data[i][i] = field.one
         return m
-
-    def __getitem__(self, ij):
-        return self.data[ij[0]][ij[1]]
-
-    def __setitem__(self, ij, v):
-        self.data[ij[0]][ij[1]] = v
 
     def row(self, i):
         return list(self.data[i])
@@ -179,24 +175,6 @@ class Matrix:
                     s = f.add(s, f.mul(ri[j], v))
             out.append(s)
         return out
-
-    def __add__(self, other):
-        f = self.field
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise LinalgError("matrix sum shape mismatch")
-        return Matrix(
-            f,
-            self.nrows,
-            self.ncols,
-            [
-                [f.add(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.data, other.data)
-            ],
-        )
-
-    def __sub__(self, other):
-        f = self.field
-        return self + other.scale(f.neg(f.one))
 
     def scale(self, c):
         f = self.field
@@ -387,18 +365,10 @@ class SparseMatrix:
 
     def apply_sparse(self, vec: dict, colview=None) -> dict:
         """self @ vec for a sparse column vector {index: value}."""
-        f = self.field
-        out: dict = {}
         if colview is None:
             colview = self.columns()
-        for j, v in vec.items():
-            for i, a in colview[j].items():
-                s = f.add(out.get(i, f.zero), f.mul(a, v))
-                if f.is_zero(s):
-                    out.pop(i, None)
-                else:
-                    out[i] = s
-        return out
+        return sum_terms(self.field, ((i, a * v) for j, v in vec.items()
+                                      for i, a in colview[j].items()))
 
     def nnz(self):
         return sum(len(r) for r in self.rows)
@@ -557,6 +527,30 @@ def _echelon_q(rows) -> dict:
     return ech
 
 
+def _reduce(f, ech: dict) -> dict:
+    """The reduced form of a max-column echelon over F_p or Q from
+    ``_echelon``, made in place: the same pivots, and no row has an entry at
+    another row's pivot.  As in ``_reduce_f2``, rows are reduced in
+    increasing pivot order, so the rows they are reduced by are already
+    reduced and hold no pivot column but their own."""
+    p = f.char
+    for pc in sorted(ech):
+        row = ech[pc]
+        for q in [c for c in row if c != pc and c in ech]:
+            coef = row.pop(q)
+            for c, v in ech[q].items():
+                if c == q:
+                    continue
+                s = row.get(c, 0) - coef * v
+                if p:
+                    s %= p
+                if s:
+                    row[c] = s
+                else:
+                    row.pop(c, None)
+    return ech
+
+
 def _echelon(f, rows) -> dict:
     """Max-column forward echelon over the field ``f``: ``{pivot: row}``,
     every row a field vector with pivot entry 1."""
@@ -581,21 +575,20 @@ def sparse_rank(sm: SparseMatrix) -> int:
 
 def sparse_kernel_basis(sm: SparseMatrix):
     """Kernel basis as sparse dicts, one per free column in increasing order;
-    identical vector-for-vector to ``kernel_basis`` on the dense form.
+    identical vector-for-vector to ``kernel_basis`` on the dense form, with
+    ascending keys on every field.
 
     The canonical (leftmost-pivot RREF) kernel basis is computed without the
-    slow leftmost elimination: the max-column echelon parameterizes the
-    kernel, and re-reducing the kernel vectors with the same echelon, then
-    back-eliminating, yields the unique basis whose vectors carry 1 on their
-    own free column and 0 on every other free column, which is exactly the
-    RREF kernel basis.  Over F_2 the same steps run on bitsets: the echelon
-    is reduced first, so each raw kernel vector is read off its rows.  Over
-    F_p and Q the back-substitution of a free column visits only the pivot
-    rows its nonzeros reach.
+    slow leftmost elimination, by one algorithm on every field: the
+    max-column echelon is fully reduced, each free column's raw kernel
+    vector is read off its rows, and the max-column echelon of those
+    vectors, fully reduced, is the unique basis whose vectors carry 1 on
+    their own free column and 0 on every other free column: exactly the
+    RREF kernel basis.  Over F_2 the steps run on bitsets, over F_p and Q on
+    dict rows.
     """
     f = sm.field
-    p = f.char
-    if p == 2:
+    if f.char == 2:
         ech = _reduce_f2(_echelon_f2(map(_f2_bits, sm.rows)))
         # free column c: e_c plus every pivot whose reduced row has bit c
         raw = {c: 1 << c for c in range(sm.ncols) if c not in ech}
@@ -604,63 +597,15 @@ def sparse_kernel_basis(sm: SparseMatrix):
                 raw[c] |= 1 << pc
         kech = _reduce_f2(_echelon_f2(raw.values()))
         return [_f2_dict(kech[pc]) for pc in sorted(kech)]
-    ech = _echelon(f, sm.rows)
-    # users[c]: the pivots whose rows hold column c.  Rows have support at
-    # columns <= pivot, so every row reached from a column lies above it,
-    # and the heap yields the reached pivots in increasing order: the
-    # order of a scan over all pivots above c, without the rows no nonzero
-    # of the vector reaches (their sums are 0)
-    users: dict[int, list] = {}
-    for pc, row in ech.items():
-        for c in row:
+    ech = _reduce(f, _echelon(f, sm.rows))
+    # free column c: e_c minus each pivot's reduced-row entry at c
+    raw = {c: {c: f.one} for c in range(sm.ncols) if c not in ech}
+    for pc in sorted(ech):
+        for c, v in ech[pc].items():
             if c != pc:
-                users.setdefault(c, []).append(pc)
-    raw = []
-    for c in range(sm.ncols):
-        if c in ech:
-            continue
-        vec = {c: f.one}
-        heap = list(users.get(c, ()))
-        heapify(heap)
-        seen = set(heap)
-        while heap:
-            pc = heappop(heap)
-            s = f.zero
-            for cc, v in ech[pc].items():
-                if cc == pc:
-                    continue
-                x = vec.get(cc)
-                if x is not None:
-                    s = f.add(s, f.mul(v, x))
-            if not f.is_zero(s):
-                vec[pc] = f.neg(s)
-                for q in users.get(pc, ()):
-                    if q not in seen:
-                        seen.add(q)
-                        heappush(heap, q)
-        raw.append(vec)
-    kech = _echelon(f, raw)
-    pivs = sorted(kech, reverse=True)
-    for pc in pivs:
-        prow = kech[pc]
-        for qc in pivs:
-            if qc <= pc:
-                continue
-            row = kech[qc]
-            coef = row.pop(pc, None)
-            if coef is None:
-                continue
-            for c, v in prow.items():
-                if c == pc:
-                    continue
-                s = row.get(c, 0) - coef * v
-                if p:
-                    s %= p
-                if s:
-                    row[c] = s
-                else:
-                    row.pop(c, None)
-    return [kech[pc] for pc in sorted(kech)]
+                raw[c][pc] = f.neg(v)
+    kech = _reduce(f, _echelon(f, raw.values()))
+    return [dict(sorted(kech[pc].items())) for pc in sorted(kech)]
 
 
 class EchelonStore:

@@ -237,10 +237,15 @@ def test_cup_graded_commutative_up_to_coboundary():
 
 
 def test_cup_rejects_double_dual():
+    # the cup product lives on self coefficients: a dual factor on either
+    # side, or on both, is refused
     alg = group_algebra(preset("Z2"), GF(2))
-    c = Cochain(alg, "dual", 0, {((), 0): GF(2).one})
-    with pytest.raises(CoefficientError):
-        cup(c, c)
+    d = Cochain(alg, "dual", 0, {((), 0): GF(2).one})
+    s = unit_cochain(alg)
+    for f, g in [(d, d), (s, d), (d, s)]:
+        with pytest.raises(CoefficientError):
+            cup(f, g)
+    assert cup(s, s).table == s.table
 
 
 # -- Gerstenhaber bracket -----------------------------------------------------------

@@ -25,7 +25,7 @@ from hbv.linalg import (
     sparse_rank,
     sum_terms,
 )
-from hbv.linalg import _echelon
+from hbv.linalg import _echelon, _reduce
 
 
 def M(field, rows):
@@ -195,28 +195,31 @@ def _dense(sm):
 
 
 def assert_kernels_agree(sm):
-    """The sparse kernel basis equals the dense one vector for vector; over
-    Q every entry is a ``Fraction`` (an ``int`` would render differently in
-    a report).  Over F_2 the keys are ascending; over F_p and Q each
-    vector's key order is the all-pivot scan's."""
+    """The sparse kernel basis equals the dense one vector for vector, with
+    ascending keys, and leaves the matrix's rows as they were; over Q every
+    entry is a ``Fraction`` (an ``int`` would render differently in a
+    report).  Over F_p and Q each vector also equals the all-pivot scan's
+    in value and type."""
     field = sm.field
+    rows = [list(r.items()) for r in sm.rows]
     dense_k = kernel_basis(_dense(sm))
     sparse_k = sparse_kernel_basis(sm)
+    assert [list(r.items()) for r in sm.rows] == rows
     assert len(dense_k) == len(sparse_k)
     for dv, sv in zip(dense_k, sparse_k):
         assert dv == [sv.get(i, field.zero) for i in range(sm.ncols)]
+        assert list(sv) == sorted(sv)
         if field is QQ:
             assert all(type(v) is Fraction for v in sv.values())
-    if field.char == 2:
-        assert all(list(sv) == sorted(sv) for sv in sparse_k)
-    else:
+    if field.char != 2:
         assert_kernel_order_pinned(sm, sparse_k)
 
 
 def _kernel_all_pivot_scan(sm):
-    """The F_p/Q kernel basis by the rule ``sparse_kernel_basis`` replaced:
+    """The F_p/Q kernel basis by an earlier rule of ``sparse_kernel_basis``:
     the back-substitution of each free column c scans every pivot above c
-    in increasing order.  The reference for values, types and key order."""
+    in increasing order, and the kernel echelon is back-eliminated in
+    decreasing pivot order.  The reference for values and types."""
     f = sm.field
     p = f.char
     ech = _echelon(f, sm.rows)
@@ -257,12 +260,13 @@ def _kernel_all_pivot_scan(sm):
 
 
 def assert_kernel_order_pinned(sm, kernel=None):
-    """Every kernel vector equals the all-pivot scan's in value, type and
-    key order."""
+    """Every kernel vector equals the all-pivot scan's in value and type,
+    and its keys are ascending."""
     kernel = sparse_kernel_basis(sm) if kernel is None else kernel
     def typed(k):
-        return [[(c, type(v), v) for c, v in vec.items()] for vec in k]
+        return [{c: (type(v), v) for c, v in vec.items()} for vec in k]
     assert typed(kernel) == typed(_kernel_all_pivot_scan(sm))
+    assert all(list(vec) == sorted(vec) for vec in kernel)
 
 
 RATIONALS = [Fraction(v) for v in (-2, -1, 0, 1, 2)]
@@ -310,6 +314,45 @@ def test_sparse_matches_dense():
             sm = SparseMatrix.from_matrix(m)
             assert sparse_rank(sm) == rank(m) == sum(rank(b) for b in blocks)
             assert_kernels_agree(sm)
+
+
+def test_reduce_matches_rref_of_reversed_columns():
+    # the reduced max-column echelon is the leftmost-pivot RREF with the
+    # column order reversed; rows drawn as combinations of a few generators,
+    # so that rows meet other rows' pivots and need reducing
+    rng = random.Random(89)
+    reduced = 0
+    for field in (GF(3), GF(5), QQ):
+        if field is QQ:
+            entries = [Fraction(v) for v in (0, 0, 1, -1, 2)] + [Fraction(1, 2)]
+        else:
+            entries = [field.of_int(v) for v in (0, 0, 1, 2, -1)]
+        for _ in range(60):
+            nc = rng.randint(1, 9)
+            gens = [[rng.choice(entries) for _ in range(nc)]
+                    for _ in range(rng.randint(1, 5))]
+            data = []
+            for _ in range(rng.randint(1, 8)):
+                row = [field.zero] * nc
+                for g in gens:
+                    c = rng.choice(entries)
+                    row = [field.add(a, field.mul(c, b)) for a, b in zip(row, g)]
+                data.append(row)
+            sm = SparseMatrix.from_matrix(Matrix.from_rows(field, data))
+            ech = _echelon(field, sm.rows)
+            reduced += sum(c != pc and c in ech
+                           for pc, row in ech.items() for c in row)
+            got = _reduce(field, ech)
+            e, pivots, r = rref(Matrix.from_rows(field, [row[::-1] for row in data]))
+            want = {nc - 1 - pc: {nc - 1 - j: v for j, v in enumerate(e.data[k])
+                                  if not field.is_zero(v)}
+                    for k, pc in enumerate(pivots)}
+            assert len(got) == r
+            assert got == want
+            if field is QQ:
+                assert all(type(v) is Fraction
+                           for row in got.values() for v in row.values())
+    assert reduced >= 100, reduced
 
 
 @pytest.mark.parametrize("name, field, gens", [
@@ -667,6 +710,44 @@ def test_sum_terms_matches_field_accumulation():
             got = sum_terms(field, terms)
             assert list(got.items()) == list(want.items())
             assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+
+
+def _apply_field_loop(sm, vec, colview):
+    """``apply_sparse`` by the loop of field operations it replaced: the
+    reference for values, types and key order."""
+    f = sm.field
+    out: dict = {}
+    for j, v in vec.items():
+        for i, a in colview[j].items():
+            _accumulate(f, out, i, f.mul(a, v))
+    return out
+
+
+def test_apply_sparse_matches_field_loop():
+    # random matrices and vectors over F_2, F_3 and Q with few distinct
+    # entries, so that sums cancel and keys drop out
+    rng = random.Random(97)
+    cancelled = 0
+    for field in (GF(2), GF(3), QQ):
+        if field is QQ:
+            entries = [Fraction(v) for v in (1, -1, 2, -2)] + [Fraction(1, 2)]
+        else:
+            entries = [field.of_int(v) for v in range(1, field.char)]
+        for _ in range(100):
+            nr, nc = rng.randint(1, 4), rng.randint(1, 8)
+            rows = [{j: rng.choice(entries) for j in range(nc)
+                     if rng.random() < 0.6} for _ in range(nr)]
+            sm = SparseMatrix(field, nr, nc, rows)
+            colview = sm.columns()
+            vec = {j: rng.choice(entries)
+                   for j in rng.sample(range(nc), rng.randint(0, nc))}
+            want = _apply_field_loop(sm, vec, colview)
+            for got in (sm.apply_sparse(vec), sm.apply_sparse(vec, colview)):
+                assert ([(i, type(v), v) for i, v in got.items()]
+                        == [(i, type(v), v) for i, v in want.items()])
+            hit = {i for j in vec for i in colview[j]}
+            cancelled += len(hit - set(want))
+    assert cancelled >= 50, cancelled
 
 
 def test_cohomology_dim_invariant_under_conjugation():
