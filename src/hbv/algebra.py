@@ -7,6 +7,13 @@ Sign conventions (used verbatim everywhere downstream):
 * a pairing is *symmetric* in the graded sense: ``<a,b> = (-1)^{|a||b|} <b,a>``;
 * exterior monomials are ordered by generator index, and the sign of a product
   is the parity of the degree-weighted interleaving permutation.
+
+The axioms (associativity; coassociativity, counit, bialgebra and antipode
+identities; the Frobenius identity) are checked on basis elements by
+building both sides as ``sum_terms`` sums and comparing them: sparse vectors
+drop their zeros, so two sides agree iff the dicts are equal, and a scalar
+side is ``f.of_int`` of a plain sum.  Basis triples and pairs are visited in
+lexicographic order, so the first witness named is the first that fails.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dataclass_field
 from importlib import resources
+from itertools import product
 
 from .fields import field_by_name
 from .groups import FiniteGroup
@@ -52,6 +60,13 @@ class FDAlgebra:
         self.dim = len(self.names)
         if len(self.degrees) != self.dim:
             raise AlgebraError("degrees/basis length mismatch")
+        basis = range(self.dim)
+        for (i, j), row in mult.items():
+            if not all(x in basis for x in (i, j, *row)):
+                raise AlgebraError(
+                    f"product entry ({i}, {j}) -> {list(row)} indexes outside "
+                    f"the basis 0..{self.dim - 1}"
+                )
         self.mult = {
             ij: {k: c for k, c in row.items() if not field.is_zero(c)}
             for ij, row in mult.items()
@@ -83,17 +98,10 @@ class FDAlgebra:
 
     def mul_vec(self, u, v):
         f = self.field
-        out = [f.zero] * self.dim
-        for i, a in enumerate(u):
-            if f.is_zero(a):
-                continue
-            for j, b in enumerate(v):
-                if f.is_zero(b):
-                    continue
-                ab = f.mul(a, b)
-                for k, c in self.mul_basis(i, j).items():
-                    out[k] = f.add(out[k], f.mul(ab, c))
-        return out
+        out = sum_terms(f, [(k, a * b * c) for i, a in enumerate(u) if a
+                            for j, b in enumerate(v) if b
+                            for k, c in self.mul_basis(i, j).items()])
+        return [out.get(k, f.zero) for k in range(self.dim)]
 
     def left_mult_matrix(self, vec) -> Matrix:
         """Matrix of x -> vec . x."""
@@ -140,25 +148,17 @@ class FDAlgebra:
             e = self.basis_vector(i)
             if self.mul_vec(self.unit, e) != e or self.mul_vec(e, self.unit) != e:
                 raise AlgebraError(f"unit axiom fails at basis element {self.names[i]}")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.mul_basis(i, j)
-                for k in range(self.dim):
-                    lhs = {}
-                    for m, c in ij.items():
-                        for l, c2 in self.mul_basis(m, k).items():
-                            lhs[l] = f.add(lhs.get(l, f.zero), f.mul(c, c2))
-                    rhs = {}
-                    for m, c in self.mul_basis(j, k).items():
-                        for l, c2 in self.mul_basis(i, m).items():
-                            rhs[l] = f.add(rhs.get(l, f.zero), f.mul(c, c2))
-                    keys = set(lhs) | set(rhs)
-                    for l in keys:
-                        if lhs.get(l, f.zero) != rhs.get(l, f.zero):
-                            raise AlgebraError(
-                                "associativity fails at "
-                                f"({self.names[i]}, {self.names[j]}, {self.names[k]})"
-                            )
+        mul = self.mul_basis
+        for i, j, k in product(range(self.dim), repeat=3):
+            lhs = sum_terms(f, [(l, c * c2) for m, c in mul(i, j).items()
+                                for l, c2 in mul(m, k).items()])
+            rhs = sum_terms(f, [(l, c * c2) for m, c in mul(j, k).items()
+                                for l, c2 in mul(i, m).items()])
+            if lhs != rhs:
+                raise AlgebraError(
+                    "associativity fails at "
+                    f"({self.names[i]}, {self.names[j]}, {self.names[k]})"
+                )
 
     def is_commutative(self) -> bool:
         for i in range(self.dim):
@@ -206,6 +206,15 @@ class HopfData:
     def __init__(self, alg: FDAlgebra, coproduct, counit, antipode: Matrix):
         self.alg = alg
         f = alg.field
+        basis = range(alg.dim)
+        for i, row in coproduct.items():
+            if not all(x in basis for jk in row for x in (i, *jk)):
+                raise AlgebraError(
+                    f"coproduct entry {i} -> {list(row)} indexes outside "
+                    f"the basis 0..{alg.dim - 1}"
+                )
+        if (len(counit), antipode.nrows, antipode.ncols) != (alg.dim,) * 3:
+            raise AlgebraError("counit or antipode size does not match the basis")
         self.coproduct = {
             i: {jk: c for jk, c in row.items() if not f.is_zero(c)}
             for i, row in coproduct.items()
@@ -239,84 +248,55 @@ class HopfData:
     def _check_axioms(self):
         alg = self.alg
         f = alg.field
-        dim = alg.dim
+        cop = self.coproduct
+        eps = self.counit
         # coproduct respects the grading
-        for i, row in self.coproduct.items():
+        for i, row in cop.items():
             for (j, k) in row:
                 if alg.degrees[j] + alg.degrees[k] != alg.degrees[i]:
                     raise AlgebraError("coproduct breaks the grading")
         # coassociativity
-        for i in range(dim):
-            lhs: dict = {}
-            rhs: dict = {}
-            for (j, k), c in self.coproduct.get(i, {}).items():
-                for (a, b), c2 in self.coproduct.get(j, {}).items():
-                    key = (a, b, k)
-                    lhs[key] = f.add(lhs.get(key, f.zero), f.mul(c, c2))
-                for (a, b), c2 in self.coproduct.get(k, {}).items():
-                    key = (j, a, b)
-                    rhs[key] = f.add(rhs.get(key, f.zero), f.mul(c, c2))
-            for key in set(lhs) | set(rhs):
-                if lhs.get(key, f.zero) != rhs.get(key, f.zero):
-                    raise AlgebraError(f"coassociativity fails at {alg.names[i]}")
+        for i in range(alg.dim):
+            row = cop.get(i, {}).items()
+            lhs = sum_terms(f, [((a, b, k), c * c2) for (j, k), c in row
+                                for (a, b), c2 in cop.get(j, {}).items()])
+            rhs = sum_terms(f, [((j, a, b), c * c2) for (j, k), c in row
+                                for (a, b), c2 in cop.get(k, {}).items()])
+            if lhs != rhs:
+                raise AlgebraError(f"coassociativity fails at {alg.names[i]}")
         # counit axioms
-        for i in range(dim):
-            left = [f.zero] * dim
-            right = [f.zero] * dim
-            for (j, k), c in self.coproduct.get(i, {}).items():
-                left[k] = f.add(left[k], f.mul(c, self.counit[j]))
-                right[j] = f.add(right[j], f.mul(c, self.counit[k]))
-            e = alg.basis_vector(i)
-            if left != e or right != e:
+        for i in range(alg.dim):
+            row = cop.get(i, {}).items()
+            left = sum_terms(f, [(k, c * eps[j]) for (j, k), c in row])
+            right = sum_terms(f, [(j, c * eps[k]) for (j, k), c in row])
+            if left != {i: f.one} or right != {i: f.one}:
                 raise AlgebraError(f"counit axiom fails at {alg.names[i]}")
         # bialgebra: coproduct and counit are algebra maps, unit is grouplike
-        unit_cop = self.coproduct_of_vec(alg.unit)
-        unit_expected: dict = {}
-        for i, a in enumerate(alg.unit):
-            if f.is_zero(a):
-                continue
-            for j, b in enumerate(alg.unit):
-                if not f.is_zero(b):
-                    unit_expected[(i, j)] = f.mul(a, b)
-        if unit_cop != unit_expected:
+        unit = list(enumerate(alg.unit))
+        if self.coproduct_of_vec(alg.unit) != sum_terms(
+                f, [((i, j), a * b) for i, a in unit for j, b in unit]):
             raise AlgebraError("coproduct of the unit is not 1 (x) 1")
-        for i in range(dim):
-            for j in range(dim):
-                prod_cop: dict = {}
-                for k, c in alg.mul_basis(i, j).items():
-                    for jk, c2 in self.coproduct.get(k, {}).items():
-                        prod_cop[jk] = f.add(prod_cop.get(jk, f.zero), f.mul(c, c2))
-                cop_prod = self._tensor_mul(
-                    self.coproduct.get(i, {}), self.coproduct.get(j, {})
+        for i, j in product(range(alg.dim), repeat=2):
+            ij = alg.mul_basis(i, j).items()
+            prod_cop = sum_terms(f, [(jk, c * c2) for k, c in ij
+                                     for jk, c2 in cop.get(k, {}).items()])
+            if prod_cop != self._tensor_mul(cop.get(i, {}), cop.get(j, {})):
+                raise AlgebraError(
+                    f"bialgebra compatibility fails at ({alg.names[i]}, {alg.names[j]})"
                 )
-                for key in set(prod_cop) | set(cop_prod):
-                    if prod_cop.get(key, f.zero) != cop_prod.get(key, f.zero):
-                        raise AlgebraError(
-                            f"bialgebra compatibility fails at ({alg.names[i]}, {alg.names[j]})"
-                        )
-                eps_prod = f.zero
-                for k, c in alg.mul_basis(i, j).items():
-                    eps_prod = f.add(eps_prod, f.mul(c, self.counit[k]))
-                if eps_prod != f.mul(self.counit[i], self.counit[j]):
-                    raise AlgebraError("counit is not multiplicative")
+            if f.of_int(sum(c * eps[k] for k, c in ij)) != f.mul(eps[i], eps[j]):
+                raise AlgebraError("counit is not multiplicative")
         # antipode axiom, both sides
-        for i in range(dim):
-            left = [f.zero] * dim
-            right = [f.zero] * dim
-            for (j, k), c in self.coproduct.get(i, {}).items():
-                sj = self.antipode.col(j)
-                for a, ca in enumerate(sj):
-                    if f.is_zero(ca):
-                        continue
-                    for l, cl in alg.mul_basis(a, k).items():
-                        left[l] = f.add(left[l], f.mul(f.mul(c, ca), cl))
-                sk = self.antipode.col(k)
-                for b, cb in enumerate(sk):
-                    if f.is_zero(cb):
-                        continue
-                    for l, cl in alg.mul_basis(j, b).items():
-                        right[l] = f.add(right[l], f.mul(f.mul(c, cb), cl))
-            target = [f.mul(self.counit[i], u) for u in alg.unit]
+        S = self.antipode.data  # S[a][j] is the coefficient of e_a in S(e_j)
+        for i in range(alg.dim):
+            row = cop.get(i, {}).items()
+            left = sum_terms(f, [(l, c * Sa[j] * cl) for (j, k), c in row
+                                 for a, Sa in enumerate(S) if Sa[j]
+                                 for l, cl in alg.mul_basis(a, k).items()])
+            right = sum_terms(f, [(l, c * Sb[k] * cl) for (j, k), c in row
+                                  for b, Sb in enumerate(S) if Sb[k]
+                                  for l, cl in alg.mul_basis(j, b).items()])
+            target = sum_terms(f, [(l, eps[i] * u) for l, u in unit])
             if left != target or right != target:
                 raise AlgebraError(f"antipode axiom fails at {alg.names[i]}")
 
@@ -383,21 +363,14 @@ def verify_frobenius(alg: FDAlgebra, pairing: Matrix) -> FrobeniusReport:
         nondeg = False
         failures.append(("degenerate",))
     frob = True
-    for a in range(alg.dim):
-        for b in range(alg.dim):
-            for c in range(alg.dim):
-                lhs = f.zero
-                for k, cc in alg.mul_basis(b, c).items():
-                    lhs = f.add(lhs, f.mul(cc, pairing.data[a][k]))
-                rhs = f.zero
-                for k, cc in alg.mul_basis(a, b).items():
-                    rhs = f.add(rhs, f.mul(cc, pairing.data[k][c]))
-                if lhs != rhs:
-                    frob = False
-                    if len(failures) < 20:
-                        failures.append(
-                            ("frobenius", alg.names[a], alg.names[b], alg.names[c])
-                        )
+    P = pairing.data
+    for a, b, c in product(range(alg.dim), repeat=3):
+        lhs = sum(cc * P[a][k] for k, cc in alg.mul_basis(b, c).items())
+        rhs = sum(cc * P[k][c] for k, cc in alg.mul_basis(a, b).items())
+        if f.of_int(lhs) != f.of_int(rhs):
+            frob = False
+            if len(failures) < 20:
+                failures.append(("frobenius", alg.names[a], alg.names[b], alg.names[c]))
     sym = True
     for i in range(alg.dim):
         for j in range(alg.dim):
@@ -489,27 +462,26 @@ def exterior_algebra(gen_degrees, field) -> FDAlgebra:
     alg = FDAlgebra(f, names, degrees, mult, unit)
 
     # primitive coproduct, extended multiplicatively with Koszul signs
+    def times_primitive(terms, i):
+        """The terms of (x_u (x) x_v) . (x_i (x) 1 + 1 (x) x_i) over ``terms``."""
+        for (u, v), c in terms.items():
+            left = merge(u, (i,))
+            if left is not None:
+                sgn, w = left
+                # x_i passes x_v
+                if (gen_degrees[i] * sum(gen_degrees[j] for j in v)) % 2:
+                    sgn = -sgn
+                yield (w, v), c * sgn
+            right = merge(v, (i,))
+            if right is not None:
+                sgn, w = right
+                yield (u, w), c * sgn
+
     coproduct = {}
     for s in subsets:
         terms = {((), ()): f.one}
         for i in s:
-            new: dict = {}
-            for (u, v), c in terms.items():
-                # (x_u (x) x_v) . (x_i (x) 1) and . (1 (x) x_i)
-                left = merge(u, (i,))
-                if left is not None:
-                    sgn, w = left
-                    key = (w, v)
-                    # x_i passes x_v
-                    if (gen_degrees[i] * sum(gen_degrees[j] for j in v)) % 2:
-                        sgn = f.neg(sgn)
-                    new[key] = f.add(new.get(key, f.zero), f.mul(c, sgn))
-                right = merge(v, (i,))
-                if right is not None:
-                    sgn, w = right
-                    key = (u, w)
-                    new[key] = f.add(new.get(key, f.zero), f.mul(c, sgn))
-            terms = {kv: c for kv, c in new.items() if not f.is_zero(c)}
+            terms = sum_terms(f, times_primitive(terms, i))
         coproduct[index[s]] = {
             (index[u], index[v]): c for (u, v), c in terms.items()
         }
@@ -534,18 +506,14 @@ def _connected_antipode(alg: FDAlgebra, coproduct, counit) -> Matrix:
         if i == u:
             S.data[u][u] = f.one
             continue
-        acc = [f.zero] * dim
-        for (j, k), c in coproduct.get(i, {}).items():
-            if j == u or k == u:
-                continue
-            sj = S.col(j)
-            for a, ca in enumerate(sj):
-                if f.is_zero(ca):
-                    continue
-                for l, cl in alg.mul_basis(a, k).items():
-                    acc[l] = f.add(acc[l], f.mul(f.mul(c, ca), cl))
+        # S(e_i) = -(e_i + sum S(a') a'')
+        acc = sum_terms(f, [(l, c * Sa[j] * cl)
+                            for (j, k), c in coproduct.get(i, {}).items()
+                            if u not in (j, k)
+                            for a, Sa in enumerate(S.data) if Sa[j]
+                            for l, cl in alg.mul_basis(a, k).items()], {i: f.one})
         for l in range(dim):
-            S.data[l][i] = f.neg(f.add(acc[l], f.one if l == i else f.zero))
+            S.data[l][i] = f.neg(acc.get(l, f.zero))
     return S
 
 
@@ -604,15 +572,11 @@ def dual_left_integrals(alg: FDAlgebra):
 def is_dual_left_integral(alg: FDAlgebra, lam) -> bool:
     f = alg.field
     cop = alg.hopf.coproduct
-    for i in range(alg.dim):
-        for h in range(alg.dim):
-            s = f.zero
-            for (j, k), c in cop.get(h, {}).items():
-                if j == i:
-                    s = f.add(s, f.mul(c, lam[k]))
-            if s != f.mul(alg.unit[i], lam[h]):
-                return False
-    return True
+    return all(
+        f.of_int(sum(c * lam[k] for (j, k), c in cop.get(h, {}).items() if j == i))
+        == f.mul(alg.unit[i], lam[h])
+        for i, h in product(range(alg.dim), repeat=2)
+    )
 
 
 def is_invertible_element(alg: FDAlgebra, u) -> bool:
@@ -680,10 +644,7 @@ def frobenius_from_integral(alg: FDAlgebra, lam, u) -> FrobeniusStructure:
             for k, c in alg.mul_basis(i, j).items():
                 vec[k] = c
             vec = alg.mul_vec(vec, u)
-            s = f.zero
-            for k, c in enumerate(vec):
-                s = f.add(s, f.mul(c, lam[k]))
-            pairing.data[i][j] = s
+            pairing.data[i][j] = f.of_int(sum(c * l for c, l in zip(vec, lam)))
     return FrobeniusStructure(alg, pairing)
 
 
@@ -776,10 +737,7 @@ def trace_pairing(alg: FDAlgebra, n) -> Matrix:
     for i in range(alg.dim):
         for j in range(alg.dim):
             prod = alg.mul_basis(i, j)
-            s = f.zero
-            for a in range(n):
-                s = f.add(s, prod.get(a * n + a, f.zero))
-            pairing.data[i][j] = s
+            pairing.data[i][j] = f.of_int(sum(prod.get(a * n + a, 0) for a in range(n)))
     return pairing
 
 
@@ -814,32 +772,34 @@ def algebra_to_json(alg: FDAlgebra) -> dict:
 
 
 def algebra_from_json(obj: dict) -> FDAlgebra:
-    ftag = obj["field"]
-    if ftag.get("type") == "Q":
-        f = field_by_name("Q")
-    elif ftag.get("type") == "Fp":
-        f = field_by_name(f"F{ftag['p']}")
-    else:
-        raise AlgebraError(f"unknown field tag {ftag!r}")
-    names = [b["name"] for b in obj["basis"]]
-    degrees = [int(b.get("degree", 0)) for b in obj["basis"]]
-    mult: dict = {}
-    for i, j, k, c in obj["mult"]:
-        mult.setdefault((i, j), {})[k] = f.parse(c)
-    unit = [f.parse(c) for c in obj["unit"]]
+    try:
+        ftag = obj["field"]
+        if ftag.get("type") == "Q":
+            f = field_by_name("Q")
+        elif ftag.get("type") == "Fp":
+            f = field_by_name(f"F{ftag['p']}")
+        else:
+            raise AlgebraError(f"unknown field tag {ftag!r}")
+        names = [b["name"] for b in obj["basis"]]
+        degrees = [int(b.get("degree", 0)) for b in obj["basis"]]
+        mult: dict = {}
+        for i, j, k, c in obj["mult"]:
+            mult.setdefault((i, j), {})[k] = f.parse(c)
+        unit = [f.parse(c) for c in obj["unit"]]
+        hopf = None
+        if "coproduct" in obj:
+            cop: dict = {}
+            for i, j, k, c in obj["coproduct"]:
+                cop.setdefault(i, {})[(j, k)] = f.parse(c)
+            counit = [f.parse(c) for c in obj["counit"]]
+            antipode = [[f.parse(v) for v in row] for row in obj["antipode"]]
+            hopf = cop, counit, antipode
+    except KeyError as exc:
+        raise AlgebraError(f"algebra file missing key {exc}") from exc
     alg = FDAlgebra(f, names, degrees, mult, unit)
-    if "coproduct" in obj:
-        cop: dict = {}
-        for i, j, k, c in obj["coproduct"]:
-            cop.setdefault(i, {})[(j, k)] = f.parse(c)
-        counit = [f.parse(c) for c in obj["counit"]]
-        antipode = Matrix(
-            f,
-            alg.dim,
-            alg.dim,
-            [[f.parse(v) for v in row] for row in obj["antipode"]],
-        )
-        alg.hopf = HopfData(alg, cop, counit, antipode)
+    if hopf is not None:
+        cop, counit, antipode = hopf
+        alg.hopf = HopfData(alg, cop, counit, Matrix(f, alg.dim, alg.dim, antipode))
     return alg
 
 

@@ -30,10 +30,14 @@ class Cobordism:
     __slots__ = ("p", "q", "components")
 
     def __init__(self, p: int, q: int, components):
+        if not (isinstance(p, int) and isinstance(q, int)):
+            raise CobordismError(f"port counts {p!r}, {q!r} are not integers")
         self.p = p
         self.q = q
         comps = []
         for genus, in_legs, out_legs in components:
+            if not isinstance(genus, int):
+                raise CobordismError(f"genus {genus!r} is not an integer")
             if genus < 0:
                 raise CobordismError("negative genus")
             comps.append((genus, tuple(sorted(in_legs)), tuple(sorted(out_legs))))
@@ -267,9 +271,16 @@ class FrobeniusTQFT:
     Frobenius algebra: pants evaluate to the product, copants to the
     pairing-induced coproduct, genus to handle-element multiplication.
 
-    The coalgebra structure is derived from the pairing (coproduct of the
-    unit = copairing) and its axioms are asserted at construction.
-    Noncommutative algebras and degenerate pairings are refused.
+    The coalgebra structure is derived from the pairing.  With gamma the
+    copairing (the inverse of the pairing matrix, as an element of A (x) A),
+    the coproduct is delta = (mu (x) 1)(1 (x) gamma), so delta(1) = gamma;
+    the counit is eps(a) = <a, 1>; the handle element is mu(delta(1)).
+    The counit identities (eps (x) 1) delta = 1 = (1 (x) eps) delta,
+    coassociativity and the Frobenius relation
+    delta mu = (mu (x) 1)(1 (x) delta) are asserted at construction, in that
+    order.  Once the first holds, <a, b> = eps(ab), so the pairing is a
+    Frobenius form and the other two follow.  Noncommutative algebras and
+    degenerate pairings are refused.
 
     Component maps (per genus, in-legs, out-legs) and port index maps (per
     slot permutation) are built on first use and kept on the instance, so
@@ -309,63 +320,27 @@ class FrobeniusTQFT:
         return out
 
     def _coproduct_matrix(self) -> Matrix:
-        alg = self.alg
-        f = alg.field
-        m = alg.dim
-        C = self.copairing
-        out = Matrix(f, m * m, m)
-        for a in range(m):
-            for i in range(m):
-                for j in range(m):
-                    cij = C.data[i][j]
-                    if f.is_zero(cij):
-                        continue
-                    for k, c in alg.mul_basis(a, i).items():
-                        out.data[k * m + j][a] = f.add(
-                            out.data[k * m + j][a], f.mul(cij, c)
-                        )
-        return out
-
-    def _handle_matrix(self) -> Matrix:
-        """Left multiplication by the handle element mu(delta(1))."""
-        f = self.alg.field
-        m = self.alg.dim
-        delta_one = self.coproduct.apply(self.unit_vec)
-        handle_vec = [f.zero] * m
-        for i in range(m):
-            for j in range(m):
-                c = delta_one[i * m + j]
-                if f.is_zero(c):
-                    continue
-                for k, cc in self.alg.mul_basis(i, j).items():
-                    handle_vec[k] = f.add(handle_vec[k], f.mul(c, cc))
-        self.handle_vec = handle_vec
-        return self.alg.left_mult_matrix(handle_vec)
-
-    def _check_frobenius_axioms(self):
+        """(mu (x) 1)(1 (x) gamma), gamma the copairing as an m^2 x 1 column."""
         f = self.alg.field
         m = self.alg.dim
         ident = Matrix.identity(f, m)
+        gamma = Matrix(f, m * m, 1, [[c] for row in self.copairing.data for c in row])
+        return kron(self.mult, ident) * kron(ident, gamma)
+
+    def _handle_matrix(self) -> Matrix:
+        """Left multiplication by the handle element mu(delta(1))."""
+        self.handle_vec = self.mult.apply(self.coproduct.apply(self.unit_vec))
+        return self.alg.left_mult_matrix(self.handle_vec)
+
+    def _check_frobenius_axioms(self):
+        f = self.alg.field
+        ident = Matrix.identity(f, self.alg.dim)
+        dm = self.coproduct
         # counit axioms for the derived coproduct
-        left = Matrix(f, m, m)
-        right = Matrix(f, m, m)
-        for a in range(m):
-            col = self.coproduct.col(a)
-            for i in range(m):
-                for j in range(m):
-                    c = col[i * m + j]
-                    if f.is_zero(c):
-                        continue
-                    left.data[j][a] = f.add(
-                        left.data[j][a], f.mul(c, self.counit_vec[i])
-                    )
-                    right.data[i][a] = f.add(
-                        right.data[i][a], f.mul(c, self.counit_vec[j])
-                    )
-        if left != ident or right != ident:
+        eps = self._iterated_coproduct(0)
+        if kron(eps, ident) * dm != ident or kron(ident, eps) * dm != ident:
             raise PreconditionError("pairing-induced coproduct fails the counit axiom")
         # coassociativity
-        dm = self.coproduct
         lhs = kron(dm, ident) * dm
         rhs = kron(ident, dm) * dm
         if lhs != rhs:
@@ -382,10 +357,7 @@ class FrobeniusTQFT:
         f = self.alg.field
         m = self.alg.dim
         if p == 0:
-            out = Matrix(f, m, 1)
-            for i, c in enumerate(self.unit_vec):
-                out.data[i][0] = c
-            return out
+            return Matrix(f, m, 1, [[c] for c in self.unit_vec])
         ident = Matrix.identity(f, m)
         cur = ident
         for _ in range(p - 1):
@@ -396,10 +368,7 @@ class FrobeniusTQFT:
         f = self.alg.field
         m = self.alg.dim
         if q == 0:
-            out = Matrix(f, 1, m)
-            for i, c in enumerate(self.counit_vec):
-                out.data[0][i] = c
-            return out
+            return Matrix(f, 1, m, [self.counit_vec])
         ident = Matrix.identity(f, m)
         cur = ident
         for _ in range(q - 1):

@@ -65,7 +65,10 @@ class RationalField:
         if isinstance(s, (int, Fraction)):
             return Fraction(s)
         if isinstance(s, str):
-            return Fraction(s)
+            try:
+                return Fraction(s)
+            except ZeroDivisionError:
+                raise FieldError(f"rational {s!r} has a zero denominator") from None
         raise FieldError(f"cannot parse rational from {s!r}")
 
     def fmt(self, a) -> str:
@@ -127,8 +130,10 @@ class PrimeField:
             return s % self.p
         if isinstance(s, str):
             if "/" in s:
-                num, den = s.split("/")
-                return self.div(int(num) % self.p, int(den) % self.p)
+                num, den = (int(x) % self.p for x in s.split("/"))
+                if den == 0:
+                    raise FieldError(f"{s!r} has a denominator divisible by {self.p}")
+                return self.div(num, den)
             return int(s) % self.p
         raise FieldError(f"cannot parse F{self.p} element from {s!r}")
 

@@ -176,7 +176,6 @@ def dihedral_4():
 def quaternion_8():
     # 1, -1, i, -i, j, -j, k, -k
     names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    units = {"1": (1, "1"), "i": (1, "i"), "j": (1, "j"), "k": (1, "k")}
 
     def base_mul(x, y):
         # quaternion unit multiplication, returns (sign, unit)

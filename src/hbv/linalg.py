@@ -769,7 +769,7 @@ class Complex:
     raises ``SquareZeroError`` naming that first column.
     """
 
-    def __init__(self, field, dims: dict, diffs: dict, check: bool = True):
+    def __init__(self, field, dims: dict, diffs: dict):
         self.field = field
         self.dims = dict(dims)
         self.diffs = dict(diffs)
@@ -780,8 +780,7 @@ class Complex:
         for n, d in self.diffs.items():
             if d.ncols != self.dims.get(n, 0) or d.nrows != self.dims.get(n + 1, 0):
                 raise LinalgError(f"differential d^{n} shape mismatch")
-        if check:
-            self._check_square_zero()
+        self._check_square_zero()
         self._cohomology_cache: dict[int, CohomologyData] = {}
         self._rank_cache: dict[int, int] = {}
         self._columns: dict[int, list] = {}

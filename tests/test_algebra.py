@@ -9,6 +9,7 @@ from hbv.groups import preset
 from hbv.algebra import (
     AlgebraError,
     FDAlgebra,
+    HopfData,
     ModelError,
     PreconditionError,
     algebra_from_json,
@@ -283,7 +284,7 @@ def test_algebra_json_roundtrip(tmp_path):
 
 def test_structure_constant_validation():
     f = QQ
-    with pytest.raises(AlgebraError):
+    with pytest.raises(AlgebraError) as err:
         # non-associative: e*e = e, e*x = x, x*e = x, x*x = e ... with a 3rd
         FDAlgebra(
             f, ["e", "x", "y"], [0, 0, 0],
@@ -295,3 +296,64 @@ def test_structure_constant_validation():
             },
             [f.one, f.zero, f.zero],
         )
+    # the first failing triple in lexicographic order
+    assert type(err.value) is AlgebraError
+    assert str(err.value) == "associativity fails at (x, x, x)"
+
+
+# the group law of Z2 = {e, g}, over any field
+Z2_MULT = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: 1}}
+
+
+@pytest.mark.parametrize("names, degrees, mult, unit, message", [
+    (["1", "x"], [0, 1], {**Z2_MULT, (1, 1): {1: 1}}, [1, 0],
+     "product x*x breaks the grading"),
+    (["e", "g"], [0, 0], Z2_MULT, [0, 1],
+     "unit axiom fails at basis element e"),
+    (["e", "g"], [0, 0], {**Z2_MULT, (0, 1): {3: 1}}, [1, 0],
+     "product entry (0, 1) -> [3] indexes outside the basis 0..1"),
+])
+def test_algebra_axiom_messages(names, degrees, mult, unit, message):
+    with pytest.raises(AlgebraError) as err:
+        FDAlgebra(QQ, names, degrees, mult, unit)
+    assert type(err.value) is AlgebraError
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("coproduct, counit, message", [
+    # F2[Z2] = {e, g1}; Delta(e) = e (x) e, Delta(g1) = g1 (x) g1, eps = (1, 1)
+    # and S = 1 is the Hopf structure each input breaks
+    ({1: {(1, 0): 1}}, [0, 0], "coassociativity fails at g1"),
+    ({}, [0, 0], "counit axiom fails at e"),
+    ({0: {(0, 1): 1, (1, 0): 1}, 1: {(1, 1): 1}}, [0, 1],
+     "coproduct of the unit is not 1 (x) 1"),
+    ({0: {(0, 0): 1}, 1: {(0, 1): 1, (1, 0): 1}}, [1, 0],
+     "bialgebra compatibility fails at (g1, g1)"),
+    # Delta is an algebra map, since (1 (x) g + g (x) 1 + g (x) g)^2 = 1 (x) 1
+    # in characteristic 2, but eps(g1 g1) = 1 and eps(g1)^2 = 0
+    ({0: {(0, 0): 1}, 1: {(0, 1): 1, (1, 0): 1, (1, 1): 1}}, [1, 0],
+     "counit is not multiplicative"),
+    # the Hopf structure with S = 0
+    ({0: {(0, 0): 1}, 1: {(1, 1): 1}}, [1, 1], "antipode axiom fails at e"),
+    ({0: {(0, 2): 1}}, [1, 1],
+     "coproduct entry 0 -> [(0, 2)] indexes outside the basis 0..1"),
+    ({0: {(0, 0): 1}, 1: {(1, 1): 1}}, [1],
+     "counit or antipode size does not match the basis"),
+])
+def test_hopf_axiom_messages(coproduct, counit, message):
+    f = GF(2)
+    alg = group_algebra(preset("Z2"), f)
+    with pytest.raises(AlgebraError) as err:
+        HopfData(alg, coproduct, counit, Matrix(f, 2, 2))
+    assert type(err.value) is AlgebraError
+    assert str(err.value) == message
+
+
+def test_hopf_grading_message():
+    f = GF(3)
+    alg = exterior_algebra([1], f)
+    with pytest.raises(AlgebraError) as err:
+        # Delta(x1) = x1 (x) x1 has degree 2
+        HopfData(alg, {1: {(1, 1): 1}}, [1, 0], Matrix(f, 2, 2))
+    assert type(err.value) is AlgebraError
+    assert str(err.value) == "coproduct breaks the grading"

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from hbv.cli import main
 
@@ -278,3 +279,43 @@ def test_other_linalg_errors_exit_2(capsys, monkeypatch):
                    "--max-degree", "3"])
     assert status == 2
     assert "not a cocycle" in capsys.readouterr().err
+
+
+Z2_ALGEBRA = {
+    "field": {"type": "Q"},
+    "basis": [{"name": "e"}, {"name": "g"}],
+    "unit": ["1", "0"],
+    "mult": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"], [1, 1, 0, "1"]],
+}
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"mult": None}, "algebra file missing key 'mult'"),
+    ({"mult": [[0, 1, 5, "1"]]},
+     "product entry (0, 1) -> [5] indexes outside the basis 0..1"),
+    ({"field": {"type": "Fp", "p": 3}, "unit": ["1/3", "0"]},
+     "'1/3' has a denominator divisible by 3"),
+    ({"unit": ["1/0", "0"]}, "rational '1/0' has a zero denominator"),
+])
+def test_malformed_algebra_file_is_input_error(capsys, tmp_path, changes, message):
+    obj = {k: v for k, v in {**Z2_ALGEBRA, **changes}.items() if v is not None}
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(obj))
+    status = main(["integrals", "--algebra", str(path)])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert f"hbv: error: {message}\n" in captured.err
+
+
+def test_malformed_cobordism_file_is_input_error(capsys, tmp_path):
+    path = tmp_path / "cob.json"
+    path.write_text(json.dumps(
+        {"in": 1, "out": 1,
+         "components": [{"genus": "a", "in_legs": [1], "out_legs": [1]}]}
+    ))
+    status = main(["detline", "--cobordism", str(path)])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert "hbv: error: genus 'a' is not an integer\n" in captured.err

@@ -8,7 +8,14 @@ import pytest
 
 from hbv.fields import QQ
 from hbv.groups import preset
-from hbv.algebra import exterior_algebra, group_algebra, group_frobenius, lie_pairing, PreconditionError
+from hbv.algebra import (
+    FrobeniusStructure,
+    PreconditionError,
+    exterior_algebra,
+    group_algebra,
+    group_frobenius,
+    lie_pairing,
+)
 from hbv.cobordism import (
     Cobordism,
     CobordismError,
@@ -257,10 +264,43 @@ def test_noncommutative_refused():
 
 def test_degenerate_pairing_refused():
     alg = group_algebra(preset("Z2"), QQ)
-    from hbv.algebra import FrobeniusStructure
     zero = FrobeniusStructure(alg, Matrix(QQ, 2, 2))
     with pytest.raises(PreconditionError):
         FrobeniusTQFT(alg, zero)
+
+
+def test_non_frobenius_pairing_fails_the_counit_axiom():
+    # <g, g> = 2 but eps(g g) = <e, 1> = 1: the pairing is not eps(ab)
+    alg = group_algebra(preset("Z2"), QQ)
+    pairing = Matrix(QQ, 2, 2, [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]])
+    with pytest.raises(PreconditionError) as err:
+        FrobeniusTQFT(alg, FrobeniusStructure(alg, pairing))
+    assert type(err.value) is PreconditionError
+    assert str(err.value) == "pairing-induced coproduct fails the counit axiom"
+
+
+@pytest.mark.parametrize("group, columns, message", [
+    # Delta(e) gains g1 (x) g1: both counit identities still hold
+    ("Z3", [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 0], [1, 0, 1], [1, 0, 0],
+            [0, 0, 1], [1, 0, 0], [0, 1, 0]],
+     "pairing-induced coproduct is not coassociative"),
+    # Delta(e) = e (x) e, Delta(g) = e (x) g + g (x) e: the coalgebra dual to
+    # Q[x]/x^2, coassociative and counital but not a Q[Z2]-bimodule map
+    ("Z2", [[1, 0], [0, 1], [0, 1], [0, 0]], "Frobenius compatibility fails"),
+])
+def test_substituted_coproduct_messages(monkeypatch, group, columns, message):
+    # no commutative algebra and nondegenerate pairing reaches these checks:
+    # once the counit identities hold, <a, b> = eps(ab) is a Frobenius form,
+    # and its coproduct is coassociative and compatible.  So the coproduct
+    # is substituted after it is derived.
+    alg = group_algebra(preset(group), QQ)
+    delta = Matrix(QQ, len(columns), len(columns[0]),
+                   [[Fraction(c) for c in row] for row in columns])
+    monkeypatch.setattr(FrobeniusTQFT, "_coproduct_matrix", lambda self: delta)
+    with pytest.raises(PreconditionError) as err:
+        FrobeniusTQFT(alg, group_frobenius(alg))
+    assert type(err.value) is PreconditionError
+    assert str(err.value) == message
 
 
 def test_graded_commutative_is_not_commutative():
