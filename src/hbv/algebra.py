@@ -303,11 +303,17 @@ class HopfData:
 
 @dataclass
 class FrobeniusReport:
-    nondegenerate: bool
+    """``copairing`` is the inverse of the pairing matrix, ``None`` when the
+    pairing is degenerate."""
+    copairing: Matrix | None
     frobenius_identity: bool
     symmetric: bool
     degree: int | None
     failures: list = dataclass_field(default_factory=list)
+
+    @property
+    def nondegenerate(self) -> bool:
+        return self.copairing is not None
 
     def all_ok(self) -> bool:
         return self.nondegenerate and self.frobenius_identity and self.symmetric
@@ -357,10 +363,9 @@ def verify_frobenius(alg: FDAlgebra, pairing: Matrix) -> FrobeniusReport:
         failures.append(("inhomogeneous-pairing",))
         degree = None
     try:
-        inverse(pairing)
-        nondeg = True
+        copairing = inverse(pairing)
     except LinalgError:
-        nondeg = False
+        copairing = None
         failures.append(("degenerate",))
     frob = True
     P = pairing.data
@@ -383,7 +388,7 @@ def verify_frobenius(alg: FDAlgebra, pairing: Matrix) -> FrobeniusReport:
                 sym = False
                 if len(failures) < 20:
                     failures.append(("symmetry", alg.names[i], alg.names[j]))
-    return FrobeniusReport(nondeg, frob, sym, degree, failures)
+    return FrobeniusReport(copairing, frob, sym, degree, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -487,12 +492,12 @@ def exterior_algebra(gen_degrees, field) -> FDAlgebra:
         }
     counit = [f.one if not s else f.zero for s in subsets]
     # antipode of a connected graded Hopf algebra, by the standard recursion
-    antipode = _connected_antipode(alg, coproduct, counit)
+    antipode = _connected_antipode(alg, coproduct)
     alg.hopf = HopfData(alg, coproduct, counit, antipode)
     return alg
 
 
-def _connected_antipode(alg: FDAlgebra, coproduct, counit) -> Matrix:
+def _connected_antipode(alg: FDAlgebra, coproduct) -> Matrix:
     """S(1) = 1 and S(a) = -a - sum S(a') a'' over the reduced coproduct,
     solved degree by degree (requires the unit to be a basis element)."""
     f = alg.field

@@ -15,7 +15,6 @@ import time
 
 from . import __version__
 from .algebra import (
-    AlgebraError,
     dual_left_integrals,
     exterior_algebra,
     find_integrals,
@@ -28,15 +27,14 @@ from .algebra import (
 )
 from .cobordism import (
     Cobordism,
-    CobordismError,
     det_compose,
     det_line,
     preset_cobordism,
     tqft_evaluate,
 )
 from .cyclic import StringBracket, connes_maps
-from .fields import FieldError, field_by_name
-from .groups import GroupError, FiniteGroup, preset, PRESET_NAMES
+from .fields import field_by_name
+from .groups import FiniteGroup, preset, PRESET_NAMES
 from .hochschild import (
     BudgetError,
     bv_check,
@@ -44,8 +42,8 @@ from .hochschild import (
     centralizer_oracle,
     hochschild_dims,
 )
-from .linalg import LinalgError, SquareZeroError
-from .reports import build_report, checks_from, emit
+from .linalg import SquareZeroError
+from .reports import CheckReport, build_report, emit
 
 
 class InputError(ValueError):
@@ -53,15 +51,12 @@ class InputError(ValueError):
 
 
 def _field(args):
-    return field_by_name(getattr(args, "field", None) or "Q")
+    return field_by_name(args.field or "Q")
 
 
-def _algebra_from_args(args, need_field=True):
+def _algebra_from_args(args):
     """Resolve --group/--exterior/--algebra into (algebra, source-config)."""
-    chosen = [
-        name for name in ("group", "exterior", "algebra")
-        if getattr(args, name, None)
-    ]
+    chosen = [name for name in ("group", "exterior", "algebra") if getattr(args, name)]
     if len(chosen) != 1:
         raise InputError("exactly one of --group, --exterior, --algebra is required")
     src = chosen[0]
@@ -77,14 +72,14 @@ def _algebra_from_args(args, need_field=True):
     else:
         alg = load_algebra(args.algebra)
         cfg = {"algebra": args.algebra, "field": alg.field.name}
-        if getattr(args, "field", None) and field_by_name(args.field) != alg.field:
+        if args.field and field_by_name(args.field) != alg.field:
             raise InputError(
                 f"--field {args.field} conflicts with the field in {args.algebra}"
             )
     return alg, cfg
 
 
-def _frobenius_for(alg, args):
+def _frobenius_for(alg):
     """The Frobenius structure used by BV / string-bracket / TQFT paths."""
     if alg.group is not None:
         return group_frobenius(alg)
@@ -103,30 +98,21 @@ def _frobenius_for(alg, args):
 
 
 def _budget(args):
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    return budget_from_env()
-
-
-def _emit(args, report):
-    text = emit(report, getattr(args, "output", None))
-    sys.stdout.write(text)
-    return 0 if report["ok"] else 1
+    return args.budget if args.budget is not None else budget_from_env()
 
 
 # -- subcommands --------------------------------------------------------------
+# Each returns (config, results, checks), checks a CheckReport or None; main
+# turns them into the report and the exit status.
 
 
 def cmd_hochschild(args):
     alg, cfg = _algebra_from_args(args)
     cfg.update(coeff=args.coeff, max_degree=args.max_degree)
     dims = hochschild_dims(alg, args.coeff, args.max_degree, _budget(args))
-    report = build_report(
-        "hochschild", cfg,
-        {"dims": [[n, d] for n, d in dims], "certified_degree": args.max_degree - 2},
-        [], __version__,
-    )
-    return _emit(args, report)
+    results = {"dims": [[n, d] for n, d in dims],
+               "certified_degree": args.max_degree - 2}
+    return cfg, results, None
 
 
 def cmd_oracle(args):
@@ -137,109 +123,78 @@ def cmd_oracle(args):
     budget = _budget(args)
     oracle = centralizer_oracle(alg.group, alg.field, args.max_degree, budget)
     results = {"oracle_dims": [[n, d] for n, d in oracle]}
-    checks = []
+    checks = None
     if args.compare:
         direct = hochschild_dims(alg, "self", args.max_degree, budget)
         results["hochschild_dims"] = [[n, d] for n, d in direct]
-        checks = [{
-            "name": "oracle equivalence (dims of HH vs centralizer sum)",
-            "ok": [d for _, d in direct] == [d for _, d in oracle],
-        }]
-    report = build_report("oracle", cfg, results, checks, __version__)
-    return _emit(args, report)
+        checks = CheckReport()
+        checks.record("oracle equivalence (dims of HH vs centralizer sum)",
+                      [d for _, d in direct] == [d for _, d in oracle])
+    return cfg, results, checks
 
 
 def cmd_bv_check(args):
     alg, cfg = _algebra_from_args(args)
-    frob = _frobenius_for(alg, args)
+    frob = _frobenius_for(alg)
     flip = args.bv_sign_convention == "flipped"
     cfg.update(max_degree=args.max_degree, bv_sign_convention=args.bv_sign_convention)
     rep = bv_check(alg, frob, args.max_degree, _budget(args), flip)
     good, total = rep.counts()
-    report = build_report(
-        "bv-check", cfg,
-        {"checks_passed": good, "checks_total": total},
-        checks_from(rep), __version__,
-    )
-    return _emit(args, report)
+    return cfg, {"checks_passed": good, "checks_total": total}, rep
 
 
 def cmd_cyclic(args):
     alg, cfg = _algebra_from_args(args)
     cfg.update(max_degree=args.max_degree)
-    budget = _budget(args)
-    res = connes_maps(alg, args.max_degree, budget)
+    res = connes_maps(alg, args.max_degree, _budget(args))
     hc = res["hc"]
-    report = build_report(
-        "cyclic", cfg,
-        {
-            "dims": [[n, hc.dim(n)] for n in range(args.max_degree + 1)],
-            "certified_degree": hc.certified,
-        },
-        checks_from(res["report"]), __version__,
-    )
-    return _emit(args, report)
+    results = {"dims": [[n, hc.dim(n)] for n in range(args.max_degree + 1)],
+               "certified_degree": hc.certified}
+    return cfg, results, res["report"]
 
 
 def cmd_string_bracket(args):
     alg, cfg = _algebra_from_args(args)
-    frob = _frobenius_for(alg, args)
+    frob = _frobenius_for(alg)
     cfg.update(max_degree=args.max_degree)
     sb = StringBracket(alg, frob, args.max_degree, _budget(args))
-    rep1 = sb.antisymmetry_jacobi_check()
-    rep2 = sb.morphism_check()
-    checks = checks_from(rep1) + checks_from(rep2)
-    report = build_report(
-        "string-bracket", cfg,
-        {"certified_degree": sb.certified()},
-        checks, __version__,
-    )
-    return _emit(args, report)
+    checks = sb.antisymmetry_jacobi_check()
+    checks.checks += sb.morphism_check().checks
+    return cfg, {"certified_degree": sb.certified()}, checks
 
 
 def cmd_frobenius(args):
     alg, cfg = _algebra_from_args(args)
-    frob = _frobenius_for(alg, args)
+    frob = _frobenius_for(alg)
     rep = frob.report
-    checks = [
-        {"name": "nondegenerate", "ok": rep.nondegenerate},
-        {"name": "frobenius identity", "ok": rep.frobenius_identity},
-    ]
-    report = build_report(
-        "frobenius", cfg,
-        {
-            "symmetric": rep.symmetric,
-            "degree": rep.degree,
-            "pairing": [[alg.field.fmt(v) for v in row] for row in frob.pairing.data],
-            "failures": [list(fx) for fx in rep.failures],
-        },
-        checks, __version__,
-    )
-    return _emit(args, report)
+    checks = CheckReport()
+    checks.record("nondegenerate", rep.nondegenerate)
+    checks.record("frobenius identity", rep.frobenius_identity)
+    results = {
+        "symmetric": rep.symmetric,
+        "degree": rep.degree,
+        "pairing": [[alg.field.fmt(v) for v in row] for row in frob.pairing.data],
+        "failures": [list(fx) for fx in rep.failures],
+    }
+    return cfg, results, checks
 
 
 def cmd_integrals(args):
     alg, cfg = _algebra_from_args(args)
     left, right, unimodular = find_integrals(alg)
     f = alg.field
-    report = build_report(
-        "integrals", cfg,
-        {
-            "left": [[f.fmt(c) for c in v] for v in left],
-            "right": [[f.fmt(c) for c in v] for v in right],
-            "unimodular": unimodular,
-            "basis": alg.names,
-        },
-        [], __version__,
-    )
-    return _emit(args, report)
+    results = {
+        "left": [[f.fmt(c) for c in v] for v in left],
+        "right": [[f.fmt(c) for c in v] for v in right],
+        "unimodular": unimodular,
+        "basis": alg.names,
+    }
+    return cfg, results, None
 
 
 def cmd_tqft(args):
-    if args.action != "eval":
-        raise InputError(f"unknown tqft action {args.action!r}")
     alg, cfg = _algebra_from_args(args)
-    frob = _frobenius_for(alg, args)
+    frob = _frobenius_for(alg)
     if args.cobordism:
         cob = Cobordism.load(args.cobordism)
         cfg["cobordism"] = args.cobordism
@@ -257,17 +212,13 @@ def cmd_tqft(args):
         )
     tm = tqft_evaluate(alg, frob, cob, args.strict_positive_boundary)
     f = alg.field
-    report = build_report(
-        "tqft", cfg,
-        {
-            "in_circles": tm.p,
-            "out_circles": tm.q,
-            "matrix": [[f.fmt(v) for v in row] for row in tm.matrix.data],
-            "euler_characteristic": cob.euler_characteristic(),
-        },
-        [], __version__,
-    )
-    return _emit(args, report)
+    results = {
+        "in_circles": tm.p,
+        "out_circles": tm.q,
+        "matrix": [[f.fmt(v) for v in row] for row in tm.matrix.data],
+        "euler_characteristic": cob.euler_characteristic(),
+    }
+    return cfg, results, None
 
 
 def cmd_detline(args):
@@ -281,18 +232,17 @@ def cmd_detline(args):
         glued = det_compose(line, other)
         cfg["compose"] = args.compose
         results["composed"] = {"rank": glued.rank, "coeff": glued.coeff}
-    report = build_report("detline", cfg, results, [], __version__)
-    return _emit(args, report)
+    return cfg, results, None
 
 
 # -- parser -------------------------------------------------------------------
 
 
-def _add_algebra_opts(p, field_default=None):
+def _add_algebra_opts(p):
     p.add_argument("--group", help=f"group preset ({', '.join(PRESET_NAMES)}) or JSON file")
     p.add_argument("--exterior", help="comma-separated odd generator degrees")
     p.add_argument("--algebra", help="algebra JSON file")
-    p.add_argument("--field", default=field_default, help="Q or Fp (e.g. F2)")
+    p.add_argument("--field", help="Q or Fp (e.g. F2)")
 
 
 def build_parser():
@@ -383,19 +333,20 @@ def main(argv=None):
     args = ap.parse_args(argv)
     t0 = time.time()
     try:
-        if getattr(args, "output", None) is not None:
+        if args.output is not None:
             _check_output(args.output)
-        status = args.func(args)
+        config, results, checks = args.func(args)
+        report = build_report(args.command, config, results, checks)
+        sys.stdout.write(emit(report, args.output))
     except SquareZeroError as exc:
         print(f"hbv: internal error: {exc}", file=sys.stderr)
         return 3
-    except (InputError, FieldError, GroupError, AlgebraError, CobordismError,
-            BudgetError, LinalgError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"hbv: error: {exc}", file=sys.stderr)
         return 2
     finally:
         print(f"hbv: {time.time() - t0:.2f}s", file=sys.stderr)
-    return status
+    return 0 if report["ok"] else 1
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .algebra import FDAlgebra, FrobeniusStructure, PreconditionError
-from .linalg import Matrix, inverse, kron
+from .linalg import Matrix, kron
 
 
 class CobordismError(ValueError):
@@ -40,7 +40,12 @@ class Cobordism:
                 raise CobordismError(f"genus {genus!r} is not an integer")
             if genus < 0:
                 raise CobordismError("negative genus")
-            comps.append((genus, tuple(sorted(in_legs)), tuple(sorted(out_legs))))
+            try:
+                comps.append((genus, tuple(sorted(in_legs)), tuple(sorted(out_legs))))
+            except TypeError:  # legs not a list, or of mixed types
+                raise CobordismError(
+                    f"legs {in_legs!r}, {out_legs!r} are not lists of integers"
+                ) from None
         self.components = tuple(sorted(comps, key=self._component_key))
         self._validate()
 
@@ -299,7 +304,7 @@ class FrobeniusTQFT:
         self._components = {}   # (genus, p, q) -> Matrix, never handed out
         self._port_maps = {}    # sources -> [(index, sign)], never handed out
         # copairing gamma = sum C[i][j] e_i (x) e_j,  delta(a) = (a.e_i) (x) e_j
-        self.copairing = inverse(frob.pairing)
+        self.copairing = frob.report.copairing
         self.mult = self._mult_matrix()
         self.coproduct = self._coproduct_matrix()
         self.unit_vec = list(alg.unit)

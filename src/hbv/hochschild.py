@@ -46,7 +46,7 @@ from itertools import product
 
 from .algebra import FDAlgebra, FrobeniusStructure, PreconditionError
 from .groups import FiniteGroup
-from .linalg import Complex, Matrix, SparseMatrix, inverse, sum_terms
+from .linalg import Complex, Matrix, SparseMatrix, sum_terms
 from .reports import CheckReport
 
 DEFAULT_BUDGET = 20000
@@ -595,7 +595,7 @@ class BVStructure:
         self.hh = HochschildCohomology(alg, "self", max_degree, budget)
         self.hh_dual = HochschildCohomology(alg, "dual", max_degree, budget)
         self.lam = frob.lambda_matrix()
-        self.lam_inv = inverse(self.lam)
+        self.lam_inv = frob.report.copairing.transpose()
 
     # -- duality --------------------------------------------------------------
 

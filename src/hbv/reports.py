@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from . import __version__
+
 SCHEMA = "hbv-report/1"
 
 
@@ -27,17 +29,20 @@ def canonical(value):
     return str(value)
 
 
-def build_report(command: str, config: dict, results: dict, checks: list,
-                 version: str) -> dict:
-    ok = all(c.get("ok", False) for c in checks) if checks else True
+def build_report(command: str, config: dict, results: dict,
+                 checks: CheckReport | None) -> dict:
+    """The report of one command: its config, its results and the checks of
+    ``checks``, flattened by ``checks_from``; ``ok`` when every check
+    passes (so also when there is none)."""
+    flat = checks_from(checks) if checks is not None else []
     return {
         "schema": SCHEMA,
-        "tool": {"name": "hbv", "version": version},
+        "tool": {"name": "hbv", "version": __version__},
         "command": command,
         "config": canonical(config),
         "results": canonical(results),
-        "checks": canonical(checks),
-        "ok": ok,
+        "checks": flat,
+        "ok": all(c["ok"] for c in flat),
     }
 
 

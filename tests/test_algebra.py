@@ -203,7 +203,7 @@ def test_unimodular_with_conjugator_gives_symmetric_form():
 def test_zero_pairing_degenerate():
     a = group_algebra(preset("Z2"), QQ)
     rep = verify_frobenius(a, Matrix(QQ, 2, 2))
-    assert not rep.nondegenerate
+    assert not rep.nondegenerate and rep.copairing is None
 
 
 def test_matrix_algebra_trace_pairing():

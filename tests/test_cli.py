@@ -319,3 +319,79 @@ def test_malformed_cobordism_file_is_input_error(capsys, tmp_path):
     assert status == 2
     assert captured.out == ""
     assert "hbv: error: genus 'a' is not an integer\n" in captured.err
+
+
+@pytest.mark.parametrize("argv, path, obj, message", [
+    (["hochschild", "--group"], "group.json", {"elements": ["e"], "table": 5},
+     "elements must be a list and table a list of lists of integers"),
+    (["detline", "--cobordism"], "cob.json",
+     {"in": 1, "out": 1,
+      "components": [{"genus": 0, "in_legs": [1, "a"], "out_legs": [1]}]},
+     "legs [1, 'a'], [1] are not lists of integers"),
+], ids=["group-table", "cobordism-legs"])
+def test_malformed_group_and_legs_are_input_errors(capsys, tmp_path, argv, path,
+                                                   obj, message):
+    target = tmp_path / path
+    target.write_text(json.dumps(obj))
+    status = main(argv + [str(target)])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert f"hbv: error: {message}\n" in captured.err
+
+
+PINNED_REPORTS = [
+    ("hochschild --group Z3 --field F3 --max-degree 4",
+     "7260ac10c190eca59dc167432389409126aef8934425f8b27332115bfc5d0f3b"),
+    ("hochschild --group S3 --field Q --coeff dual --max-degree 4",
+     "d72b7c1149af91468d7c93ce982596431fe4b4bb7441533b2e8070038fc2b620"),
+    ("oracle --group S3 --field F3 --max-degree 3 --compare",
+     "2147671ad404c370728596102fa7c04fc1c90dfc7a5fc56fd2c39cb8a130ce68"),
+    ("bv-check --group Z2 --field F2 --max-degree 4",
+     "37c1d5fd90289197d94ab2091eedecb7e9273028f6bbef2fafabc8fcf625278b"),
+    ("cyclic --group Z3 --field F3 --max-degree 4",
+     "ee74edf6b3286ca3c4c620b72a711055ce1ebb333b6b9971d7697b57a0513d9f"),
+    ("string-bracket --group Z2 --field F2 --max-degree 4",
+     "725b66cba8f0188f2b98dca90b16da4e386a4730b862af721effc7e637c5baf6"),
+    ("frobenius --group S3 --field Q",
+     "5b87a5b8d988a7fc3e3367e1334c1aaf83354ce249929ad8fb8c6c29afa36946"),
+    ("frobenius --algebra sweedler4.json",
+     "09224740f2ee2cdf3670498eb58f09b9eafba88443c5c6efd006bc6db8cc2c84"),
+    ("integrals --group Q8 --field F3",
+     "9e7132eb6730fda23ed70638e735fa6e729f5b70f4e668c55499628b16b665e5"),
+    ("integrals --algebra sweedler4.json",
+     "7d033aaba6c3f5a36081f55245a7e7ec03007bf8a5db12aac27c19a33d420095"),
+    ("tqft eval --group Z3 --field Q --preset pants",
+     "b5cb8f0a922f22b9c127c5ac9dc2a6ba6abbcec6331bea53eee6285b12e1d386"),
+    ("detline --cobordism pants.json --compose copants.json --power 2",
+     "10b936a4d4b883c737cc4776b57eb00d94d3de8b48e190d67ce53b9749c3f922"),
+]
+
+
+@pytest.mark.parametrize("command, digest", PINNED_REPORTS)
+def test_report_bytes_pinned(capsys, monkeypatch, tmp_path, command, digest):
+    """Every subcommand's report body, byte for byte, as sha256 of stdout.
+
+    Files are copied into the working directory and named by a relative
+    path, since the config records the path.  The graded (exterior-model)
+    bodies of ``bv-check`` and ``string-bracket`` are left out: their signs
+    are known to be wrong (ROADMAP open items), so fixing them changes those
+    bodies on purpose, and ``perfbench/reference.json`` already pins two of
+    them."""
+    import hashlib
+    from importlib import resources
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("HBV_BUDGET", raising=False)
+    (tmp_path / "sweedler4.json").write_bytes(
+        resources.files("hbv").joinpath("data/sweedler4.json").read_bytes())
+    (tmp_path / "pants.json").write_text(json.dumps(
+        {"in": 2, "out": 1,
+         "components": [{"genus": 0, "in_legs": [1, 2], "out_legs": [1]}]}))
+    (tmp_path / "copants.json").write_text(json.dumps(
+        {"in": 1, "out": 2,
+         "components": [{"genus": 0, "in_legs": [1], "out_legs": [1, 2]}]}))
+    status = main(command.split())
+    out = capsys.readouterr().out
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -269,6 +269,43 @@ def test_degenerate_pairing_refused():
         FrobeniusTQFT(alg, zero)
 
 
+def test_pairing_inverted_once(monkeypatch):
+    """One ``inverse`` call per FrobeniusStructure: FrobeniusTQFT reads the
+    copairing its report keeps, and BVStructure its transpose.  Both are the
+    exact matrices a second inversion gives, so the TQFT maps built from the
+    copairing are unchanged, and the BV suite's report is the one pinned
+    here."""
+    import hashlib
+    import sys
+
+    from hbv import linalg
+    from hbv.fields import GF
+    from hbv.hochschild import BVStructure, bv_check
+    from hbv.reports import checks_from, render
+
+    real, calls = linalg.inverse, []
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hbv") and getattr(module, "inverse", None) is real:
+            monkeypatch.setattr(module, "inverse", counting)
+    alg = group_algebra(preset("Z3"), GF(3))
+    frob = group_frobenius(alg)
+    assert len(calls) == 1
+    T = FrobeniusTQFT(alg, frob)
+    bv = BVStructure(alg, frob, 3)
+    rep = bv_check(alg, frob, 3)
+    assert len(calls) == 1
+    assert T.copairing == real(frob.pairing)
+    assert bv.lam_inv == real(bv.lam)
+    assert rep.counts() == (103, 103)
+    assert hashlib.sha256(render(checks_from(rep)).encode()).hexdigest() == (
+        "0f4f6901422caeb595aeac0e53ce7e38213b8618040bf024ba87bb8aa25801af")
+
+
 def test_non_frobenius_pairing_fails_the_counit_axiom():
     # <g, g> = 2 but eps(g g) = <e, 1> = 1: the pairing is not eps(ab)
     alg = group_algebra(preset("Z2"), QQ)

@@ -1,9 +1,11 @@
-"""Every name a module of ``hbv`` imports is used in that module, and every
-plain local name a function of it assigns is read.
+"""Every name a module of ``hbv`` imports is used in that module, every
+plain local name a function of it assigns is read, and so is every parameter
+of its functions.
 
-Stdlib ``ast`` checks, standing in for a linter's unused-import and
-unused-variable rules.  For imports, ``__init__.py`` is left out, since its
-imports are the package's exports, and so are ``__future__`` imports."""
+Stdlib ``ast`` checks, standing in for a linter's unused-import,
+unused-variable and unused-argument rules.  For imports, ``__init__.py`` is
+left out, since its imports are the package's exports, and so are
+``__future__`` imports."""
 
 import ast
 from pathlib import Path
@@ -92,3 +94,39 @@ def test_unused_locals_finds_an_unread_name():
               "        unused = seen\n"
               "    return total\n")
     assert unused_locals(source) == [("f", "count"), ("g", "unused")]
+
+
+def unread_parameters(source: str) -> list:
+    """``(function, name)`` for each parameter of a function of ``source``,
+    ``self`` and ``cls`` aside, that nothing in the function, nested
+    functions included, reads."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [
+            p for p in (a.vararg, a.kwarg) if p is not None]
+        read = {node.id for node in ast.walk(fn)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found += [(fn.name, p.arg) for p in params
+                  if p.arg not in ("self", "cls") and p.arg not in read]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_module_reads_every_parameter(path):
+    assert unread_parameters((SRC / path).read_text()) == []
+
+
+def test_unread_parameters_finds_an_unread_parameter():
+    source = ("class C:\n"
+              "    def m(self, used, unused, *args, key=None, **kw):\n"
+              "        def inner(x, y):\n"
+              "            return y + used + key\n"
+              "        return inner(0, len(kw))\n"
+              "    @classmethod\n"
+              "    def make(cls, n):\n"
+              "        return cls\n")
+    assert unread_parameters(source) == [
+        ("m", "unused"), ("m", "args"), ("make", "n"), ("inner", "x")]
