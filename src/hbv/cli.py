@@ -61,8 +61,11 @@ def _algebra_from_args(args):
         raise InputError("exactly one of --group, --exterior, --algebra is required")
     src = chosen[0]
     if src == "group":
-        g = (preset(args.group) if args.group in PRESET_NAMES
-             else FiniteGroup.load(args.group))
+        # a preset name, else an existing file: anything else is answered
+        # by the preset error, which lists the presets
+        g = (FiniteGroup.load(args.group)
+             if args.group not in PRESET_NAMES and os.path.exists(args.group)
+             else preset(args.group))
         alg = group_algebra(g, _field(args))
         cfg = {"group": args.group, "field": _field(args).name}
     elif src == "exterior":

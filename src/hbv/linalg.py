@@ -13,12 +13,18 @@ representatives (ints; Fractions only for non-integral rationals), mapped
 into the field as each entry is stored, or tested once per product column.
 
 Elimination.  One forward echelon per arithmetic, pivoting on the largest
-column index (empirically near fill-free on bar differentials), serves both
-rank and kernel: ``_echelon_f2`` on bitset rows (ints) over F_2,
-``_echelon_fp`` over F_p and the fraction-free ``_echelon_q`` over Q.  The
-sparse kernel basis is one algorithm on every field (reduce the echelon,
-read the kernel off it, reduce again: ``_reduce_f2`` on bitsets, ``_reduce``
-on dict rows).  It equals, vector for vector, the one the dense
+index (empirically near fill-free on bar differentials), serves both rank
+and kernel: ``_echelon_f2`` on bitsets (ints) over F_2, ``_echelon_fp``
+over F_p and the fraction-free ``_echelon_q`` over Q, which takes integer
+vectors; ``_integer_vectors`` scales Q vectors to them by reading
+numerators.  ``sparse_rank`` eliminates the side with fewer vectors
+(LaMacchia-Odlyzko): over F_p and Q the columns of a tall matrix, so of
+every bar differential, built once as integer vectors and fed in ascending
+order, and the rows of a square or wide one.  Over F_2 it eliminates the
+rows, since a bitset costs its length.  The kernel path always eliminates
+rows.  The sparse kernel basis is one algorithm on every field (reduce the
+echelon, read the kernel off it, reduce again: ``_reduce_f2`` on bitsets,
+``_reduce`` on dict rows).  It equals, vector for vector, the one the dense
 leftmost-pivot ``rref`` gives, since the reduced kernel basis is unique,
 and its keys are in ascending order on every field.  ``EchelonStore``
 pivots on the smallest column, because the cohomology representatives it
@@ -479,22 +485,17 @@ def _strip_content(row: dict) -> dict:
 
 
 def _echelon_q(rows) -> dict:
-    """Forward echelon over Q, max-column pivot: returns ``{pivot: row}``
-    with integer rows, each a nonzero multiple of the row the same
-    elimination over Fractions would store.  Rows are scaled to integer
-    vectors and updated by fraction-free cross-multiplication, so there is
-    no Fraction churn in the loop.  Against a pivot of +-1 the row is reduced
-    in place without scaling, and its content is left for the next non-unit
-    step to strip."""
+    """Forward echelon over Q of integer vectors (``_integer_vectors``,
+    ``_transpose``), max-index pivot: returns ``{pivot: row}`` with integer rows, each a
+    nonzero multiple of the row the same elimination over Fractions would
+    store.  Rows are updated by fraction-free cross-multiplication, so there
+    is no Fraction churn in the loop.  Against a pivot of +-1 the row is
+    reduced in place without scaling, and its content is left for the next
+    non-unit step to strip.  The rows are the engine's own: one may be
+    reduced in place and stored."""
     ech: dict[int, dict] = {}
     for r in rows:
-        dens = 1
-        for v in r.values():
-            d = v.denominator
-            dens = dens * d // gcd(dens, d)
-        cur = _strip_content(
-            {c: int(v * dens) for c, v in r.items() if v}
-        )
+        cur = _strip_content(r)
         while cur:
             pc = max(cur)
             er = ech.get(pc)
@@ -556,21 +557,71 @@ def _echelon(f, rows) -> dict:
     every row a field vector with pivot entry 1."""
     if isinstance(f, RationalField):
         return {pc: {c: Fraction(v, row[pc]) for c, v in row.items()}
-                for pc, row in _echelon_q(rows).items()}
+                for pc, row in _echelon_q(_integer_vectors(rows)).items()}
     return _echelon_fp(rows, f.char)
 
 
+def _integer_vectors(vecs):
+    """The sparse vectors ``vecs`` over Q (dicts of Fractions, or of ints)
+    times ``c``, the lcm of all their denominators, as fresh dicts of ints,
+    one at a time.  Each entry is read off its numerator, so no Fraction is
+    made; ``c`` is 1 unless an entry is not integral.  ``vecs`` is read
+    twice, so it must not be an iterator.  Over F_p the entries are ints
+    already, and callers read the vectors as they are."""
+    c = 1
+    for vec in vecs:
+        for v in vec.values():
+            if v.denominator != 1:
+                c = lcm(c, v.denominator)
+    if c == 1:
+        for vec in vecs:
+            yield {k: v.numerator for k, v in vec.items()}
+    else:
+        for vec in vecs:
+            yield {k: v.numerator * (c // v.denominator) for k, v in vec.items()}
+
+
+def _transpose(sm: SparseMatrix) -> list:
+    """The columns of ``sm`` over F_p or Q as dicts ``row -> int``, built in
+    one pass over its rows; over Q those of ``c * sm``, as in
+    ``_integer_vectors``."""
+    p = sm.field.char
+    cols: list = [{} for _ in range(sm.ncols)]
+    for i, row in enumerate(sm.rows if p else _integer_vectors(sm.rows)):
+        for j, v in row.items():
+            cols[j][i] = v
+    return cols
+
+
+def _handed_out(vecs: list):
+    """The items of ``vecs`` in order, each dropped from the list as it is
+    handed out, so that the consumer alone decides how long it lives."""
+    for j, vec in enumerate(vecs):
+        vecs[j] = None
+        yield vec
+
+
 def sparse_rank(sm: SparseMatrix) -> int:
-    """Exact rank by max-column forward elimination over all rows at once.
-    A row is only ever reduced by a stored row holding its pivot column, so
-    rows that share no column never meet: splitting the matrix into blocks
-    of connected columns first would make the same eliminations."""
-    f = sm.field
-    if isinstance(f, RationalField):
-        return len(_echelon_q(sm.rows))
-    if f.char == 2:
+    """Exact rank by max-index forward elimination of the side with fewer
+    vectors: over F_p and Q the columns when there are fewer of them than
+    rows (every bar and group-cochain differential, whose nrows =
+    (m-1) * ncols), the rows otherwise.  Columns are built once, as integer
+    vectors, and fed to the engine in ascending order, each released once
+    it is consumed; that order and the max-index pivot keep elimination
+    near fill-free here.  Over F_2 the rows are eliminated whatever the
+    shape: a bitset costs its length, not its support, so bitset columns of
+    a tall matrix are the larger vectors.  A vector is only ever reduced by
+    a stored one holding its pivot index, so vectors that share no index
+    never meet: splitting the matrix into blocks first would make the same
+    eliminations."""
+    p = sm.field.char
+    if p == 2:
         return len(_echelon_f2(map(_f2_bits, sm.rows)))
-    return len(_echelon_fp(sm.rows, f.char))
+    if sm.ncols < sm.nrows:
+        vecs = _handed_out(_transpose(sm))
+    else:
+        vecs = sm.rows if p else _integer_vectors(sm.rows)
+    return len(_echelon_fp(vecs, p) if p else _echelon_q(vecs))
 
 
 def sparse_kernel_basis(sm: SparseMatrix):
@@ -708,20 +759,14 @@ class EchelonStore:
 
 def _integer_columns(sm: SparseMatrix):
     """The columns of ``c * sm`` as flat ``[row, value, row, value, ...]``
-    lists of ints, where ``c`` is the lcm of the entries' denominators: 1
-    over F_p, whose entries are ints, and over Q unless an entry is not
-    integral."""
-    c = 1
-    for row in sm.rows:
-        for v in row.values():
-            if v.denominator != 1:
-                c = lcm(c, v.denominator)
+    lists of ints, with ``c`` as in ``_integer_vectors``."""
     cols: list = [[] for _ in range(sm.ncols)]
-    for i, row in enumerate(sm.rows):
+    rows = sm.rows if sm.field.char else _integer_vectors(sm.rows)
+    for i, row in enumerate(rows):
         for j, v in row.items():
             col = cols[j]
             col.append(i)
-            col.append(v.numerator if c == 1 else (c * v).numerator)
+            col.append(v)
     return cols
 
 

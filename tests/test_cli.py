@@ -173,6 +173,40 @@ def test_unknown_preset_is_input_error(capsys):
     assert status == 2
 
 
+@pytest.mark.parametrize("name", ["NOPE", "F4"])
+def test_mistyped_group_names_the_presets(capsys, monkeypatch, tmp_path, name):
+    # a --group value that is neither a preset nor an existing file is
+    # answered by the preset error, which lists the presets
+    from hbv.groups import PRESET_NAMES
+
+    monkeypatch.chdir(tmp_path)
+    status = main(["hochschild", "--group", name, "--field", "F2"])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert (f"hbv: error: unknown group preset {name!r} "
+            f"(available: {', '.join(PRESET_NAMES)})\n") in captured.err
+
+
+def test_python_m_hbv_prints_what_main_prints(capsys):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    argv = ["hochschild", "--group", "Z2", "--field", "F2", "--max-degree", "3"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-m", "hbv", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected
+
+
 def test_budget_exceeded_is_input_error(capsys):
     status = main([
         "hochschild", "--group", "D4", "--field", "F2",

@@ -213,6 +213,7 @@ def assert_kernels_agree(sm):
             assert all(type(v) is Fraction for v in sv.values())
     if field.char != 2:
         assert_kernel_order_pinned(sm, sparse_k)
+    return dense_k
 
 
 def _kernel_all_pivot_scan(sm):
@@ -357,10 +358,11 @@ def test_reduce_matches_rref_of_reversed_columns():
 
 @pytest.mark.parametrize("name, field, gens", [
     ("Z3", QQ, None), ("Z3", GF(3), None), ("ext3", QQ, [3]), ("ext35", QQ, [3, 5]),
-    ("Z2", GF(2), None), ("S3", GF(2), None),
+    ("Z2", GF(2), None), ("S3", GF(2), None), ("Z3", GF(5), None),
 ])
 @pytest.mark.parametrize("coeff", ["self", "dual"])
 def test_sparse_kernel_matches_dense_on_bar_differentials(name, field, gens, coeff):
+    # and the rank, from the columns over F_p and Q, is the dense one
     from hbv.algebra import exterior_algebra, group_algebra
     from hbv.groups import preset
     from hbv.hochschild import BarComplex
@@ -369,7 +371,8 @@ def test_sparse_kernel_matches_dense_on_bar_differentials(name, field, gens, coe
            else exterior_algebra(gens, field))
     bar = BarComplex(alg, coeff, 3)
     for n in sorted(bar.complex.diffs):
-        assert_kernels_agree(bar.complex.differential(n))
+        d = bar.complex.differential(n)
+        assert sparse_rank(d) == d.ncols - len(assert_kernels_agree(d))
 
 
 def test_sparse_kernel_with_empty_rows_and_columns():
@@ -556,6 +559,55 @@ def test_rank_q_unit_and_nonunit_pivots():
                          for j in range(nc)])
         m = Matrix.from_rows(QQ, rows)
         assert sparse_rank(SparseMatrix.from_matrix(m)) == rank(m)
+
+
+def _low_rank(rng, field, nr, nc):
+    """A random nr x nc matrix of rank at most k, as the product of random
+    nr x k and k x nc factors, k drawn up to one past the smaller side;
+    over Q with non-integral entries."""
+    k = rng.randint(0, min(nr, nc) + 1)
+    return (Matrix(field, nr, k, _random_rows(rng, field, nr, k))
+            * Matrix(field, k, nc, _random_rows(rng, field, k, nc)))
+
+
+def _fed_vectors(monkeypatch):
+    """The list to which every engine call appends the number of vectors
+    it is fed."""
+    from hbv import linalg
+
+    fed = []
+    for name in ("_echelon_f2", "_echelon_fp", "_echelon_q"):
+        def spy(vecs, *args, engine=getattr(linalg, name)):
+            vecs = list(vecs)
+            fed.append(len(vecs))
+            return engine(vecs, *args)
+        monkeypatch.setattr(linalg, name, spy)
+    return fed
+
+
+RANK_SHAPES = [(9, 3), (7, 5), (3, 9), (5, 7), (6, 6), (1, 1), (0, 4), (4, 0),
+               (0, 0), (12, 4)]
+
+
+def test_sparse_rank_eliminates_the_smaller_side(monkeypatch):
+    # over F_p and Q tall matrices are ranked from their columns, square
+    # and wide ones from their rows; over F_2 (bitsets) always from the
+    # rows.  Either way the rank is the dense one: on a matrix and its
+    # transpose, entries non-integral over Q, the matrix's rows left as
+    # they were
+    fed = _fed_vectors(monkeypatch)
+    rng = random.Random(211)
+    for field in (GF(2), GF(3), GF(5), QQ):
+        for nr, nc in RANK_SHAPES:
+            for _ in range(8):
+                m = _low_rank(rng, field, nr, nc)
+                sm = SparseMatrix.from_matrix(m)
+                t = SparseMatrix.from_matrix(m.transpose())
+                rows = [list(r.items()) for r in sm.rows]
+                fed.clear()
+                assert sparse_rank(sm) == sparse_rank(t) == rank(m)
+                assert fed == ([nr, nc] if field.char == 2 else [min(nr, nc)] * 2)
+                assert [list(r.items()) for r in sm.rows] == rows
 
 
 # -- complexes ----------------------------------------------------------------
