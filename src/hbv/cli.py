@@ -36,10 +36,10 @@ from .cyclic import StringBracket, connes_maps
 from .fields import field_by_name
 from .groups import FiniteGroup, preset, PRESET_NAMES
 from .hochschild import (
-    BudgetError,
     bv_check,
     budget_from_env,
     centralizer_oracle,
+    check_budget,
     hochschild_dims,
 )
 from .linalg import SquareZeroError
@@ -207,12 +207,7 @@ def cmd_tqft(args):
     else:
         raise InputError("tqft eval needs --cobordism or --preset")
     width = max(cob.p, cob.q)
-    dim = alg.dim ** width
-    budget = _budget(args)
-    if dim > budget:
-        raise BudgetError(
-            f"tensor power A^(x){width} of dimension {dim} exceeds the budget {budget}"
-        )
+    check_budget(f"tensor power A^(x){width}", alg.dim ** width, _budget(args))
     tm = tqft_evaluate(alg, frob, cob, args.strict_positive_boundary)
     f = alg.field
     results = {

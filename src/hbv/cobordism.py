@@ -6,10 +6,11 @@ against a commutative Frobenius algebra, and determinant lines.
 A cobordism is a multiset of connected components (genus, in-legs, out-legs)
 whose legs partition the global in-ports 1..p and out-ports 1..q.  Two
 cobordisms are equal iff their normal forms coincide.  Gluing merges
-components by a union-find over the glued circles; the genus of a merged
-cluster grows by the cycle rank E - V + 1 of its gluing graph, and the Euler
-characteristic chi = 2k - 2g - p - q is additive under both compositions
-(asserted on every compose).
+components by a union-find over the glued circles; each circle that closes
+a cycle adds a handle, so the genus of a merged cluster grows by the cycle
+rank E - V + 1 of its gluing graph, and the Euler characteristic
+chi = 2k - 2g - p - q is additive under both compositions (asserted on
+every compose).
 """
 
 from __future__ import annotations
@@ -52,9 +53,9 @@ class Cobordism:
     @staticmethod
     def _component_key(comp):
         genus, in_legs, out_legs = comp
-        # in-ports rank before out-ports for the leading-port comparison
-        ports = [(0, i) for i in in_legs] + [(1, j) for j in out_legs]
-        return (min(ports) if ports else (2, 0), genus, in_legs, out_legs)
+        # the leading port, in-ports before out-ports; the legs are sorted
+        lead = (0, in_legs[0]) if in_legs else (1, out_legs[0]) if out_legs else (2, 0)
+        return (lead, genus, in_legs, out_legs)
 
     def _validate(self):
         ins = [i for _, in_legs, _ in self.components for i in in_legs]
@@ -93,17 +94,20 @@ class Cobordism:
     # -- prop structure ---------------------------------------------------------
 
     def compose(self, g: "Cobordism") -> "Cobordism":
-        """g o self : glue this cobordism's out-circles to g's in-circles."""
+        """g o self : glue this cobordism's out-circles to g's in-circles.
+
+        A union-find over the components of both sides, this cobordism's
+        first: each glued circle joins the two components it bounds.  A
+        circle whose two sides already share a root closes a cycle and adds
+        one handle, and merging two roots carries their handle counts over."""
         if self.q != g.p:
             raise CobordismError(
                 f"cannot glue {self.q} out-circles to {g.p} in-circles"
             )
-        f_comps = list(self.components)
-        g_comps = list(g.components)
-        nodes = [("f", i) for i in range(len(f_comps))] + [
-            ("g", j) for j in range(len(g_comps))
-        ]
-        parent = {x: x for x in nodes}
+        comps = self.components + g.components
+        k = len(self.components)
+        parent = list(range(len(comps)))
+        genus = [c[0] for c in comps]
 
         def find(x):
             while parent[x] != x:
@@ -111,47 +115,25 @@ class Cobordism:
                 x = parent[x]
             return x
 
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        out_owner = {}
-        for i, (_, _, outs) in enumerate(f_comps):
-            for port in outs:
-                out_owner[port] = ("f", i)
-        in_owner = {}
-        for j, (_, ins, _) in enumerate(g_comps):
-            for port in ins:
-                in_owner[port] = ("g", j)
-        edges = []
-        for port in range(1, self.q + 1):
-            a, b = out_owner[port], in_owner[port]
-            edges.append((a, b))
-            union(a, b)
-        clusters: dict = {}
-        for x in nodes:
-            clusters.setdefault(find(x), []).append(x)
-        edge_count: dict = {}
-        for a, b in edges:
-            edge_count[find(a)] = edge_count.get(find(a), 0) + 1
-        new_components = []
-        for root, members in clusters.items():
-            genus = 0
-            in_legs = []
-            out_legs = []
-            for side, idx in members:
-                if side == "f":
-                    gg, ins, _ = f_comps[idx]
-                    in_legs.extend(ins)
+        out_owner = {j: i for i, (_, _, outs) in enumerate(self.components)
+                     for j in outs}
+        for i, (_, ins, _) in enumerate(g.components, k):
+            for j in ins:
+                a, b = find(out_owner[j]), find(i)
+                if a == b:
+                    genus[a] += 1
                 else:
-                    gg, _, outs = g_comps[idx]
-                    out_legs.extend(outs)
-                genus += gg
-            e = edge_count.get(root, 0)
-            genus += e - len(members) + 1
-            new_components.append((genus, in_legs, out_legs))
-        result = Cobordism(self.p, g.q, new_components)
+                    parent[a] = b
+                    genus[b] += genus[a]
+        legs: dict = {}   # root -> the merged component's (in-legs, out-legs)
+        for i, (_, ins, outs) in enumerate(comps):
+            in_legs, out_legs = legs.setdefault(find(i), ([], []))
+            if i < k:
+                in_legs.extend(ins)
+            else:
+                out_legs.extend(outs)
+        result = Cobordism(self.p, g.q,
+                           [(genus[r], ins, outs) for r, (ins, outs) in legs.items()])
         expected = self.euler_characteristic() + g.euler_characteristic()
         if result.euler_characteristic() != expected:
             raise CobordismError("gluing broke Euler characteristic additivity")

@@ -76,15 +76,6 @@ class CyclicComplex:
         self.complex = Complex(alg.field,
                                {n: dims[n] for n in range(max_degree + 2)}, diffs)
 
-    def dim(self, n: int) -> int:
-        return self.complex.dim(n)
-
-    def cohomology(self, n):
-        return self.complex.cohomology_at(n)
-
-    def cohomology_dim(self, n) -> int:
-        return self.complex.cohomology_dim(n)
-
 
 class CyclicCohomology:
     """HC^*(A) with the Connes sequence maps into the Hochschild machinery."""
@@ -97,16 +88,16 @@ class CyclicCohomology:
         self._classes: dict[int, list] = {}
 
     def dim(self, n: int) -> int:
-        return self.total.cohomology_dim(n)
+        return self.total.complex.cohomology_dim(n)
 
     def classes(self, n: int):
-        return basis_classes(self, n, self.total.cohomology,
+        return basis_classes(self, n, self.total.complex.cohomology_at,
                              lambda n, rep: dict(rep))
 
     def project(self, n: int, vec: dict) -> CohomologyClass:
         if n < 0:
             return CohomologyClass(self, n, [], dict(vec))
-        data = self.total.cohomology(n)
+        data = self.total.complex.cohomology_at(n)
         return CohomologyClass(self, n, data.project(vec), dict(vec))
 
     # -- the long exact sequence maps --------------------------------------------

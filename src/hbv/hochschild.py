@@ -9,6 +9,11 @@ Hom(Abar^{(x)n}, A-dual) = (A (x) Abar^{(x)n})-dual.  Its differential and
 rotation operator are literal transposes of the chain-level operators, so
 d^2 = 0, B^2 = 0 and dB + Bd = 0 are inherited and not re-derived.
 
+Both differentials come from one table of lifted products.  Their inner
+faces sum_i (-1)^i [..|a_i a_{i+1}|..] are the same for both coefficient
+complexes (``BarComplex._inner_faces``): only the two outer faces see the
+bimodule.  B_n (``connes_b_dual_matrix``) is keyed in the bar's encoding.
+
 Sign conventions (pinned once; every sign is a simplicial factor times a
 Koszul factor on internal degrees, and the whole package of identities (d^2 = 0 on both coefficient complexes, rotation square zero and
 anticommutation, cup Leibniz, graded cup commutativity in cohomology, the
@@ -42,7 +47,7 @@ vanish.
 from __future__ import annotations
 
 import os
-from itertools import product
+from itertools import accumulate, product
 
 from .algebra import FDAlgebra, FrobeniusStructure, PreconditionError
 from .groups import FiniteGroup
@@ -68,6 +73,20 @@ def budget_from_env(default: int = DEFAULT_BUDGET) -> int:
         return int(raw)
     except ValueError:
         raise BudgetError(f"HBV_BUDGET must be an integer, got {raw!r}") from None
+
+
+def check_budget(what: str, dim: int, budget: int | None) -> None:
+    """Refuse ``what``, of dimension ``dim``, above the cap ``budget``
+    (``DEFAULT_BUDGET`` when None).  The message names what sets the cap:
+    library calls pass it as ``budget``, and the CLI takes it from
+    ``--budget``, else from ``HBV_BUDGET``."""
+    budget = DEFAULT_BUDGET if budget is None else budget
+    if dim > budget:
+        raise BudgetError(
+            f"{what} of dimension {dim} exceeds the budget {budget} (the cap"
+            f" is the budget argument, {DEFAULT_BUDGET} when unset; the CLI"
+            f" sets it from --budget, else from HBV_BUDGET)"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -143,31 +162,6 @@ def unit_cochain(alg: FDAlgebra) -> Cochain:
 
 
 # ---------------------------------------------------------------------------
-# the chain-level rotation (the dual complex is the transpose of the chain
-# complex; its differential is built in BarComplex._dual_differential)
-
-
-def chain_connes_B(alg: FDAlgebra, n: int, a0: int, tup: tuple):
-    """The normalized Connes boundary on a0[tup] in C_n, as {(1, tup'): coeff}."""
-    f = alg.field
-    unit = alg.unit_index
-    if a0 == unit:
-        return {}
-    degs0 = alg.degrees[a0]
-    degs = [alg.degrees[x] for x in tup]
-    terms = []
-    for j in range(n + 1):
-        if j == 0:
-            new_tup = (a0,) + tup
-            exp = 0
-        else:
-            new_tup = tup[j - 1:] + (a0,) + tup[:j - 1]
-            exp = n * j + (degs0 + sum(degs[:j - 1])) * sum(degs[j - 1:])
-        terms.append(((unit, new_tup), -1 if exp % 2 else 1))
-    return sum_terms(f, terms)
-
-
-# ---------------------------------------------------------------------------
 # the bar cochain complex
 
 
@@ -201,18 +195,12 @@ class BarComplex:
         self.alg = alg
         self.coeff = coeff
         self.max_degree = max_degree
-        self.certified = max_degree - 2
-        budget = DEFAULT_BUDGET if budget is None else budget
         self.nonunit = [i for i in range(alg.dim) if i != alg.unit_index]
         self.nu_pos = {g: k for k, g in enumerate(self.nonunit)}
         m = alg.dim
         dims = {n: (m - 1) ** n * m for n in range(max_degree + 2)}
-        worst = max(dims.values())
-        if worst > budget:
-            raise BudgetError(
-                f"cochain space of dimension {worst} exceeds the budget {budget}"
-                f" (raise HBV_BUDGET or lower the truncation degree)"
-            )
+        check_budget("cochain space", max(dims.values()), budget)
+        self._prod = _lifted_products(alg)
         build = (self._self_differential if coeff == "self"
                  else self._dual_differential)
         diffs = {n: build(n) for n in range(max_degree + 1)}
@@ -247,6 +235,17 @@ class BarComplex:
 
     # -- differentials ----------------------------------------------------------
 
+    def _inner_faces(self, s: tuple) -> list:
+        """The inner faces of the row s = (a_1..a_{n+1}), the same for both
+        coefficients: the terms (-1)^i [..|a_i a_{i+1}|..], i = 1..n, keyed
+        by ``encode`` with value index 0, to which each row adds its own.
+        A product term on the unit makes a degenerate tuple and drops out."""
+        unit = self.alg.unit_index
+        prod = self._prod
+        return [(self.encode(s[:i] + (u,) + s[i + 2:], 0), c if i % 2 else -c)
+                for i in range(len(s) - 1)
+                for u, c in prod[s[i], s[i + 1]] if u != unit]
+
     def _dual_differential(self, n: int) -> SparseMatrix:
         """Transpose of the chain differential b : C_{n+1} -> C_n (module
         docstring): row (s, w) holds b(w[s]), its terms keyed by ``encode``,
@@ -254,18 +253,13 @@ class BarComplex:
         alg = self.alg
         f = alg.field
         m = alg.dim
-        unit = alg.unit_index
         deg = alg.degrees
-        prod = _lifted_products(alg)
+        prod = self._prod
         rows = []
         for s in product(self.nonunit, repeat=n + 1):
             head = self.encode(s[1:], 0)     # (a0 a_1)[a_2..a_{n+1}]
             tail = self.encode(s[:n], 0)     # (a_{n+1} a0)[a_1..a_n]
-            # sum_{0<i<n+1} (-1)^i a0[..|a_i a_{i+1}|..], keyed up to a0
-            mids = [(self.encode(s[:i - 1] + (u,) + s[i + 1:], 0),
-                     -c if i % 2 else c)
-                    for i in range(1, n + 1)
-                    for u, c in prod[s[i - 1], s[i]] if u != unit]
+            mids = self._inner_faces(s)
             inner = sum(deg[x] for x in s[:n])
             for w in range(m):
                 odd = (n + 1 + deg[s[n]] * (deg[w] + inner)) % 2
@@ -279,9 +273,8 @@ class BarComplex:
         alg = self.alg
         f = alg.field
         m = alg.dim
-        unit = alg.unit_index
         deg = alg.degrees
-        prod = _lifted_products(alg)
+        prod = self._prod
         # left[a][w] / right[a][w]: the (v, c) with c the e_w coefficient of
         # e_a e_v / e_v e_a, v increasing
         left = {a: [[] for _ in range(m)] for a in self.nonunit}
@@ -296,11 +289,7 @@ class BarComplex:
         for s in product(self.nonunit, repeat=n + 1):
             head = self.encode(s[1:], 0)
             tail = self.encode(s[:n], 0)
-            # (-1)^i f(.., a_i a_{i+1}, ..), keyed up to the value index
-            mids = [(self.encode(s[:i] + (u,) + s[i + 2:], 0),
-                     c if i % 2 else -c)
-                    for i in range(n)
-                    for u, c in prod[s[i], s[i + 1]] if u != unit]
+            mids = self._inner_faces(s)
             rest = sum(deg[x] for x in s[1:])
             d0 = deg[s[0]]
             for w in range(m):
@@ -313,15 +302,6 @@ class BarComplex:
                           for v, c in right[s[n]][w]]
                 rows.append(sum_terms(f, terms))
         return SparseMatrix(f, (m - 1) ** (n + 1) * m, (m - 1) ** n * m, rows)
-
-    # -- views --------------------------------------------------------------
-
-    def dims_table(self):
-        return [(n, self.complex.cohomology_dim(n))
-                for n in range(self.max_degree + 1)]
-
-    def cohomology(self, n):
-        return self.complex.cohomology_at(n)
 
     def is_cocycle(self, c: Cochain) -> bool:
         return not self.complex.apply(c.degree, self.cochain_to_vec(c))
@@ -432,18 +412,27 @@ def connes_b_dual(f: Cochain) -> Cochain:
 def connes_b_dual_matrix(bar: BarComplex, n: int) -> SparseMatrix:
     """Matrix of the rotation operator C^n -> C^{n-1} on a dual-coefficient
     bar complex (the zero map with empty target for n = 0), built as the
-    transpose of the chain-level operator."""
+    transpose of the chain-level B (module docstring).  Row (s, w), in
+    ``product(bar.nonunit, repeat=n-1)`` order and then w, holds B(w[s]):
+    empty for w the unit, else ``sum_terms`` of the signed rotations of the
+    tuple t = (w,) + s, keyed by ``bar.encode(t[j:] + t[:j], unit)``."""
     alg = bar.alg
     f = alg.field
     m = alg.dim
+    unit = alg.unit_index
     src = (m - 1) ** n * m
     if n == 0:
         return SparseMatrix(f, 0, src)
-    dst = (m - 1) ** (n - 1) * m
-    rows = [{bar.encode(t, a0): c
-             for (a0, t), c in chain_connes_B(alg, n - 1, w, s).items()}
-            for s in product(bar.nonunit, repeat=n - 1) for w in range(m)]
-    return SparseMatrix(f, dst, src, rows)
+    rows = []
+    for s in product(bar.nonunit, repeat=n - 1):
+        for w in range(m):
+            t = (w,) + s
+            d = list(accumulate((alg.degrees[x] for x in t), initial=0))
+            rows.append({} if w == unit else sum_terms(f, [
+                (bar.encode(t[j:] + t[:j], unit),
+                 -1 if ((n - 1) * j + d[j] * (d[n] - d[j])) % 2 else 1)
+                for j in range(n)]))
+    return SparseMatrix(f, (m - 1) ** (n - 1) * m, src, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -506,14 +495,15 @@ class HochschildCohomology:
         return self.bar.complex.cohomology_dim(n)
 
     def classes(self, n: int):
-        return basis_classes(self, n, self.bar.cohomology, self.bar.vec_to_cochain)
+        return basis_classes(self, n, self.bar.complex.cohomology_at,
+                             self.bar.vec_to_cochain)
 
     def project(self, c: Cochain) -> CohomologyClass:
         """The class of a cocycle; equality of classes is decided by
         coboundary membership, never representative equality."""
         if c.degree < 0:
             return CohomologyClass(self, c.degree, [], c)
-        data = self.bar.cohomology(c.degree)
+        data = self.bar.complex.cohomology_at(c.degree)
         coords = data.project(self.bar.cochain_to_vec(c))
         return CohomologyClass(self, c.degree, coords, c)
 
@@ -531,8 +521,8 @@ class HochschildCohomology:
 
 def hochschild_dims(alg, coeff, max_degree, budget=None):
     """Dimension table only; skips all representative machinery."""
-    bar = BarComplex(alg, coeff, max_degree, budget)
-    return bar.dims_table()
+    cx = BarComplex(alg, coeff, max_degree, budget).complex
+    return [(n, cx.cohomology_dim(n)) for n in range(max_degree + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -742,16 +732,11 @@ def group_cochain_dims(g: FiniteGroup, field, max_degree: int,
     normalized bar cochain complex of the group (independent of the
     Hochschild machinery above)."""
     f = field
-    budget = DEFAULT_BUDGET if budget is None else budget
     m = g.order
     nu = [i for i in range(m) if i != g.identity]
     nu_pos = {x: k for k, x in enumerate(nu)}
     dims = {n: (m - 1) ** n for n in range(max_degree + 2)}
-    worst = max(dims.values())
-    if worst > budget:
-        raise BudgetError(
-            f"group cochain space of dimension {worst} exceeds the budget {budget}"
-        )
+    check_budget("group cochain space", max(dims.values()), budget)
 
     def encode(tup):
         c = 0

@@ -11,6 +11,8 @@ Arithmetic.  Differentials are built (``sum_terms``) and checked
 (``Complex``) by the same code for F_2, F_p and Q: plain sums of exact
 representatives (ints; Fractions only for non-integral rationals), mapped
 into the field as each entry is stored, or tested once per product column.
+The ``d o d = 0`` check and the rank read one integer column view of a
+differential, ``_transpose``.
 
 Elimination.  One forward echelon per arithmetic, pivoting on the largest
 index (empirically near fill-free on bar differentials), serves both rank
@@ -582,9 +584,10 @@ def _integer_vectors(vecs):
 
 
 def _transpose(sm: SparseMatrix) -> list:
-    """The columns of ``sm`` over F_p or Q as dicts ``row -> int``, built in
-    one pass over its rows; over Q those of ``c * sm``, as in
-    ``_integer_vectors``."""
+    """The columns of ``sm`` as dicts ``row -> int``, built in one pass over
+    its rows; over Q those of ``c * sm``, as in ``_integer_vectors``.  The
+    one integer column view: the column-side rank and the ``d o d = 0`` check
+    of ``Complex`` both read it."""
     p = sm.field.char
     cols: list = [{} for _ in range(sm.ncols)]
     for i, row in enumerate(sm.rows if p else _integer_vectors(sm.rows)):
@@ -757,19 +760,6 @@ class EchelonStore:
 # complexes
 
 
-def _integer_columns(sm: SparseMatrix):
-    """The columns of ``c * sm`` as flat ``[row, value, row, value, ...]``
-    lists of ints, with ``c`` as in ``_integer_vectors``."""
-    cols: list = [[] for _ in range(sm.ncols)]
-    rows = sm.rows if sm.field.char else _integer_vectors(sm.rows)
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            col = cols[j]
-            col.append(i)
-            col.append(v)
-    return cols
-
-
 class CohomologyData:
     """Cohomology of a complex at one degree with a chosen basis.
 
@@ -801,10 +791,11 @@ class Complex:
     treated as zero.
 
     ``d^{n+1} o d^n = 0`` is checked at construction, for every adjacent
-    pair, in plain integer arithmetic: each differential is turned once into
-    integer column lists, which serve as the right factor of its pair with
-    the next differential and the left factor of its pair with the previous
-    one, and each column of the product is summed exactly and tested once.
+    pair, in plain integer arithmetic, on the integer column view the rank
+    reads too (``_transpose``): each differential's columns are built once
+    and serve as the right factor of its pair with the next differential
+    and the left factor of its pair with the previous one, and each column
+    of the product is summed exactly and tested once.
     This is exact over every field.  Over F_p the entries are integer
     representatives and reduction mod p is a ring map, so a column vanishes
     over F_p iff its integer sums are 0 mod p.  Over Q each matrix is first
@@ -837,14 +828,12 @@ class Complex:
             if n + 1 not in self.diffs:
                 continue
             if right_n != n:
-                right = _integer_columns(self.diffs[n])
-            left = _integer_columns(self.diffs[n + 1])
+                right = _transpose(self.diffs[n])
+            left = _transpose(self.diffs[n + 1])
             for j, col in enumerate(right):
                 acc: dict = {}
-                it = iter(col)
-                for i, a in zip(it, it):
-                    lt = iter(left[i])
-                    for k, b in zip(lt, lt):
+                for i, a in col.items():
+                    for k, b in left[i].items():
                         acc[k] = acc.get(k, 0) + a * b
                 if any(x % p for x in acc.values()) if p else any(acc.values()):
                     raise SquareZeroError(n, j)

@@ -207,14 +207,32 @@ def test_python_m_hbv_prints_what_main_prints(capsys):
     assert done.stdout == expected
 
 
-def test_budget_exceeded_is_input_error(capsys):
+def _budget_hint(err):
+    """The parenthesised hint of a budget refusal on stderr, which says what
+    sets the cap."""
+    line = next(x for x in err.splitlines() if "exceeds the budget" in x)
+    return line[line.index(" (", line.index("exceeds the budget")):]
+
+
+def test_budget_exceeded_is_input_error(capsys, monkeypatch):
+    # --budget overrides HBV_BUDGET, so the hint must name --budget
+    monkeypatch.setenv("HBV_BUDGET", "300000")
     status = main([
         "hochschild", "--group", "D4", "--field", "F2",
         "--max-degree", "4", "--budget", "20000",
     ])
     err = capsys.readouterr().err
     assert status == 2
-    assert "134456" in err
+    assert "134456 exceeds the budget 20000" in err
+    hint = _budget_hint(err)
+    assert "--budget" in hint and "HBV_BUDGET" in hint
+    # the oracle and tqft refusals give the same hint
+    assert main(["oracle", "--group", "D4", "--field", "F2",
+                 "--max-degree", "6", "--budget", "100"]) == 2
+    assert _budget_hint(capsys.readouterr().err) == hint
+    assert main(["tqft", "eval", "--group", "Z6", "--field", "Q",
+                 "--preset", "pants", "--budget", "1"]) == 2
+    assert _budget_hint(capsys.readouterr().err) == hint
 
 
 def test_conflicting_field_rejected(capsys, tmp_path):

@@ -137,6 +137,60 @@ def test_chi_additive_randomized():
                 == f.euler_characteristic() + h.euler_characteristic())
 
 
+def _gluing_reference(f, g):
+    """g o f from its gluing graph, written apart from ``compose``: the
+    nodes are the components of f and of g, one edge per glued circle, and
+    each BFS cluster is one component, of genus the sum of its members'
+    genera plus the cycle rank E - V + 1."""
+    nodes = [("f", c) for c in f.components] + [("g", c) for c in g.components]
+    out_of = {j: x for x, (side, c) in enumerate(nodes) if side == "f" for j in c[2]}
+    in_of = {j: x for x, (side, c) in enumerate(nodes) if side == "g" for j in c[1]}
+    edges = [(out_of[j], in_of[j]) for j in range(1, f.q + 1)]
+    adjacent = {x: [] for x in range(len(nodes))}
+    for a, b in edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    seen, comps = set(), []
+    for start in range(len(nodes)):
+        if start in seen:
+            continue
+        seen.add(start)
+        cluster, queue = [], [start]
+        while queue:
+            x = queue.pop(0)
+            cluster.append(x)
+            for y in adjacent[x]:
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        e = sum(1 for a, _ in edges if a in cluster)
+        genus = sum(nodes[x][1][0] for x in cluster) + e - len(cluster) + 1
+        ins = [i for x in cluster if nodes[x][0] == "f" for i in nodes[x][1][1]]
+        outs = [j for x in cluster if nodes[x][0] == "g" for j in nodes[x][1][2]]
+        comps.append((genus, ins, outs))
+    return Cobordism(f.p, g.q, comps)
+
+
+def _random_with_closed(rng, p, q, maxk=5, maxg=2):
+    """Up to ``maxk`` components, each port on a random one, so components
+    with no legs (closed surfaces) occur."""
+    k = rng.randint(1, maxk)
+    comps = [(rng.randint(0, maxg), [], []) for _ in range(k)]
+    for port in range(1, p + 1):
+        comps[rng.randrange(k)][1].append(port)
+    for port in range(1, q + 1):
+        comps[rng.randrange(k)][2].append(port)
+    return Cobordism(p, q, comps)
+
+
+def test_compose_matches_gluing_graph_reference():
+    rng = random.Random(2024)
+    for _ in range(3000):
+        p, q, r = rng.randint(0, 4), rng.randint(0, 5), rng.randint(0, 4)
+        f, g = _random_with_closed(rng, p, q), _random_with_closed(rng, q, r)
+        assert f.compose(g) == _gluing_reference(f, g)
+
+
 def test_json_roundtrip(tmp_path):
     cob = Cobordism(3, 2, [(1, [1, 3], [2]), (0, [2], [1])])
     path = tmp_path / "cob.json"

@@ -44,7 +44,7 @@ def test_staircase_dimensions():
     bar_dims = [2, 2, 2, 2, 2, 2]
     for n in range(5):
         expected = sum(bar_dims[n - 2 * k] for k in range(n // 2 + 1))
-        assert hc.total.dim(n) == expected
+        assert hc.total.complex.dim(n) == expected
 
 
 def _column_layout(bar, n):
@@ -99,8 +99,8 @@ def test_total_differential_matches_block_layout():
         for n in range(N + 1):
             want = _block_total_differential(tot.bar, n)
             d = tot.complex.differential(n)
-            assert (d.nrows, d.ncols) == (len(want), tot.dim(n))
-            assert tot.dim(n) == sum(c[3] for c in _column_layout(tot.bar, n))
+            assert (d.nrows, d.ncols) == (len(want), tot.complex.dim(n))
+            assert tot.complex.dim(n) == sum(c[3] for c in _column_layout(tot.bar, n))
             assert [list(r.items()) for r in d.rows] == \
                 [list(r.items()) for r in want]
         for n in range(N - 1):
