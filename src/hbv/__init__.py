@@ -11,6 +11,7 @@ from .groups import FiniteGroup, preset
 from .algebra import (
     FDAlgebra,
     FrobeniusStructure,
+    class_algebra,
     exterior_algebra,
     find_integrals,
     frobenius_from_integral,
@@ -58,6 +59,7 @@ __all__ = [
     "preset",
     "FDAlgebra",
     "FrobeniusStructure",
+    "class_algebra",
     "exterior_algebra",
     "find_integrals",
     "frobenius_from_integral",

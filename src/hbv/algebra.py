@@ -690,6 +690,45 @@ def group_frobenius(alg: FDAlgebra) -> FrobeniusStructure:
     return FrobeniusStructure(alg, pairing)
 
 
+def class_algebra(g: FiniteGroup, field):
+    """The centre Z(k[G]) = k[classes] of a group algebra with its Frobenius
+    form, as ``(alg, frob)``.  The basis is the class sums C_i, in the order
+    of ``g.conjugacy_classes()``; C_i C_j = sum_k n_ij^k C_k, where n_ij^k
+    counts the pairs (x, y) in C_i x C_j with xy in C_k, divided by |C_k|,
+    read off the group table.  The form is eps(C) = [e in C] / |G|, so
+    <C_i, C_j> = eps(C_i C_j) = n_ij^{[e]} / |G|, the pairing whose 2d TQFT
+    sends a closed genus-g surface to |Hom(pi_1, G)| / |G|.  Over F_p the
+    form needs p not to divide |G|, and is refused otherwise."""
+    f = field
+    if f.char and g.order % f.char == 0:
+        raise PreconditionError(
+            f"the class-algebra form 1/|G| needs p = {f.char} not to divide "
+            f"|G| = {g.order}"
+        )
+    classes = g.conjugacy_classes()
+    m = len(classes)
+    class_of = {x: k for k, cls in enumerate(classes) for x in cls}
+    mult = {}
+    for (i, ci), (j, cj) in product(enumerate(classes), repeat=2):
+        counts = [0] * m
+        for x in ci:
+            for y in cj:
+                counts[class_of[g.table[x][y]]] += 1
+        mult[(i, j)] = {k: f.of_int(n // len(classes[k]))
+                        for k, n in enumerate(counts) if n}
+    e = class_of[g.identity]
+    unit = [f.zero] * m
+    unit[e] = f.one
+    alg = FDAlgebra(f, [f"[{g.names[cls[0]]}]" for cls in classes], [0] * m,
+                    mult, unit)
+    pairing = Matrix(f, m, m)
+    order = f.of_int(g.order)
+    for (i, j), row in mult.items():
+        if e in row:
+            pairing.data[i][j] = f.div(row[e], order)
+    return alg, FrobeniusStructure(alg, pairing)
+
+
 def lie_pairing(alg: FDAlgebra) -> FrobeniusStructure:
     """The pairing <a, b> = eta(a b) on a connected graded Hopf algebra with
     one-dimensional top degree, where eta is the dual functional of the

@@ -431,9 +431,7 @@ class FrobeniusTQFT:
             mat = self._component_matrix(genus, len(ins), len(outs))
             block = mat if block is None else kron(block, mat)
         if block is None:
-            out = Matrix(f, 1, 1)
-            out.data[0][0] = scalar
-            return TQFTMap(cob.p, cob.q, out)
+            return TQFTMap(cob.p, cob.q, Matrix._adopt(f, 1, 1, [[scalar]]))
         # in: global input index -> (block column, sign)
         in_slots = [i for _, ins, _ in open_comps for i in ins]
         cols = self._port_map(tuple(port - 1 for port in in_slots))
@@ -446,7 +444,7 @@ class FrobeniusTQFT:
         data = [None] * len(rows)
         for src, (r, s) in zip(block.data, rows):
             data[r] = [src[c] if s == sc else neg(src[c]) for c, sc in cols]
-        mat = Matrix(f, len(rows), len(cols), data)
+        mat = Matrix._adopt(f, len(rows), len(cols), data)
         if scalar != f.one:
             mat = mat.scale(scalar)
         return TQFTMap(cob.p, cob.q, mat)

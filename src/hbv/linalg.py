@@ -3,16 +3,24 @@ engines, and cohomology of cochain complexes.
 
 Two representations coexist.  ``Matrix`` is the dense row-major contract type
 used by all small structural computations (pairings, antipodes, TQFT maps).
-``SparseMatrix`` holds differentials of bar-type complexes, whose dimensions
-at the top truncation degree rule out dense storage; rank and kernel engines
-on it are exact over both Q and F_p.
+Its products and Kronecker products run on integer views
+(``_integer_view``): each operand is read once as its nonzero entries,
+integers with one scale per matrix, so they cost one int operation per pair
+of nonzero entries that meet, and each nonzero result becomes a field
+element once.  ``SparseMatrix`` holds differentials of bar-type complexes,
+whose dimensions at the top truncation degree rule out dense storage; rank
+and kernel engines on it are exact over both Q and F_p.
 
-Arithmetic.  Differentials are built (``sum_terms``) and checked
-(``Complex``) by the same code for F_2, F_p and Q: plain sums of exact
-representatives (ints; Fractions only for non-integral rationals), mapped
-into the field as each entry is stored, or tested once per product column.
-The ``d o d = 0`` check and the rank read one integer column view of a
-differential, ``_transpose``.
+Arithmetic.  Stored entries are field elements: Fractions over Q (never
+ints, which a report renders differently), reduced ints over F_p.
+Differentials are built (``sum_terms``) and checked (``Complex``) by the
+same code for F_2, F_p and Q: plain sums of exact representatives (ints;
+Fractions only for non-integral rationals), mapped into the field as each
+entry is stored, or tested once per product column.  The ``d o d = 0`` check
+and the rank read one integer column view of a differential,
+``_transpose``.  Every integer view over Q, dense or sparse, scales by the
+lcm of the denominators (``_denominator_lcm``) and reads numerators, so no
+Fraction is made until a result is stored.
 
 Elimination.  One forward echelon per arithmetic, pivoting on the largest
 index (empirically near fill-free on bar differentials), serves both rank
@@ -107,6 +115,15 @@ class Matrix:
             self.data = [list(r) for r in data]
 
     @classmethod
+    def _adopt(cls, field, nrows, ncols, data):
+        """The matrix whose rows are ``data``, taken as they are: fresh lists
+        of ``ncols`` field elements, ``nrows`` of them, that no one else
+        holds.  No copy and no shape check, unlike the constructor."""
+        m = cls.__new__(cls)
+        m.field, m.nrows, m.ncols, m.data = field, nrows, ncols, data
+        return m
+
+    @classmethod
     def from_rows(cls, field, rows):
         nrows = len(rows)
         ncols = len(rows[0]) if rows else 0
@@ -151,23 +168,26 @@ class Matrix:
         )
 
     def __mul__(self, other):
-        f = self.field
+        """The product on integer views (``_integer_view``): plain int sums,
+        one multiply-add per pair of nonzero entries that meet, each nonzero
+        sum mapped into the field once."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise LinalgError("matrix product shape mismatch")
-        is_zero, add, mul = f.is_zero, f.add, f.mul
-        # each row of other as its nonzero (j, b) pairs, collected once
-        other_rows = [[(j, b) for j, b in enumerate(rk) if not is_zero(b)]
-                      for rk in other.data]
-        out = Matrix(f, self.nrows, other.ncols)
-        for ri, oi in zip(self.data, out.data):
-            for a, rk in zip(ri, other_rows):
-                if not rk or is_zero(a):
-                    continue
-                for j, b in rk:
-                    oi[j] = add(oi[j], mul(a, b))
-        return out
+        f = self.field
+        arows, ca = _integer_view(self)
+        brows, cb = _integer_view(other)
+        to_field, z = _to_field(f, ca * cb), f.zero
+        n = other.ncols
+        data = []
+        for ra in arows:
+            acc = [0] * n
+            for k, x in ra:
+                for j, y in brows[k]:
+                    acc[j] += x * y
+            data.append([to_field(s) if s else z for s in acc])
+        return Matrix._adopt(f, self.nrows, n, data)
 
     def apply(self, vec):
         """Matrix times column vector (a list)."""
@@ -196,22 +216,65 @@ class Matrix:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """The Kronecker product a (x) b: entry (i1*b.nrows + i2, j1*b.ncols + j2)
-    is a[i1][j1] * b[i2][j2]."""
+    is a[i1][j1] * b[i2][j2].  Made on integer views, as ``Matrix.__mul__``:
+    one int product and one field element per pair of nonzero entries."""
     f = a.field
-    is_zero, mul = f.is_zero, f.mul
-    b_rows = [[(j2, w) for j2, w in enumerate(row) if not is_zero(w)]
-              for row in b.data]
-    out = Matrix(f, a.nrows * b.nrows, a.ncols * b.ncols)
-    for i1, arow in enumerate(a.data):
-        for j1, v in enumerate(arow):
-            if is_zero(v):
-                continue
-            base = j1 * b.ncols
-            for i2, brow in enumerate(b_rows):
-                orow = out.data[i1 * b.nrows + i2]
-                for j2, w in brow:
-                    orow[base + j2] = mul(v, w)
-    return out
+    arows, ca = _integer_view(a)
+    brows, cb = _integer_view(b)
+    to_field, z = _to_field(f, ca * cb), f.zero
+    bn = b.ncols
+    n = a.ncols * bn
+    data = []
+    for ra in arows:
+        for rb in brows:
+            orow = [z] * n
+            for j1, x in ra:
+                base = j1 * bn
+                for j2, y in rb:
+                    orow[base + j2] = to_field(x * y)
+            data.append(orow)
+    return Matrix._adopt(f, a.nrows * b.nrows, n, data)
+
+
+def _integer_view(m: Matrix):
+    """``m`` read once as ``(rows, c)``: ``rows[i]`` lists ``(j, n)`` for each
+    nonzero ``m[i][j]``, with ``n`` an int and ``m = rows / c``.  Over Q,
+    ``c`` is the lcm of the denominators (``_denominator_lcm``) and ``n`` the
+    numerator times ``c`` over the denominator, both read in one call, so no
+    Fraction is made; over F_p ``c`` is 1 and ``n`` the entry itself.  A zero
+    is skipped by its value; the identity test against the field's shared
+    ``zero`` only saves reading it."""
+    if m.field.char:
+        return [[(j, v) for j, v in enumerate(row) if v] for row in m.data], 1
+    z = m.field.zero
+    rows, dens = [], []
+    for row in m.data:
+        r = []
+        for j, v in enumerate(row):
+            if v is not z:
+                n, d = v.as_integer_ratio()
+                if n:
+                    r.append((j, n))
+                    if d != 1:
+                        dens.append(d)
+        rows.append(r)
+    c = _denominator_lcm(dens)
+    if c != 1:
+        rows = [[(j, n * (c // row[j].denominator)) for j, n in r]
+                for r, row in zip(rows, m.data)]
+    return rows, c
+
+
+def _to_field(f, c):
+    """The map from a nonzero int ``s`` to the element ``s / c`` of ``f``:
+    ``s % p`` over F_p (where ``c`` is 1), and a Fraction over Q, since a
+    stored Q entry is never an int (a report renders the two differently)."""
+    p = f.char
+    if p:
+        return p.__rmod__
+    if c == 1:
+        return Fraction
+    return lambda s: Fraction(s, c)
 
 
 def rref(m: Matrix):
@@ -563,18 +626,25 @@ def _echelon(f, rows) -> dict:
     return _echelon_fp(rows, f.char)
 
 
+def _denominator_lcm(dens) -> int:
+    """The lcm of the denominators ``dens`` (ints, one per rational): the
+    least ``c`` that makes each of those rationals integral times ``c``."""
+    c = 1
+    for d in dens:
+        if d != 1:
+            c = lcm(c, d)
+    return c
+
+
 def _integer_vectors(vecs):
     """The sparse vectors ``vecs`` over Q (dicts of Fractions, or of ints)
-    times ``c``, the lcm of all their denominators, as fresh dicts of ints,
-    one at a time.  Each entry is read off its numerator, so no Fraction is
-    made; ``c`` is 1 unless an entry is not integral.  ``vecs`` is read
-    twice, so it must not be an iterator.  Over F_p the entries are ints
-    already, and callers read the vectors as they are."""
-    c = 1
-    for vec in vecs:
-        for v in vec.values():
-            if v.denominator != 1:
-                c = lcm(c, v.denominator)
+    times ``c``, the lcm of all their denominators (``_denominator_lcm``), as
+    fresh dicts of ints, one at a time.  Each entry is read off its
+    numerator, so no Fraction is made; ``c`` is 1 unless an entry is not
+    integral.  ``vecs`` is read twice, so it must not be an iterator.  Over
+    F_p the entries are ints already, and callers read the vectors as they
+    are."""
+    c = _denominator_lcm(v.denominator for vec in vecs for v in vec.values())
     if c == 1:
         for vec in vecs:
             yield {k: v.numerator for k, v in vec.items()}

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from hbv.fields import QQ
+from hbv.fields import GF, QQ
 from hbv.groups import preset
 from hbv.algebra import (
     FrobeniusStructure,
     PreconditionError,
+    class_algebra,
     exterior_algebra,
     group_algebra,
     group_frobenius,
@@ -223,6 +224,58 @@ def test_genus_multiplies_by_group_order(qz3):
     for g in range(4):
         ev = tqft_evaluate(alg, frob, connected_cobordism(g, 1, 1))
         assert ev.matrix == Matrix.identity(QQ, 3).scale(Fraction(3) ** g)
+
+
+def hom_count(g, genus):
+    """|Hom(pi_1 of the closed genus-g surface, G)|: the tuples
+    (a_1, b_1, ..., a_g, b_g) in G^{2g} whose product of commutators
+    a b a^-1 b^-1 is the identity, by brute force."""
+    t, inv = g.table, g.inv
+    comm = [[t[t[t[a][b]][inv[a]]][inv[b]] for b in range(g.order)]
+            for a in range(g.order)]
+    count = 0
+    for tup in itertools.product(range(g.order), repeat=2 * genus):
+        x = g.identity
+        for a, b in zip(tup[::2], tup[1::2]):
+            x = t[x][comm[a][b]]
+        count += x == g.identity
+    return count
+
+
+# Z(closed genus-g surface) = |Hom(pi_1, G)| / |G| for genus 0, 1, 2; D4 and
+# Q8 share a character table, so they agree here
+CLOSED_SURFACES = {
+    "Z2": ["1/2", "2", "8"], "Z3": ["1/3", "3", "27"], "Z4": ["1/4", "4", "64"],
+    "Z6": ["1/6", "6", "216"], "S3": ["1/6", "3", "81"],
+    "D4": ["1/8", "5", "272"], "Q8": ["1/8", "5", "272"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_SURFACES))
+def test_class_algebra_closed_surfaces_count_homomorphisms(name):
+    # the class algebra's form 1/|G| has non-integral entries, so its
+    # products and Kronecker products run the dense kernels' lcm scale
+    g = preset(name)
+    T = FrobeniusTQFT(*class_algebra(g, QQ))
+    values = [T.evaluate(connected_cobordism(genus, 0, 0)).matrix.data[0][0]
+              for genus in range(3)]
+    assert values == [Fraction(hom_count(g, genus), g.order) for genus in range(3)]
+    assert [str(v) for v in values] == CLOSED_SURFACES[name]
+
+
+def test_class_algebra_over_prime_fields():
+    # p | |G|: the form 1/|G| does not exist
+    for name, p in (("S3", 2), ("S3", 3), ("Z4", 2), ("Q8", 2)):
+        with pytest.raises(PreconditionError):
+            class_algebra(preset(name), GF(p))
+    # p not dividing |G|: the same counts, reduced mod p
+    f = GF(5)
+    for name in ("S3", "D4"):
+        g = preset(name)
+        T = FrobeniusTQFT(*class_algebra(g, f))
+        for genus in range(3):
+            assert (T.evaluate(connected_cobordism(genus, 0, 0)).matrix.data[0][0]
+                    == f.div(f.of_int(hom_count(g, genus)), f.of_int(g.order)))
 
 
 def test_caps_evaluate_to_unit_and_counit(qz3):

@@ -127,17 +127,32 @@ def test_determinant():
     assert determinant(M(QQ, [["1", "2"], ["2", "4"]])) == 0
 
 
-def random_sparse(rng, field, nrows, ncols):
+def random_sparse(rng, field, nrows, ncols, entry=None):
     """Entries mostly zero, with one all-zero row and column when there is
-    room for one."""
+    room for one.  ``entry(rng)`` draws a nonzero candidate; by default an
+    integer in -5..5."""
     zero_row = rng.randrange(nrows) if nrows > 1 else None
     zero_col = rng.randrange(ncols) if ncols > 1 else None
     out = Matrix(field, nrows, ncols)
     for i in range(nrows):
         for j in range(ncols):
             if i != zero_row and j != zero_col and rng.random() < 0.4:
-                out.data[i][j] = field.of_int(rng.randint(-5, 5))
+                out.data[i][j] = (entry(rng) if entry
+                                  else field.of_int(rng.randint(-5, 5)))
     return out
+
+
+def mixed_fraction(rng):
+    """A rational a/b with b in 1..6: the dense kernels' lcm scale is then
+    rarely 1.  a = 0 gives a zero Fraction that is not the field's shared
+    ``zero`` object."""
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+
+
+# (field, entry drawer): Q with integral and with mixed non-integral
+# entries, and prime fields
+DENSE_CASES = [(QQ, None), (QQ, mixed_fraction), (GF(2), None), (GF(3), None),
+               (GF(5), None)]
 
 
 def naive_product(a, b):
@@ -152,28 +167,54 @@ def naive_product(a, b):
     return out
 
 
+def assert_dense_result(out, operands, snapshots):
+    """Every entry a field element as stored (a Fraction over Q, never an
+    int; a reduced int over F_p), the operands unchanged, and the result's
+    rows fresh lists of their own."""
+    f = out.field
+    assert len(out.data) == out.nrows
+    for row in out.data:
+        assert len(row) == out.ncols
+        for v in row:
+            if f.char:
+                assert type(v) is int and 0 <= v < f.char
+            else:
+                assert type(v) is Fraction
+    assert [[list(r) for r in m.data] for m in operands] == snapshots
+    operand_rows = {id(r) for m in operands for r in m.data}
+    assert len({id(r) for r in out.data} | operand_rows) == out.nrows + len(operand_rows)
+
+
 def test_product_matches_triple_loop():
     rng = random.Random(23)
     shapes = [(0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 0), (1, 1, 1)]
     shapes += [(rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7))
                for _ in range(30)]
-    for field in (QQ, GF(2), GF(3)):
+    for field, entry in DENSE_CASES:
         for n, k, m in shapes:
-            a = random_sparse(rng, field, n, k)
-            b = random_sparse(rng, field, k, m)
+            a = random_sparse(rng, field, n, k, entry)
+            b = random_sparse(rng, field, k, m, entry)
+            snapshots = [[list(r) for r in x.data] for x in (a, b)]
             prod = a * b
             assert (prod.nrows, prod.ncols) == (n, m)
             assert prod == naive_product(a, b)
+            assert_dense_result(prod, (a, b), snapshots)
     with pytest.raises(LinalgError):
         Matrix(QQ, 2, 3) * Matrix(QQ, 2, 3)
 
 
 def test_kron_entries():
     rng = random.Random(31)
-    for field in (QQ, GF(3)):
-        for _ in range(10):
-            a = random_sparse(rng, field, rng.randint(0, 3), rng.randint(1, 3))
-            b = random_sparse(rng, field, rng.randint(1, 3), rng.randint(0, 3))
+    shapes = [((0, 2), (2, 3)), ((2, 0), (3, 2)), ((2, 3), (0, 2)),
+              ((3, 2), (2, 0)), ((0, 0), (0, 0))]
+    for field, entry in DENSE_CASES:
+        pairs = shapes + [((rng.randint(1, 3), rng.randint(1, 3)),
+                           (rng.randint(1, 3), rng.randint(1, 3)))
+                          for _ in range(10)]
+        for (n1, m1), (n2, m2) in pairs:
+            a = random_sparse(rng, field, n1, m1, entry)
+            b = random_sparse(rng, field, n2, m2, entry)
+            snapshots = [[list(r) for r in x.data] for x in (a, b)]
             k = kron(a, b)
             assert (k.nrows, k.ncols) == (a.nrows * b.nrows, a.ncols * b.ncols)
             for i1 in range(a.nrows):
@@ -182,6 +223,7 @@ def test_kron_entries():
                         for j2 in range(b.ncols):
                             assert (k.data[i1 * b.nrows + i2][j1 * b.ncols + j2]
                                     == field.mul(a.data[i1][j1], b.data[i2][j2]))
+            assert_dense_result(k, (a, b), snapshots)
 
 
 # -- sparse engines agree with dense ------------------------------------------
