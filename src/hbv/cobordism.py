@@ -442,8 +442,10 @@ class FrobeniusTQFT:
         rows = self._port_map(tuple(pos[j] for j in range(1, cob.q + 1)))
         neg = f.neg
         data = [None] * len(rows)
+        # a zero is kept, not negated, so it stays the field's shared zero
         for src, (r, s) in zip(block.data, rows):
-            data[r] = [src[c] if s == sc else neg(src[c]) for c, sc in cols]
+            data[r] = [src[c] if s == sc or not src[c] else neg(src[c])
+                       for c, sc in cols]
         mat = Matrix._adopt(f, len(rows), len(cols), data)
         if scalar != f.one:
             mat = mat.scale(scalar)

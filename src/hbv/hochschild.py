@@ -51,7 +51,7 @@ from itertools import accumulate, product
 
 from .algebra import FDAlgebra, FrobeniusStructure, PreconditionError
 from .groups import FiniteGroup
-from .linalg import Complex, Matrix, SparseMatrix, sum_terms
+from .linalg import Complex, Matrix, SparseMatrix, operator_ring, sum_terms
 from .reports import CheckReport
 
 DEFAULT_BUDGET = 20000
@@ -167,17 +167,18 @@ def unit_cochain(alg: FDAlgebra) -> Cochain:
 
 def _lifted_products(alg: FDAlgebra) -> dict:
     """``(i, j) -> [(k, c), ...]``: the terms of e_i e_j in ``mul_basis``
-    order, each constant as an exact representative for ``sum_terms``: an
+    order, each constant as the operators store it (``operator_ring``): an
     int (F_p elements are ints), or a Fraction if it is not integral."""
-    return {(i, j): [(k, c.numerator if c.denominator == 1 else c)
-                     for k, c in alg.mul_basis(i, j).items()]
+    of_int = operator_ring(alg.field).of_int
+    return {(i, j): [(k, of_int(c)) for k, c in alg.mul_basis(i, j).items()]
             for i in range(alg.dim) for j in range(alg.dim)}
 
 
 class BarComplex:
     """The normalized bar cochain complex of (A, M) up to degree N.
 
-    Materializes C^0..C^{N+1} and d^0..d^N as sparse matrices.  HH^N is
+    Materializes C^0..C^{N+1} and d^0..d^N as sparse matrices, whose
+    entries over Q are ints wherever integral (``operator_ring``).  HH^N is
     computable but uncertified: its cocycle condition uses the stored d^N,
     while operations raising cochain degree past N are refused by callers.
     """
@@ -252,6 +253,7 @@ class BarComplex:
         which is injective, so they meet exactly where the chain terms do."""
         alg = self.alg
         f = alg.field
+        ring = operator_ring(f)
         m = alg.dim
         deg = alg.degrees
         prod = self._prod
@@ -266,12 +268,13 @@ class BarComplex:
                 terms = [(head + x, c) for x, c in prod[w, s[0]]]
                 terms += [(k + w, c) for k, c in mids]
                 terms += [(tail + x, -c if odd else c) for x, c in prod[s[n], w]]
-                rows.append(sum_terms(f, terms))
+                rows.append(sum_terms(ring, terms))
         return SparseMatrix(f, (m - 1) ** (n + 1) * m, (m - 1) ** n * m, rows)
 
     def _self_differential(self, n: int) -> SparseMatrix:
         alg = self.alg
         f = alg.field
+        ring = operator_ring(f)
         m = alg.dim
         deg = alg.degrees
         prod = self._prod
@@ -300,7 +303,7 @@ class BarComplex:
                 # (-1)^{n+1} f(a_1..a_n) . a_{n+1}
                 terms += [(tail + v, c if n % 2 else -c)
                           for v, c in right[s[n]][w]]
-                rows.append(sum_terms(f, terms))
+                rows.append(sum_terms(ring, terms))
         return SparseMatrix(f, (m - 1) ** (n + 1) * m, (m - 1) ** n * m, rows)
 
     def is_cocycle(self, c: Cochain) -> bool:
@@ -418,6 +421,7 @@ def connes_b_dual_matrix(bar: BarComplex, n: int) -> SparseMatrix:
     tuple t = (w,) + s, keyed by ``bar.encode(t[j:] + t[:j], unit)``."""
     alg = bar.alg
     f = alg.field
+    ring = operator_ring(f)
     m = alg.dim
     unit = alg.unit_index
     src = (m - 1) ** n * m
@@ -428,7 +432,7 @@ def connes_b_dual_matrix(bar: BarComplex, n: int) -> SparseMatrix:
         for w in range(m):
             t = (w,) + s
             d = list(accumulate((alg.degrees[x] for x in t), initial=0))
-            rows.append({} if w == unit else sum_terms(f, [
+            rows.append({} if w == unit else sum_terms(ring, [
                 (bar.encode(t[j:] + t[:j], unit),
                  -1 if ((n - 1) * j + d[j] * (d[n] - d[j])) % 2 else 1)
                 for j in range(n)]))
@@ -732,6 +736,7 @@ def group_cochain_dims(g: FiniteGroup, field, max_degree: int,
     normalized bar cochain complex of the group (independent of the
     Hochschild machinery above)."""
     f = field
+    ring = operator_ring(f)
     m = g.order
     nu = [i for i in range(m) if i != g.identity]
     nu_pos = {x: k for k, x in enumerate(nu)}
@@ -755,7 +760,7 @@ def group_cochain_dims(g: FiniteGroup, field, max_degree: int,
                     terms.append((encode(s[:i] + (u,) + s[i + 2:]),
                                   -1 if i % 2 == 0 else 1))
             terms.append((encode(s[:n]), 1 if (n + 1) % 2 == 0 else -1))
-            rows.append(sum_terms(f, terms))
+            rows.append(sum_terms(ring, terms))
         diffs[n] = SparseMatrix(f, dims[n + 1], dims[n], rows)
     cx = Complex(f, dims, diffs)
     return [cx.cohomology_dim(n) for n in range(max_degree + 1)]

@@ -11,16 +11,22 @@ element once.  ``SparseMatrix`` holds differentials of bar-type complexes,
 whose dimensions at the top truncation degree rule out dense storage; rank
 and kernel engines on it are exact over both Q and F_p.
 
-Arithmetic.  Stored entries are field elements: Fractions over Q (never
-ints, which a report renders differently), reduced ints over F_p.
-Differentials are built (``sum_terms``) and checked (``Complex``) by the
-same code for F_2, F_p and Q: plain sums of exact representatives (ints;
-Fractions only for non-integral rationals), mapped into the field as each
-entry is stored, or tested once per product column.  The ``d o d = 0`` check
-and the rank read one integer column view of a differential,
-``_transpose``.  Every integer view over Q, dense or sparse, scales by the
-lcm of the denominators (``_denominator_lcm``) and reads numerators, so no
-Fraction is made until a result is stored.
+Arithmetic.  Over F_p every stored entry is a reduced int.  Over Q a
+``Matrix`` entry, a cochain value and every vector the engines hand out
+(``apply_sparse``, kernel bases, cohomology representatives,
+``CohomologyData.project`` coordinates) is a Fraction,
+never an int, which a report renders differently.  A sparse operator over Q
+(bar, group-cochain and rotation differentials) instead stores exact
+integer representatives: an int where the entry is integral, a Fraction
+only where it is not.  Differentials are built (``sum_terms`` into
+``operator_ring``) and checked (``Complex``) by the same code for F_2, F_p
+and Q: plain sums of exact representatives, mapped into the ring as each
+entry is stored, or tested once per product column.  The ``d o d = 0``
+check and the rank read one integer column view of a differential,
+``_transpose``, which takes integral rows as they are.  A view of anything
+holding a Fraction, dense or sparse, scales by the lcm of the denominators
+(``_denominator_lcm``) and reads numerators, so no Fraction is made until a
+result leaves the engine.
 
 Elimination.  One forward echelon per arithmetic, pivoting on the largest
 index (empirically near fill-free on bar differentials), serves both rank
@@ -72,9 +78,11 @@ def sum_terms(f, terms, start: dict | None = None) -> dict:
     """The sparse vector over ``f`` summing ``(key, c)`` terms, each ``c`` an
     exact representative of a field element (the element itself will do):
     an int, or a Fraction for a non-integral rational.  Terms are added
-    with plain ``+`` and each running sum is mapped into the field by
-    ``f.of_int`` as it is stored: one field call per term, where a field
-    accumulation makes a multiply, an add and a zero test.  Keys keep the
+    with plain ``+`` and each running sum is mapped into ``f`` by
+    ``f.of_int`` as it is stored: one call per term, where a field
+    accumulation makes a multiply, an add and a zero test.  ``f`` is a field
+    (over Q every stored value is then a Fraction) or an ``operator_ring``
+    (over Q an int wherever the value is integral).  Keys keep the
     order of their first term, except that a key whose running sum vanishes
     drops out (and comes back at the end if a later term hits it): the
     order a loop of field additions that drops zeros leaves.
@@ -93,6 +101,31 @@ def sum_terms(f, terms, start: dict | None = None) -> dict:
         else:
             out.pop(key, None)
     return out
+
+
+class _IntegralQ:
+    """Q as a sparse operator stores it (``operator_ring``)."""
+
+    @staticmethod
+    def of_int(c):
+        """The representative an int or a rational is stored as: an int
+        where it is integral (1/4 + 3/4 is stored as 1), else the Fraction."""
+        if type(c) is int:
+            return c
+        return c.numerator if c.denominator == 1 else c
+
+
+_INTEGRAL_Q = _IntegralQ()
+
+
+def operator_ring(f):
+    """What a sparse operator over the field ``f`` accumulates its entries
+    in with ``sum_terms``: ``f`` itself over F_p, and over Q its exact
+    integer representatives, an int for an integral entry and a Fraction
+    only for another.  The engines read integral rows as they are
+    (``_transpose``), and every vector they hand out is made of field
+    elements again."""
+    return f if f.char else _INTEGRAL_Q
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +441,12 @@ def inverse(m: Matrix) -> Matrix:
 
 
 class SparseMatrix:
-    """Row-sparse exact matrix: ``rows[i]`` maps column index -> nonzero scalar."""
+    """Row-sparse exact matrix: ``rows[i]`` maps column index -> nonzero scalar.
+
+    Over F_p the scalars are reduced ints.  Over Q they are the exact
+    representatives of ``operator_ring`` for the operators the package
+    builds (ints where integral), and Fractions for a matrix made from a
+    dense one (``from_matrix``); the engines take either."""
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
@@ -438,7 +476,9 @@ class SparseMatrix:
         """self @ vec for a sparse column vector {index: value}."""
         if colview is None:
             colview = self.columns()
-        return sum_terms(self.field, ((i, a * v) for j, v in vec.items()
+        # the vector's value first: Fraction * int is Fraction's own
+        # method, int * Fraction a failed int method and then a fallback
+        return sum_terms(self.field, ((i, v * a) for j, v in vec.items()
                                       for i, a in colview[j].items()))
 
     def nnz(self):
@@ -637,13 +677,15 @@ def _denominator_lcm(dens) -> int:
 
 
 def _integer_vectors(vecs):
-    """The sparse vectors ``vecs`` over Q (dicts of Fractions, or of ints)
-    times ``c``, the lcm of all their denominators (``_denominator_lcm``), as
-    fresh dicts of ints, one at a time.  Each entry is read off its
-    numerator, so no Fraction is made; ``c`` is 1 unless an entry is not
-    integral.  ``vecs`` is read twice, so it must not be an iterator.  Over
-    F_p the entries are ints already, and callers read the vectors as they
-    are."""
+    """The sparse vectors ``vecs`` over Q (dicts of Fractions, of ints, or
+    of both) times ``c``, the lcm of all their denominators
+    (``_denominator_lcm``), as fresh dicts of ints, one at a time.  Each
+    entry is read off its numerator, so no Fraction is made; ``c`` is 1
+    unless an entry is not integral.  ``vecs`` is read twice, so it must not
+    be an iterator.  The copies are the engine's own (``_echelon_q`` reduces
+    in place); ``_transpose``, which copies anyway, reads integral vectors
+    without them.  Over F_p the entries are ints already, and callers read
+    the vectors as they are."""
     c = _denominator_lcm(v.denominator for vec in vecs for v in vec.values())
     if c == 1:
         for vec in vecs:
@@ -655,15 +697,27 @@ def _integer_vectors(vecs):
 
 def _transpose(sm: SparseMatrix) -> list:
     """The columns of ``sm`` as dicts ``row -> int``, built in one pass over
-    its rows; over Q those of ``c * sm``, as in ``_integer_vectors``.  The
-    one integer column view: the column-side rank and the ``d o d = 0`` check
-    of ``Complex`` both read it."""
-    p = sm.field.char
+    its rows.  Rows of ints (every operator over F_p, and each one over Q
+    with integral entries, ``operator_ring``) are read as they are; over Q a
+    matrix holding any Fraction gives the columns of ``c * sm``, as in
+    ``_integer_vectors``.  The one integer column view: the column-side
+    rank and the ``d o d = 0`` check of ``Complex`` both read it."""
+    rows = sm.rows
+    if not sm.field.char and not _all_ints(rows):
+        rows = _integer_vectors(rows)
     cols: list = [{} for _ in range(sm.ncols)]
-    for i, row in enumerate(sm.rows if p else _integer_vectors(sm.rows)):
+    for i, row in enumerate(rows):
         for j, v in row.items():
             cols[j][i] = v
     return cols
+
+
+def _all_ints(rows) -> bool:
+    """Whether every entry of the sparse vectors ``rows`` is an int."""
+    types = set()
+    for row in rows:
+        types.update(map(type, row.values()))
+    return types <= {int}
 
 
 def _handed_out(vecs: list):

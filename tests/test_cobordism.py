@@ -526,6 +526,17 @@ def test_koszul_wiring_matches_dense_reference():
     assert twist.data[xx][xx] == -1
 
 
+def test_evaluate_keeps_the_shared_zero():
+    # Koszul-signed entries are negated only where nonzero, so every zero of
+    # a graded map is the field's shared zero object
+    alg = exterior_algebra([1], QQ)
+    twist = FrobeniusTQFT(alg, lie_pairing(alg)).evaluate(
+        preset_cobordism("twist")).matrix
+    zeros = [v for row in twist.data for v in row if not v]
+    assert len(zeros) == 12
+    assert all(v is QQ.zero for v in zeros)
+
+
 def test_evaluate_returns_fresh_rows(qz3):
     alg, frob = qz3
     T = FrobeniusTQFT(alg, frob)

@@ -69,7 +69,8 @@ def test_fp_differentials_are_q_differentials_mod_p(name, make, primes, coeff):
 
 
 # sha256 of every row's items, key order included, of the self and dual d^n,
-# B_n and the cyclic d_tot^n at N = 3 (``_bar_rows_digest``).  The rows see
+# B_n and the cyclic d_tot^n at N = 3 (``_bar_rows_digest``), each entry
+# read as a field element, so 1 and Fraction(1) hash alike.  The rows see
 # internal degrees only through their parities, so the exterior models on
 # degrees (1, 3) and (3, 5) share a digest.
 BAR_ROW_DIGESTS = [
@@ -92,9 +93,13 @@ def _bar_rows_digest(alg, N):
     from hbv.cyclic import CyclicComplex
 
     h = hashlib.sha256()
+    of_int = alg.field.of_int
 
     def feed(tag, n, sm):
-        h.update(repr((tag, n, [list(r.items()) for r in sm.rows])).encode())
+        # each entry as the field element it stands for, so an operator
+        # stored as ints over Q pins the digest its Fractions would
+        h.update(repr((tag, n, [[(k, of_int(v)) for k, v in r.items()]
+                                for r in sm.rows])).encode())
 
     self_bar = BarComplex(alg, "self", N)
     tot = CyclicComplex(alg, N)
@@ -114,6 +119,140 @@ def test_bar_operator_rows_pinned(source, field, digest):
     alg = (group_algebra(preset(source), f) if isinstance(source, str)
            else exterior_algebra(list(source), f))
     assert _bar_rows_digest(alg, 3) == digest
+
+
+def _q_operators(alg, N):
+    """The self and dual d^n, B_n and d_tot^n of ``alg`` up to N, by name,
+    with the self and dual bar complexes and the total complex."""
+    from hbv.cyclic import CyclicComplex
+
+    self_bar = BarComplex(alg, "self", N)
+    tot = CyclicComplex(alg, N)
+    ops = {}
+    for n in range(N + 1):
+        ops["self", n] = self_bar.complex.differential(n)
+        ops["dual", n] = tot.bar.complex.differential(n)
+        ops["B", n] = connes_b_dual_matrix(tot.bar, n)
+        ops["tot", n] = tot.complex.differential(n)
+    return ops, [self_bar.complex, tot.bar.complex, tot.complex]
+
+
+Q_ENTRY_CASES = {
+    "S3": lambda: group_algebra(preset("S3"), QQ),
+    "ext35": lambda: exterior_algebra([3, 5], QQ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(Q_ENTRY_CASES))
+def test_q_operators_store_ints(name):
+    # over Q an integral operator is stored as exact ints, which the d o d
+    # check and the rank read without a Fraction
+    ops, _ = _q_operators(Q_ENTRY_CASES[name](), 3)
+    for key, sm in ops.items():
+        assert sm.field is QQ
+        assert all(type(v) is int for row in sm.rows for v in row.values()), key
+    assert sum(sm.nnz() for sm in ops.values()) > 0
+
+
+def test_group_cochain_differentials_store_ints(monkeypatch):
+    import hbv.hochschild as hochschild
+
+    seen = []
+    real = hochschild.Complex
+
+    def complex_spy(field, dims, diffs):
+        seen.extend(diffs.values())
+        return real(field, dims, diffs)
+
+    monkeypatch.setattr(hochschild, "Complex", complex_spy)
+    assert group_cochain_dims(preset("S3"), QQ, 3) == [1, 0, 0, 0]
+    assert seen and sum(d.nnz() for d in seen) > 0
+    assert all(type(v) is int for d in seen for row in d.rows
+               for v in row.values())
+
+
+def _truncated_polynomial(k, c):
+    """Q[x]/(x^k - c) on the basis 1, x, .., x^{k-1}."""
+    from hbv.algebra import FDAlgebra
+
+    one = QQ.one
+    mult = {(i, j): {i + j: one} if i + j < k else {i + j - k: c}
+            for i in range(k) for j in range(k)}
+    return FDAlgebra(QQ, [f"x^{i}" for i in range(k)], [0] * k, mult,
+                     [one] + [QQ.zero] * (k - 1))
+
+
+@pytest.mark.parametrize("k, c", [(2, Fraction(1, 4)), (2, Fraction(1, 2)),
+                                  (3, Fraction(1, 8))])
+@pytest.mark.parametrize("coeff", ["self", "dual"])
+def test_non_integral_structure_constants(k, c, coeff):
+    # x^k = c: an entry is a Fraction exactly where it is not integral.  For
+    # k = 2 the two outer faces of d^1 meet and sum c + c, so x^2 = 1/2
+    # stores the int 1; for k = 3 the differentials are tall, so the rank
+    # reads their columns.  x^k - c is separable: A is semisimple.
+    alg = _truncated_polynomial(k, c)
+    bar = BarComplex(alg, coeff, 5)
+    entries = [v for d in bar.complex.diffs.values() for row in d.rows
+               for v in row.values()]
+    assert all(type(v) is (int if v.denominator == 1 else Fraction)
+               for v in entries)
+    assert any(type(v) is Fraction for v in entries) == (c != Fraction(1, 2))
+    if k == 2:
+        # the row (x, x; w) holds c + c at (x; v), with (w, v) = (1, x) on
+        # self and (x, 1) on dual
+        w, v = (0, 1) if coeff == "self" else (1, 0)
+        d1 = bar.complex.differential(1)
+        assert d1.rows[bar.encode((1, 1), w)] == {bar.encode((1,), v): 2 * c}
+    assert hochschild_dims(alg, coeff, 5) == [(n, k if n == 0 else 0)
+                                              for n in range(6)]
+
+
+def test_integral_sum_is_stored_as_int():
+    from hbv.linalg import operator_ring
+
+    ring = operator_ring(QQ)
+    got = sum_terms(ring, [(0, Fraction(1, 4)), (1, 2), (0, Fraction(3, 4)),
+                           (2, Fraction(1, 3)), (1, -2)])
+    assert got == {0: 1, 2: Fraction(1, 3)}
+    assert [type(v) for v in got.values()] == [int, Fraction]
+    assert operator_ring(GF(5)) is GF(5)
+
+
+@pytest.mark.parametrize("name", sorted(Q_ENTRY_CASES))
+def test_q_engine_exits_are_fractions(name):
+    # what leaves the engines over Q stays a Fraction, whatever the
+    # operators store: kernel vectors, representatives, projected
+    # coordinates and applied differentials.  Degrees 0..2: degree 3 adds
+    # seconds on S3 and no new kind of exit.
+    from hbv.linalg import sparse_kernel_basis
+
+    def fractions(vec):
+        return all(type(v) is Fraction for v in vec)
+
+    ops, complexes = _q_operators(Q_ENTRY_CASES[name](), 3)
+    for (name, n), sm in ops.items():
+        for vec in sparse_kernel_basis(sm) if n <= 2 else ():
+            assert fractions(vec.values()), (name, n)
+    applied = reps = 0
+    for cx in complexes:
+        for n in range(cx.lo, 3):
+            for j in range(0, cx.dim(n), 7):
+                image = cx.apply(n, {j: QQ.one})
+                applied += len(image)
+                assert fractions(image.values())
+            data = cx.cohomology_at(n)
+            for i, rep in enumerate(data.representatives):
+                reps += 1
+                assert fractions(rep.values())
+                coords = data.project(rep)
+                assert fractions(coords)
+                assert coords == [QQ.one if k == i else QQ.zero
+                                  for k in range(data.dim)]
+                if n > cx.lo and cx.dim(n - 1):
+                    moved = sum_terms(QQ, chain(rep.items(),
+                                                cx.apply(n - 1, {0: QQ.one}).items()))
+                    assert data.project(moved) == coords
+    assert applied and reps
 
 
 def test_budget_guard():
