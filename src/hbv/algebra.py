@@ -105,27 +105,22 @@ class FDAlgebra:
 
     def left_mult_matrix(self, vec) -> Matrix:
         """Matrix of x -> vec . x."""
-        f = self.field
-        m = Matrix(f, self.dim, self.dim)
-        for i, a in enumerate(vec):
-            if f.is_zero(a):
-                continue
-            for j in range(self.dim):
-                for k, c in self.mul_basis(i, j).items():
-                    m.data[k][j] = f.add(m.data[k][j], f.mul(a, c))
-        return m
+        return Matrix.from_terms(self.field, self.dim, self.dim,
+                                 self._mult_terms(vec, 0))
 
     def right_mult_matrix(self, vec) -> Matrix:
         """Matrix of x -> x . vec."""
-        f = self.field
-        m = Matrix(f, self.dim, self.dim)
-        for j, b in enumerate(vec):
-            if f.is_zero(b):
-                continue
-            for i in range(self.dim):
-                for k, c in self.mul_basis(i, j).items():
-                    m.data[k][i] = f.add(m.data[k][i], f.mul(b, c))
-        return m
+        return Matrix.from_terms(self.field, self.dim, self.dim,
+                                 self._mult_terms(vec, 1))
+
+    def _mult_terms(self, vec, side, row0=0):
+        """The ``((row0 + k, j), c)`` terms of the matrix of x -> vec . x
+        (``side`` 0) or x -> x . vec (``side`` 1), rows shifted by ``row0``:
+        e_j is the factor that is not ``vec``, e_k the product's basis
+        element."""
+        return [((row0 + k, ij[1 - side]), a * c)
+                for ij, row in self.mult.items() if (a := vec[ij[side]])
+                for k, c in row.items()]
 
     def basis_vector(self, i):
         f = self.field
@@ -169,15 +164,8 @@ class FDAlgebra:
 
     def center_dim(self) -> int:
         """Dimension of {x : xz = zx for all z}, by one stacked linear solve."""
-        f = self.field
-        rows = []
-        for h in range(self.dim):
-            e = self.basis_vector(h)
-            l = self.left_mult_matrix(e)
-            r = self.right_mult_matrix(e)
-            for a, b in zip(l.data, r.data):
-                rows.append([f.sub(x, y) for x, y in zip(a, b)])
-        return len(kernel_basis(Matrix.from_rows(f, rows)))
+        e = [self.basis_vector(h) for h in range(self.dim)]
+        return len(_commutation_kernel(self, list(zip(e, e))))
 
     def top_degree(self) -> int:
         return max(self.degrees)
@@ -526,6 +514,19 @@ def _connected_antipode(alg: FDAlgebra, coproduct) -> Matrix:
 # integrals and Frobenius forms
 
 
+def _commutation_kernel(alg: FDAlgebra, pairs):
+    """The reduced kernel basis of the stacked system x . u - u . y = 0 in
+    u, one block of rows per ``(x, y)`` in ``pairs``.  It depends only on
+    the row space, so neither the order of the blocks nor the sign of one
+    changes it."""
+    d = alg.dim
+    terms = []
+    for b, (x, y) in enumerate(pairs):
+        terms += alg._mult_terms(x, 0, b * d)
+        terms += alg._mult_terms([-c for c in y], 1, b * d)
+    return kernel_basis(Matrix.from_terms(alg.field, len(pairs) * d, d, terms))
+
+
 def find_integrals(alg: FDAlgebra):
     """Bases of the left and right integral spaces and the unimodular flag.
 
@@ -534,25 +535,14 @@ def find_integrals(alg: FDAlgebra):
     """
     if alg.hopf is None:
         raise PreconditionError("find_integrals requires Hopf data")
-    f = alg.field
-    eps = alg.hopf.counit
-    left_rows = []
-    right_rows = []
-    for h in range(alg.dim):
-        e = alg.basis_vector(h)
-        l = alg.left_mult_matrix(e)
-        r = alg.right_mult_matrix(e)
-        for i in range(alg.dim):
-            lrow = list(l.data[i])
-            rrow = list(r.data[i])
-            lrow[i] = f.sub(lrow[i], eps[h])
-            rrow[i] = f.sub(rrow[i], eps[h])
-            left_rows.append(lrow)
-            right_rows.append(rrow)
-    left = kernel_basis(Matrix.from_rows(f, left_rows))
-    right = kernel_basis(Matrix.from_rows(f, right_rows))
-    both = kernel_basis(Matrix.from_rows(f, left_rows + right_rows))
-    return left, right, len(both) > 0
+    # h.l = eps(h) l reads e_h . l - l . (eps(h) 1) = 0; l.h = eps(h) l is
+    # the same block with its sides swapped, so its negative
+    left = [(alg.basis_vector(h), [e * c for c in alg.unit])
+            for h, e in enumerate(alg.hopf.counit)]
+    right = [(y, x) for x, y in left]
+    both = _commutation_kernel(alg, left + right)
+    return (_commutation_kernel(alg, left), _commutation_kernel(alg, right),
+            len(both) > 0)
 
 
 def dual_left_integrals(alg: FDAlgebra):
@@ -560,18 +550,13 @@ def dual_left_integrals(alg: FDAlgebra):
     lam with phi * lam = phi(1) lam for all phi (convolution product)."""
     if alg.hopf is None:
         raise PreconditionError("dual integrals require Hopf data")
-    f = alg.field
-    cop = alg.hopf.coproduct
-    rows = []
-    for i in range(alg.dim):
-        for h in range(alg.dim):
-            row = [f.zero] * alg.dim
-            for (j, k), c in cop.get(h, {}).items():
-                if j == i:
-                    row[k] = f.add(row[k], c)
-            row[h] = f.sub(row[h], alg.unit[i])
-            rows.append(row)
-    return kernel_basis(Matrix.from_rows(f, rows))
+    d = alg.dim
+    # row (i, h): the coefficient of e_i (x) - in Delta(e_h), less 1_i e_h
+    terms = [((i * d + h, k), c) for h, row in alg.hopf.coproduct.items()
+             for (i, k), c in row.items()]
+    terms += [((i * d + h, h), -c) for i, c in enumerate(alg.unit) if c
+              for h in range(d)]
+    return kernel_basis(Matrix.from_terms(alg.field, d * d, d, terms))
 
 
 def is_dual_left_integral(alg: FDAlgebra, lam) -> bool:
@@ -603,19 +588,13 @@ def s_square_conjugator(alg: FDAlgebra):
         raise PreconditionError("conjugator search requires Hopf data")
     f = alg.field
     S2 = alg.hopf.antipode * alg.hopf.antipode
-    rows = []
-    for i in range(alg.dim):
-        s2i = S2.col(i)
-        l = alg.left_mult_matrix(s2i)          # u -> S2(e_i) u
-        r = alg.right_mult_matrix(alg.basis_vector(i))  # u -> u e_i
-        for a, b in zip(l.data, r.data):
-            rows.append([f.sub(x, y) for x, y in zip(a, b)])
-    space = kernel_basis(Matrix.from_rows(f, rows))
+    space = _commutation_kernel(
+        alg, [(S2.col(i), alg.basis_vector(i)) for i in range(alg.dim)])
     candidates = list(space)
-    acc = None
+    acc: dict = {}
     for v in space:
-        acc = v if acc is None else [f.add(a, b) for a, b in zip(acc, v)]
-        candidates.append(list(acc))
+        sum_terms(f, enumerate(v), acc)
+        candidates.append([acc.get(k, f.zero) for k in range(alg.dim)])
     for u in candidates:
         if is_invertible_element(alg, u):
             return u
@@ -642,14 +621,12 @@ def frobenius_from_integral(alg: FDAlgebra, lam, u) -> FrobeniusStructure:
             raise PreconditionError(
                 f"u does not conjugate S^2 at basis element {alg.names[i]}"
             )
-    pairing = Matrix(f, alg.dim, alg.dim)
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            vec = [f.zero] * alg.dim
-            for k, c in alg.mul_basis(i, j).items():
-                vec[k] = c
-            vec = alg.mul_vec(vec, u)
-            pairing.data[i][j] = f.of_int(sum(c * l for c, l in zip(vec, lam)))
+    # beta(e_i, e_j) = sum of c lam(e_k u) over the terms c e_k of e_i e_j
+    pairing = Matrix.from_terms(f, alg.dim, alg.dim, [
+        ((i, j), c * a * cl * lam[l])
+        for (i, j), row in alg.mult.items() for k, c in row.items()
+        for m, a in enumerate(u) if a
+        for l, cl in alg.mul_basis(k, m).items()])
     return FrobeniusStructure(alg, pairing)
 
 
@@ -816,22 +793,28 @@ def algebra_to_json(alg: FDAlgebra) -> dict:
 
 
 def algebra_from_json(obj: dict) -> FDAlgebra:
+    part = "the top level"
     try:
         ftag = obj["field"]
+        part = "'field'"
         if ftag.get("type") == "Q":
             f = field_by_name("Q")
         elif ftag.get("type") == "Fp":
             f = field_by_name(f"F{ftag['p']}")
         else:
             raise AlgebraError(f"unknown field tag {ftag!r}")
+        part = "'basis'"
         names = [b["name"] for b in obj["basis"]]
         degrees = [int(b.get("degree", 0)) for b in obj["basis"]]
+        part = "'mult'"
         mult: dict = {}
         for i, j, k, c in obj["mult"]:
             mult.setdefault((i, j), {})[k] = f.parse(c)
+        part = "'unit'"
         unit = [f.parse(c) for c in obj["unit"]]
         hopf = None
         if "coproduct" in obj:
+            part = "Hopf data"
             cop: dict = {}
             for i, j, k, c in obj["coproduct"]:
                 cop.setdefault(i, {})[(j, k)] = f.parse(c)
@@ -840,6 +823,8 @@ def algebra_from_json(obj: dict) -> FDAlgebra:
             hopf = cop, counit, antipode
     except KeyError as exc:
         raise AlgebraError(f"algebra file missing key {exc}") from exc
+    except (TypeError, AttributeError):
+        raise AlgebraError(f"algebra file: {part} is malformed") from None
     alg = FDAlgebra(f, names, degrees, mult, unit)
     if hopf is not None:
         cop, counit, antipode = hopf

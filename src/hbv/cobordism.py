@@ -162,14 +162,20 @@ class Cobordism:
 
     @classmethod
     def from_json(cls, obj):
+        part = "the top level"
         try:
+            components = obj["components"]
+            part = "'components'"
             comps = [
                 (c.get("genus", 0), c.get("in_legs", []), c.get("out_legs", []))
-                for c in obj["components"]
+                for c in components
             ]
-            return cls(obj["in"], obj["out"], comps)
+            p, q = obj["in"], obj["out"]
         except KeyError as exc:
             raise CobordismError(f"cobordism file missing key {exc}") from exc
+        except (TypeError, AttributeError):
+            raise CobordismError(f"cobordism file: {part} is malformed") from None
+        return cls(p, q, comps)
 
     @classmethod
     def load(cls, path):
@@ -297,14 +303,10 @@ class FrobeniusTQFT:
 
     def _mult_matrix(self) -> Matrix:
         alg = self.alg
-        f = alg.field
         m = alg.dim
-        out = Matrix(f, m, m * m)
-        for i in range(m):
-            for j in range(m):
-                for k, c in alg.mul_basis(i, j).items():
-                    out.data[k][i * m + j] = f.add(out.data[k][i * m + j], c)
-        return out
+        return Matrix.from_terms(alg.field, m, m * m, [
+            ((k, i * m + j), c)
+            for (i, j), row in alg.mult.items() for k, c in row.items()])
 
     def _coproduct_matrix(self) -> Matrix:
         """(mu (x) 1)(1 (x) gamma), gamma the copairing as an m^2 x 1 column."""

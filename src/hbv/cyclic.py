@@ -38,7 +38,7 @@ from .hochschild import (
     window_label,
     window_tuples,
 )
-from .linalg import Complex, Matrix, SparseMatrix, rank
+from .linalg import Complex, Matrix, SparseMatrix, kernel_basis, rank
 from .reports import CheckReport
 
 
@@ -341,16 +341,10 @@ def cyclic_cohomology(alg, max_degree, budget=None):
 def trace_space_dim(alg: FDAlgebra) -> int:
     """dim of the space of traces (functionals vanishing on commutators),
     the independent description of HC^0."""
-    f = alg.field
-    rows = []
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            row = [f.zero] * alg.dim
-            for k, c in alg.mul_basis(i, j).items():
-                row[k] = f.add(row[k], c)
-            for k, c in alg.mul_basis(j, i).items():
-                row[k] = f.sub(row[k], c)
-            rows.append(row)
-    from .linalg import kernel_basis
-
-    return len(kernel_basis(Matrix.from_rows(f, rows)))
+    d = alg.dim
+    # row (i, j): the coefficients of the commutator e_i e_j - e_j e_i
+    terms = [((i * d + j, k), c) for (i, j), row in alg.mult.items()
+             for k, c in row.items()]
+    terms += [((j * d + i, k), -c) for (i, j), row in alg.mult.items()
+              for k, c in row.items()]
+    return len(kernel_basis(Matrix.from_terms(alg.field, d * d, d, terms)))

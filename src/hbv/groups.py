@@ -118,9 +118,12 @@ class FiniteGroup:
     @classmethod
     def from_json(cls, obj, name="G"):
         try:
-            return cls(obj["elements"], obj["table"], name=name)
+            elements, table = obj["elements"], obj["table"]
         except KeyError as exc:
             raise GroupError(f"group file missing key {exc}") from exc
+        except TypeError:
+            raise GroupError("group file: the top level is not an object") from None
+        return cls(elements, table, name=name)
 
     @classmethod
     def load(cls, path):

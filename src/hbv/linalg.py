@@ -3,13 +3,15 @@ engines, and cohomology of cochain complexes.
 
 Two representations coexist.  ``Matrix`` is the dense row-major contract type
 used by all small structural computations (pairings, antipodes, TQFT maps).
-Its products and Kronecker products run on integer views
-(``_integer_view``): each operand is read once as its nonzero entries,
-integers with one scale per matrix, so they cost one int operation per pair
-of nonzero entries that meet, and each nonzero result becomes a field
-element once.  ``SparseMatrix`` holds differentials of bar-type complexes,
-whose dimensions at the top truncation degree rule out dense storage; rank
-and kernel engines on it are exact over both Q and F_p.
+A structure map or linear system is built from its terms by
+``Matrix.from_terms``, which sums them with ``sum_terms``.  Products,
+matrix-vector products (``apply``) and Kronecker products run on integer
+views (``_integer_view``): each operand is read once as its nonzero
+entries, integers with one scale per matrix, so they cost one int
+operation per pair of nonzero entries that meet, and each nonzero result
+becomes a field element once.  ``SparseMatrix`` holds differentials of
+bar-type complexes, whose dimensions at the top truncation degree rule out
+dense storage; rank and kernel engines on it are exact over both Q and F_p.
 
 Arithmetic.  Over F_p every stored entry is a reduced int.  Over Q a
 ``Matrix`` entry, a cochain value and every vector the engines hand out
@@ -163,6 +165,17 @@ class Matrix:
         return cls(field, nrows, ncols, rows)
 
     @classmethod
+    def from_terms(cls, field, nrows, ncols, terms):
+        """The ``nrows`` x ``ncols`` matrix summing ``((i, j), c)`` terms with
+        ``sum_terms``.  An entry that no term reaches, or whose terms cancel,
+        is the field's shared ``zero``."""
+        z = field.zero
+        data = [[z] * ncols for _ in range(nrows)]
+        for (i, j), c in sum_terms(field, terms).items():
+            data[i][j] = c
+        return cls._adopt(field, nrows, ncols, data)
+
+    @classmethod
     def identity(cls, field, n):
         m = cls(field, n, n)
         for i in range(n):
@@ -223,19 +236,12 @@ class Matrix:
         return Matrix._adopt(f, self.nrows, n, data)
 
     def apply(self, vec):
-        """Matrix times column vector (a list)."""
-        f = self.field
+        """Matrix times column vector (a list): the product with ``vec`` as a
+        one-column matrix, so on the integer views of ``__mul__``."""
         if len(vec) != self.ncols:
             raise LinalgError("vector length mismatch")
-        out = []
-        for i in range(self.nrows):
-            s = f.zero
-            ri = self.data[i]
-            for j, v in enumerate(vec):
-                if not f.is_zero(v) and not f.is_zero(ri[j]):
-                    s = f.add(s, f.mul(ri[j], v))
-            out.append(s)
-        return out
+        column = Matrix._adopt(self.field, self.ncols, 1, [[v] for v in vec])
+        return [row[0] for row in (self * column).data]
 
     def scale(self, c):
         f = self.field
@@ -372,24 +378,6 @@ def kernel_basis(m: Matrix):
                 v[pc] = f.neg(coef)
         out.append(v)
     return out
-
-
-def solve(m: Matrix, b):
-    """One solution of ``m x = b`` or None.  Deterministic (free vars = 0)."""
-    f = m.field
-    aug = Matrix(
-        f,
-        m.nrows,
-        m.ncols + 1,
-        [list(m.data[i]) + [b[i]] for i in range(m.nrows)],
-    )
-    e, pivots, r = rref(aug)
-    if m.ncols in pivots:
-        return None
-    x = [f.zero] * m.ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = e.data[i][m.ncols]
-    return x
 
 
 def determinant(m: Matrix):

@@ -14,12 +14,14 @@ from hbv.algebra import (
     PreconditionError,
     algebra_from_json,
     algebra_to_json,
+    class_algebra,
     dual_left_integrals,
     exterior_algebra,
     find_integrals,
     frobenius_from_integral,
     group_algebra,
     group_frobenius,
+    is_invertible_element,
     lambda_L,
     lie_pairing,
     load_algebra,
@@ -29,7 +31,10 @@ from hbv.algebra import (
     trace_pairing,
     verify_frobenius,
 )
-from hbv.linalg import Matrix, rank
+from hbv.algebra import _commutation_kernel
+from hbv.cobordism import FrobeniusTQFT
+from hbv.cyclic import trace_space_dim
+from hbv.linalg import Matrix, kernel_basis, rank
 
 
 # -- group algebras -------------------------------------------------------------
@@ -357,3 +362,211 @@ def test_hopf_grading_message():
         HopfData(alg, {1: {(1, 1): 1}}, [1, 0], Matrix(f, 2, 2))
     assert type(err.value) is AlgebraError
     assert str(err.value) == "coproduct breaks the grading"
+
+
+# -- dense builders against the field-operation loops they replaced ------------
+
+
+def _left_mult_loop(alg, vec):
+    f = alg.field
+    m = Matrix(f, alg.dim, alg.dim)
+    for i, a in enumerate(vec):
+        if f.is_zero(a):
+            continue
+        for j in range(alg.dim):
+            for k, c in alg.mul_basis(i, j).items():
+                m.data[k][j] = f.add(m.data[k][j], f.mul(a, c))
+    return m
+
+
+def _right_mult_loop(alg, vec):
+    f = alg.field
+    m = Matrix(f, alg.dim, alg.dim)
+    for j, b in enumerate(vec):
+        if f.is_zero(b):
+            continue
+        for i in range(alg.dim):
+            for k, c in alg.mul_basis(i, j).items():
+                m.data[k][i] = f.add(m.data[k][i], f.mul(b, c))
+    return m
+
+
+def _tqft_mult_loop(alg):
+    f = alg.field
+    m = alg.dim
+    out = Matrix(f, m, m * m)
+    for i in range(m):
+        for j in range(m):
+            for k, c in alg.mul_basis(i, j).items():
+                out.data[k][i * m + j] = f.add(out.data[k][i * m + j], c)
+    return out
+
+
+def _apply_loop(m, vec):
+    f = m.field
+    out = []
+    for i in range(m.nrows):
+        s = f.zero
+        for j, v in enumerate(vec):
+            if not f.is_zero(v) and not f.is_zero(m.data[i][j]):
+                s = f.add(s, f.mul(m.data[i][j], v))
+        out.append(s)
+    return out
+
+
+def _commutation_rows(alg, pairs):
+    """The rows of x . u - u . y = 0, block after block, by field loops."""
+    f = alg.field
+    rows = []
+    for x, y in pairs:
+        l, r = _left_mult_loop(alg, x), _right_mult_loop(alg, y)
+        for a, b in zip(l.data, r.data):
+            rows.append([f.sub(s, t) for s, t in zip(a, b)])
+    return rows
+
+
+def _integral_rows(alg, side):
+    """find_integrals' rows: e_h . u - eps(h) u (``side`` 0) or
+    u . e_h - eps(h) u (``side`` 1)."""
+    f = alg.field
+    eps = alg.hopf.counit
+    loop = _left_mult_loop if side == 0 else _right_mult_loop
+    rows = []
+    for h in range(alg.dim):
+        m = loop(alg, alg.basis_vector(h))
+        for i in range(alg.dim):
+            row = list(m.data[i])
+            row[i] = f.sub(row[i], eps[h])
+            rows.append(row)
+    return rows
+
+
+def _dual_integral_rows(alg):
+    f = alg.field
+    cop = alg.hopf.coproduct
+    rows = []
+    for i in range(alg.dim):
+        for h in range(alg.dim):
+            row = [f.zero] * alg.dim
+            for (j, k), c in cop.get(h, {}).items():
+                if j == i:
+                    row[k] = f.add(row[k], c)
+            row[h] = f.sub(row[h], alg.unit[i])
+            rows.append(row)
+    return rows
+
+
+def _trace_rows(alg):
+    f = alg.field
+    rows = []
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            row = [f.zero] * alg.dim
+            for k, c in alg.mul_basis(i, j).items():
+                row[k] = f.add(row[k], c)
+            for k, c in alg.mul_basis(j, i).items():
+                row[k] = f.sub(row[k], c)
+            rows.append(row)
+    return rows
+
+
+def _conjugator_loop(alg, space):
+    """s_square_conjugator's sweep of ``space``: basis vectors, then prefix
+    sums by field additions; the first invertible element."""
+    f = alg.field
+    candidates = list(space)
+    acc = None
+    for v in space:
+        acc = v if acc is None else [f.add(a, b) for a, b in zip(acc, v)]
+        candidates.append(list(acc))
+    return next((u for u in candidates if is_invertible_element(alg, u)), None)
+
+
+def _pairing_loop(alg, lam, u):
+    f = alg.field
+    pairing = Matrix(f, alg.dim, alg.dim)
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            vec = [f.zero] * alg.dim
+            for k, c in alg.mul_basis(i, j).items():
+                vec[k] = c
+            vec = alg.mul_vec(vec, u)
+            pairing.data[i][j] = f.of_int(sum(c * l for c, l in zip(vec, lam)))
+    return pairing
+
+
+def _oracle_algebras():
+    for g in ("Z2", "Z3", "S3", "Z4", "D4", "Q8"):
+        for f in (QQ, GF(2), GF(3), GF(5)):
+            yield group_algebra(preset(g), f)
+    for gens in ((1,), (3,), (3, 5), (1, 3)):
+        for f in (QQ, GF(3)):
+            yield exterior_algebra(list(gens), f)
+    yield sweedler_algebra()
+    yield matrix_algebra(2, QQ)
+    yield matrix_algebra(3, QQ)
+    for g in ("S3", "D4"):
+        yield class_algebra(preset(g), QQ)[0]
+
+
+def _entries(x):
+    rows = x.data if isinstance(x, Matrix) else x
+    return [v for row in rows for v in (row if isinstance(row, list) else [row])]
+
+
+def _same(got, want, f):
+    """Equal shapes, values and entry types; over Q every entry a
+    Fraction, and every zero of ``got`` the field's shared zero."""
+    assert (got.data if isinstance(got, Matrix) else got) == (
+        want.data if isinstance(want, Matrix) else want)
+    flat = _entries(got)
+    assert [type(v) for v in flat] == [type(v) for v in _entries(want)]
+    if not f.char:
+        assert all(type(v) is Fraction for v in flat)
+    assert all(v is f.zero for v in flat if not v)
+
+
+def test_dense_builders_match_field_loops():
+    pairings = 0
+    for alg in _oracle_algebras():
+        f = alg.field
+        d = alg.dim
+        e = [alg.basis_vector(h) for h in range(d)]
+        dense = [f.of_int(3 * i + 2) for i in range(d)]
+        for vec in e + [dense]:
+            _same(alg.left_mult_matrix(vec), _left_mult_loop(alg, vec), f)
+            _same(alg.right_mult_matrix(vec), _right_mult_loop(alg, vec), f)
+        m = alg.left_mult_matrix(dense)
+        for vec in e + [dense, [f.zero] * d]:
+            _same(m.apply(vec), _apply_loop(m, vec), f)
+        tqft = FrobeniusTQFT.__new__(FrobeniusTQFT)
+        tqft.alg = alg
+        _same(tqft._mult_matrix(), _tqft_mult_loop(alg), f)
+
+        def kernel(rows):
+            return kernel_basis(Matrix.from_rows(f, rows))
+
+        center = kernel(_commutation_rows(alg, list(zip(e, e))))
+        _same(_commutation_kernel(alg, list(zip(e, e))), center, f)
+        assert alg.center_dim() == len(center)
+        assert trace_space_dim(alg) == len(kernel(_trace_rows(alg)))
+        if alg.hopf is None:
+            continue
+        left, right, unimodular = find_integrals(alg)
+        lrows, rrows = _integral_rows(alg, 0), _integral_rows(alg, 1)
+        _same(left, kernel(lrows), f)
+        _same(right, kernel(rrows), f)
+        assert unimodular == bool(kernel(lrows + rrows))
+        S2 = alg.hopf.antipode * alg.hopf.antipode
+        pairs = [(S2.col(i), e[i]) for i in range(d)]
+        space = kernel(_commutation_rows(alg, pairs))
+        _same(_commutation_kernel(alg, pairs), space, f)
+        u = s_square_conjugator(alg)
+        assert u == _conjugator_loop(alg, space)
+        lams = dual_left_integrals(alg)
+        _same(lams, kernel(_dual_integral_rows(alg)), f)
+        if lams and u is not None:
+            _same(frobenius_from_integral(alg, lams[0], u).pairing,
+                  _pairing_loop(alg, lams[0], u), f)
+            pairings += 1
+    assert pairings >= 30, pairings

@@ -380,7 +380,27 @@ def test_malformed_cobordism_file_is_input_error(capsys, tmp_path):
      {"in": 1, "out": 1,
       "components": [{"genus": 0, "in_legs": [1, "a"], "out_legs": [1]}]},
      "legs [1, 'a'], [1] are not lists of integers"),
-], ids=["group-table", "cobordism-legs"])
+    (["hochschild", "--group"], "group.json", [["e"], [[0]]],
+     "group file: the top level is not an object"),
+    (["integrals", "--algebra"], "alg.json", {**Z2_ALGEBRA, "field": "Q"},
+     "algebra file: 'field' is malformed"),
+    (["integrals", "--algebra"], "alg.json", {**Z2_ALGEBRA, "basis": ["e", "g"]},
+     "algebra file: 'basis' is malformed"),
+    (["integrals", "--algebra"], "alg.json", [Z2_ALGEBRA],
+     "algebra file: the top level is malformed"),
+    (["detline", "--cobordism"], "cob.json", {"in": 1, "out": 1, "components": [5]},
+     "cobordism file: 'components' is malformed"),
+    (["tqft", "eval", "--group", "Z2", "--field", "Q", "--cobordism"], "cob.json",
+     {"in": 1, "out": 1, "components": [5]},
+     "cobordism file: 'components' is malformed"),
+    (["detline", "--cobordism"], "cob.json", [{"in": 0, "out": 0, "components": []}],
+     "cobordism file: the top level is malformed"),
+    (["tqft", "eval", "--group", "Z2", "--field", "Q", "--cobordism"], "cob.json",
+     [{"in": 0, "out": 0, "components": []}],
+     "cobordism file: the top level is malformed"),
+], ids=["group-table", "cobordism-legs", "group-list", "algebra-field-string",
+        "algebra-basis-strings", "algebra-list", "detline-component-int",
+        "tqft-component-int", "detline-list", "tqft-list"])
 def test_malformed_group_and_legs_are_input_errors(capsys, tmp_path, argv, path,
                                                    obj, message):
     target = tmp_path / path
@@ -417,6 +437,14 @@ PINNED_REPORTS = [
      "b5cb8f0a922f22b9c127c5ac9dc2a6ba6abbcec6331bea53eee6285b12e1d386"),
     ("detline --cobordism pants.json --compose copants.json --power 2",
      "10b936a4d4b883c737cc4776b57eb00d94d3de8b48e190d67ce53b9749c3f922"),
+    ("integrals --exterior 3,5 --field Q",
+     "32ac05bd6d7b293603032b61d531f45d1f74b76f3c079077e5600fa0bc2034eb"),
+    ("integrals --group S3 --field F2",
+     "6d0b5b3db600e97ab590501c6bd53e8d797f2d8bf6b044156b42e79a5f9bfdb7"),
+    ("tqft eval --exterior 1 --field Q --preset twist",
+     "61459a736e5c3ce511ab4e10ce1284f24345a115c37e00bb7b2a03e6fcd8d20e"),
+    ("frobenius --exterior 3,5 --field F3",
+     "f6ae79ec82b5960921fbe3799a9544e09cbd788942b9a7c2fd45e7487b22ecec"),
 ]
 
 
