@@ -792,6 +792,17 @@ def algebra_to_json(alg: FDAlgebra) -> dict:
     return obj
 
 
+def _entries(obj: dict, key: str) -> list:
+    """The ``[i, j, k, c]`` entries of ``obj[key]``; an entry of another
+    length is refused by the part's name and the entry's index."""
+    entries = obj[key]
+    for idx, entry in enumerate(entries):
+        if len(entry) != 4:
+            raise AlgebraError(
+                f"algebra file: {key!r} entry {idx} must be [i, j, k, c]")
+    return entries
+
+
 def algebra_from_json(obj: dict) -> FDAlgebra:
     part = "the top level"
     try:
@@ -808,7 +819,7 @@ def algebra_from_json(obj: dict) -> FDAlgebra:
         degrees = [int(b.get("degree", 0)) for b in obj["basis"]]
         part = "'mult'"
         mult: dict = {}
-        for i, j, k, c in obj["mult"]:
+        for i, j, k, c in _entries(obj, "mult"):
             mult.setdefault((i, j), {})[k] = f.parse(c)
         part = "'unit'"
         unit = [f.parse(c) for c in obj["unit"]]
@@ -816,7 +827,7 @@ def algebra_from_json(obj: dict) -> FDAlgebra:
         if "coproduct" in obj:
             part = "Hopf data"
             cop: dict = {}
-            for i, j, k, c in obj["coproduct"]:
+            for i, j, k, c in _entries(obj, "coproduct"):
                 cop.setdefault(i, {})[(j, k)] = f.parse(c)
             counit = [f.parse(c) for c in obj["counit"]]
             antipode = [[f.parse(v) for v in row] for row in obj["antipode"]]

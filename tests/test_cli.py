@@ -348,6 +348,13 @@ Z2_ALGEBRA = {
     ({"field": {"type": "Fp", "p": 3}, "unit": ["1/3", "0"]},
      "'1/3' has a denominator divisible by 3"),
     ({"unit": ["1/0", "0"]}, "rational '1/0' has a zero denominator"),
+    ({"mult": [[0, 0, "1"]]},
+     "algebra file: 'mult' entry 0 must be [i, j, k, c]"),
+    ({"mult": [[0, 0, 0, "1"], [0, 1, 1, 0, "1"]]},
+     "algebra file: 'mult' entry 1 must be [i, j, k, c]"),
+    ({"coproduct": [[0, 0, 0, "1"], [1, 1, "1"]], "counit": ["1", "1"],
+      "antipode": [["1", "0"], ["0", "1"]]},
+     "algebra file: 'coproduct' entry 1 must be [i, j, k, c]"),
 ])
 def test_malformed_algebra_file_is_input_error(capsys, tmp_path, changes, message):
     obj = {k: v for k, v in {**Z2_ALGEBRA, **changes}.items() if v is not None}

@@ -703,6 +703,89 @@ def test_bv_check_names(name, p, total):
     assert len(names) == total
 
 
+# sha256 of every "name<TAB>ok" line of the report, as computed before
+# ``bv_check`` kept its results
+BV_CHECK_OUTCOME_DIGESTS = [
+    (lambda: group_algebra(preset("Z4"), GF(2)), group_frobenius, 4, 1049,
+     "8b18c6272ab899721fda6344b2760d1a13a9cf2bd4f14b9a66214ce6a0299fd8"),
+    (lambda: exterior_algebra([3, 5], QQ), lie_pairing, 3, 461,
+     "e3aca36d430226a3d6b0316602fc6f54f5ee8e835ae9351a33f35f911d8ee3fa"),
+]
+
+
+@pytest.mark.parametrize("make, pairing, N, total, digest",
+                         BV_CHECK_OUTCOME_DIGESTS, ids=["F2[Z4]", "ext35/Q"])
+def test_bv_check_computes_each_operation_once(monkeypatch, make, pairing, N,
+                                               total, digest):
+    import hashlib
+    import hbv.hochschild as hochschild
+
+    counts = {}
+
+    def counted(op):
+        inner = getattr(hochschild, op)
+
+        def run(*cochains):
+            # keyed as bv_check keys its results: each argument's degree
+            # and table, key order included
+            key = (op,) + tuple((c.degree, tuple(c.table.items()))
+                                for c in cochains)
+            counts[key] = counts.get(key, 0) + 1
+            return inner(*cochains)
+        monkeypatch.setattr(hochschild, op, run)
+
+    for op in ("cup", "gerstenhaber_bracket", "connes_b_dual"):
+        counted(op)
+    alg = make()
+    rep = bv_check(alg, pairing(alg), N)
+    assert {op for op, *_ in counts} == {"cup", "gerstenhaber_bracket",
+                                         "connes_b_dual"}
+    assert [key[0] for key, n in counts.items() if n > 1] == []
+    text = "".join(f"{name}\t{ok}\n" for name, ok, _ in rep.checks)
+    assert len(rep.checks) == total
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _scanned_internal_degree(c):
+    """``Cochain.internal_degree`` by the full scan of every entry."""
+    alg = c.alg
+    found = {(-1 if c.coeff == "dual" else 1) * alg.degrees[v]
+             - sum(alg.degrees[i] for i in tup) for tup, v in c.table}
+    if len(found) > 1:
+        raise ValueError("cochain is not homogeneous in internal degree")
+    return found.pop() if found else 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: group_algebra(preset("Z3"), GF(3)),
+    lambda: group_algebra(preset("S3"), QQ),
+    lambda: exterior_algebra([3, 5], QQ),
+], ids=["F3[Z3]", "Q[S3]", "ext35/Q"])
+def test_internal_degree_matches_full_scan(make):
+    alg = make()
+    cochains = []
+    for coeff in ("self", "dual"):
+        hh = HochschildCohomology(alg, coeff, 3)
+        for n in range(4):
+            cochains += [x.representative for x in hh.classes(n)]
+    selfs = [c for c in cochains if c.coeff == "self"]
+    cochains += [cup(x, y) for x in selfs for y in selfs
+                 if x.degree + y.degree <= 3]
+    cochains += [gerstenhaber_bracket(x, y) for x in selfs for y in selfs
+                 if x.degree + y.degree <= 4]
+    assert len(cochains) > 20
+    for c in cochains:
+        assert c.internal_degree() == _scanned_internal_degree(c)
+    if alg.is_graded():
+        # one entry of internal degree -|a|, one of degree 0
+        a = next(i for i in range(alg.dim) if alg.degrees[i])
+        mixed = Cochain(alg, "self", 1, {((a,), alg.unit_index): QQ.one,
+                                         ((a,), a): QQ.one})
+        for scan in (Cochain.internal_degree, _scanned_internal_degree):
+            with pytest.raises(ValueError, match="not homogeneous"):
+                scan(mixed)
+
+
 def test_bv_requires_symmetric_structure():
     from hbv.algebra import dual_left_integrals, frobenius_from_integral, s_square_conjugator
     from hbv.algebra import PreconditionError
