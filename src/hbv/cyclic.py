@@ -12,11 +12,16 @@ C^n (+) C^{n-2} (+) C^{n-4} (+) ...  The total differential is
               [ B_n   d_tot^{n-2} ]
 
 with d^n the Hochschild differential and B_n : C^n -> C^{n-1} the rotation
-operator, which lands in the C^{n-1} at the front of Tot^{n-1}.  The
-mixed-complex identities make it square to zero, and ``Complex`` checks
-that.  The maps of the Connes sequence are index offsets: I keeps the
-indices below dim C^n, and the periodicity S : Tot^n -> Tot^{n+2} adds
-dim C^{n+2} to every index.
+operator, which lands in the C^{n-1} at the front of Tot^{n-1}.  On the
+summand C^m of Tot^n, d_tot o d_tot is d d into C^{m+2}, B d + d B into
+C^m and B B into C^{m-2}, so d_tot squares to zero exactly when the
+mixed-complex identities d^2 = 0, B d + d B = 0 and B^2 = 0 hold (Kassel,
+J. Algebra 107 (1987); Loday, Cyclic Homology, 2.5).  The bar complex
+certifies d^2 = 0 when it is built, and ``Complex.mixed_total`` checks the
+other two in every degree the truncation uses, naming a failure by the
+(degree, column) of d_tot it breaks.  The maps of the Connes sequence are
+index offsets: I keeps the indices below dim C^n, and the periodicity
+S : Tot^n -> Tot^{n+2} adds dim C^{n+2} to every index.
 
 Truncation at N certifies degrees up to N-2: the top two total degrees see
 a cut-off staircase.
@@ -38,43 +43,25 @@ from .hochschild import (
     window_label,
     window_tuples,
 )
-from .linalg import Complex, Matrix, SparseMatrix, kernel_basis, rank
+from .linalg import Complex, Matrix, kernel_basis, rank
 from .reports import CheckReport
 
 
 class CyclicComplex:
     """The truncated total complex Tot^n = C^n (+) Tot^{n-2} of the dual
-    (b, B)-bicomplex, for n = 0 .. N+1 (see the module docstring).
-
-    Row by row, d_tot^n lists the rows of d^n, then one row per coordinate
-    of Tot^{n-1}: the row of d_tot^{n-2} with its columns shifted by
-    dim C^n, followed by the row of B_n where B_n has one.  The two parts
-    occupy disjoint columns.  Only B_1 .. B_N are built.
+    (b, B)-bicomplex, for n = 0 .. N+1 (see the module docstring), built
+    and certified by ``Complex.mixed_total`` from the dual bar complex and
+    the rotation operators B_1 .. B_N.
     """
 
     def __init__(self, alg: FDAlgebra, max_degree: int, budget: int | None = None):
         self.alg = alg
         self.max_degree = max_degree
         self.bar = BarComplex(alg, "dual", max_degree, budget)
-        cdim = self.bar.complex.dim
-        dims = {-2: 0, -1: 0}
-        for n in range(max_degree + 2):
-            dims[n] = cdim(n) + dims[n - 2]
-        # d_tot^{-2} and d_tot^{-1} start from Tot = 0: no columns
-        rows = {-2: [], -1: [{} for _ in range(dims[0])]}
-        for n in range(max_degree + 1):
-            b_rows = connes_b_dual_matrix(self.bar, n).rows if n else []
-            rows[n] = list(self.bar.complex.differential(n).rows)
-            off = cdim(n)
-            for r, lower in enumerate(rows[n - 2]):
-                row = {c + off: v for c, v in lower.items()}
-                if r < len(b_rows):
-                    row.update(b_rows[r])
-                rows[n].append(row)
-        diffs = {n: SparseMatrix(alg.field, dims[n + 1], dims[n], rows[n])
-                 for n in range(max_degree + 1)}
-        self.complex = Complex(alg.field,
-                               {n: dims[n] for n in range(max_degree + 2)}, diffs)
+        self.complex = Complex.mixed_total(
+            self.bar.complex,
+            {n: connes_b_dual_matrix(self.bar, n)
+             for n in range(1, max_degree + 1)})
 
 
 class CyclicCohomology:

@@ -451,13 +451,24 @@ class CohomologyClass:
     deterministic basis of its space plus a chosen representative cocycle
     (a ``Cochain`` in HH, a total vector in HC)."""
 
-    __slots__ = ("space", "degree", "coords", "representative")
+    __slots__ = ("space", "degree", "coords", "representative", "_memo_key")
 
     def __init__(self, space, degree, coords, representative):
         self.space = space
         self.degree = degree
         self.coords = coords
         self.representative = representative
+        self._memo_key = None
+
+    def memo_key(self) -> tuple:
+        """``(degree, items of the HH representative's table)``, key order
+        included: what a memo of class operations is keyed by.  Built on
+        first use and kept, so it assumes the representative is not mutated
+        afterwards."""
+        if self._memo_key is None:
+            self._memo_key = (self.degree,
+                              tuple(self.representative.table.items()))
+        return self._memo_key
 
     def is_zero(self):
         f = self.space.alg.field
@@ -663,7 +674,8 @@ def bv_check(alg: FDAlgebra, frob: FrobeniusStructure, max_degree: int,
     check runs over ``window_tuples`` of the basis classes.  Each distinct
     cup product, bracket and Delta is computed once per call, keyed by its
     exact arguments: the degree and the representative's table, key order
-    included, never the coordinates.  Two representatives of one class are
+    included, never the coordinates (``CohomologyClass.memo_key``, built
+    once per class object).  Two representatives of one class are
     therefore each computed, so the suites still test that the products
     are well defined on classes.  The ``flip_sign_convention`` switch
     negates the seven-term right side, the alternative convention, kept for
@@ -679,8 +691,7 @@ def bv_check(alg: FDAlgebra, frob: FrobeniusStructure, max_degree: int,
     memo = {}
 
     def once(op, *args):
-        key = (op,) + tuple((x.degree, tuple(x.representative.table.items()))
-                            for x in args)
+        key = (op,) + tuple(x.memo_key() for x in args)
         out = memo.get(key)
         if out is None:
             out = memo[key] = getattr(bv, op)(*args)
@@ -757,11 +768,11 @@ def bv_check(alg: FDAlgebra, frob: FrobeniusStructure, max_degree: int,
 # the centralizer oracle
 
 
-def group_cochain_dims(g: FiniteGroup, field, max_degree: int,
-                       budget: int | None = None):
-    """Group cohomology dims H^n(G; F) with trivial coefficients, via the
-    normalized bar cochain complex of the group (independent of the
-    Hochschild machinery above)."""
+def group_cochain_complex(g: FiniteGroup, field, max_degree: int,
+                          budget: int | None = None) -> Complex:
+    """The normalized bar cochain complex of the group with trivial
+    coefficients, C^0..C^{N+1} with d^0..d^N (independent of the Hochschild
+    machinery above)."""
     f = field
     ring = operator_ring(f)
     m = g.order
@@ -789,7 +800,14 @@ def group_cochain_dims(g: FiniteGroup, field, max_degree: int,
             terms.append((encode(s[:n]), 1 if (n + 1) % 2 == 0 else -1))
             rows.append(sum_terms(ring, terms))
         diffs[n] = SparseMatrix(f, dims[n + 1], dims[n], rows)
-    cx = Complex(f, dims, diffs)
+    return Complex(f, dims, diffs)
+
+
+def group_cochain_dims(g: FiniteGroup, field, max_degree: int,
+                       budget: int | None = None):
+    """Group cohomology dims H^n(G; F) with trivial coefficients, from
+    ``group_cochain_complex``."""
+    cx = group_cochain_complex(g, field, max_degree, budget)
     return [cx.cohomology_dim(n) for n in range(max_degree + 1)]
 
 

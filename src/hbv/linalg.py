@@ -24,11 +24,19 @@ only where it is not.  Differentials are built (``sum_terms`` into
 ``operator_ring``) and checked (``Complex``) by the same code for F_2, F_p
 and Q: plain sums of exact representatives, mapped into the ring as each
 entry is stored, or tested once per product column.  The ``d o d = 0``
-check and the rank read one integer column view of a differential,
-``_transpose``, which takes integral rows as they are.  A view of anything
-holding a Fraction, dense or sparse, scales by the lcm of the denominators
-(``_denominator_lcm``) and reads numerators, so no Fraction is made until a
-result leaves the engine.
+check and the rank read the same integer entries of a differential,
+integral rows as they are: the rank as one integer column view,
+``_transpose``, the check as per-column key lists (``_CheckFactor``).  A
+view of anything holding a Fraction, dense or sparse, scales by the lcm of
+the denominators (``_denominator_lcm``) and reads numerators, so no
+Fraction is made until a result leaves the engine.
+
+The ``d o d = 0`` check (``Complex``).  Each column of d^{n+1} d^n first
+tries a certificate that can only accept: its terms, read as balanced
+integer lifts, are all +-1 and cancel in pairs, which sorting and comparing
+their keys decides.  Any other column is summed exactly in ints, and that
+sum alone decides.  ``Complex.mixed_total`` certifies the total complex of
+a mixed complex the same way, from B d + d B = 0 and B B = 0.
 
 Elimination.  One forward echelon per arithmetic, pivoting on the largest
 index (empirically near fill-free on bar differentials), serves both rank
@@ -53,6 +61,7 @@ it too keeps bitset rows, and hands vectors back with ascending keys.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .fields import RationalField
@@ -688,8 +697,8 @@ def _transpose(sm: SparseMatrix) -> list:
     its rows.  Rows of ints (every operator over F_p, and each one over Q
     with integral entries, ``operator_ring``) are read as they are; over Q a
     matrix holding any Fraction gives the columns of ``c * sm``, as in
-    ``_integer_vectors``.  The one integer column view: the column-side
-    rank and the ``d o d = 0`` check of ``Complex`` both read it."""
+    ``_integer_vectors``.  The integer column view the column-side rank
+    reads."""
     rows = sm.rows
     if not sm.field.char and not _all_ints(rows):
         rows = _integer_vectors(rows)
@@ -872,6 +881,104 @@ class EchelonStore:
 # complexes
 
 
+class _CheckFactor:
+    """The columns of a sparse matrix times ``scale`` (the lcm of its
+    denominators, 1 unless an entry over Q is not an int), read in one pass
+    over its rows: ``plus[j]`` and ``minus[j]`` list the rows of column j
+    whose entry has balanced lift +1 and -1, ``other`` maps each column
+    holding any other entry to its ``(row, int)`` pairs."""
+
+    __slots__ = ("scale", "plus", "minus", "other")
+
+    def __init__(self, sm: SparseMatrix):
+        self.scale = 1
+        self._read(sm.rows, sm.field.char, sm.ncols)
+        if not sm.field.char and any(type(v) is not int for pairs in
+                                     self.other.values() for _, v in pairs):
+            self.scale = _denominator_lcm(v.denominator for row in sm.rows
+                                          for v in row.values())
+            self._read(list(_integer_vectors(sm.rows)), 0, sm.ncols)
+
+    def _read(self, rows, p, ncols):
+        self.plus = plus = [[] for _ in range(ncols)]
+        self.minus = minus = [[] for _ in range(ncols)]
+        self.other = other = {}
+        minus_one = p - 1 if p else -1
+        for i, row in enumerate(rows):
+            for j, v in row.items():
+                if v == 1:
+                    plus[j].append(i)
+                elif v == minus_one:
+                    minus[j].append(i)
+                else:
+                    other.setdefault(j, []).append((i, v))
+
+    def column(self, j) -> list:
+        """Column j as ``(row, lift)`` pairs, other entries as stored."""
+        return ([(i, 1) for i in self.plus[j]]
+                + [(i, -1) for i in self.minus[j]] + self.other.get(j, []))
+
+
+def _cancels(p, j, terms) -> bool:
+    """The certificate (``Complex``) for column j of the sum of the products
+    ``left @ right`` over ``terms``.  False decides nothing."""
+    flat = chain.from_iterable
+    pos: list = []
+    neg: list = []
+    for right, left, _ in terms:
+        if j in right.other:
+            return False
+        rp, rm = right.plus[j], right.minus[j]
+        lo = left.other
+        if lo and not (lo.keys().isdisjoint(rp) and lo.keys().isdisjoint(rm)):
+            return False
+        lp, lm = left.plus.__getitem__, left.minus.__getitem__
+        pos += flat(map(lp, rp))
+        pos += flat(map(lm, rm))
+        neg += flat(map(lm, rp))
+        neg += flat(map(lp, rm))
+    pos.sort()
+    if p == 2:
+        return pos[0::2] == pos[1::2]
+    neg.sort()
+    return pos == neg
+
+
+def _column_sum_nonzero(p, j, terms) -> bool:
+    """Whether column j of the sum of ``weight * left @ right`` over
+    ``terms``, summed exactly in ints on the lifts, is nonzero over F_p
+    (over Q for p = 0)."""
+    acc: dict = {}
+    for right, left, weight in terms:
+        for i, a in right.column(j):
+            a *= weight
+            for k, b in left.column(i):
+                acc[k] = acc.get(k, 0) + a * b
+    return any(x % p for x in acc.values()) if p else any(acc.values())
+
+
+def _first_failing_column(p, ncols, sums):
+    """The first column j < ``ncols`` at which one of ``sums``, each a list
+    of ``(right, left)`` ``_CheckFactor`` pairs standing for the sum of the
+    products ``left @ right``, is nonzero; None if there is none.  A
+    product of integer views carries the scale ``right.scale * left.scale``,
+    so the products of one sum are weighted to the lcm of their scales, and
+    the certificate runs only where they agree."""
+    prepared = []
+    for products in sums:
+        scales = [right.scale * left.scale for right, left in products]
+        top = lcm(*scales)
+        prepared.append(([(right, left, top // s)
+                          for (right, left), s in zip(products, scales)],
+                         top == min(scales)))
+    for j in range(ncols):
+        for terms, certify in prepared:
+            if not (certify and _cancels(p, j, terms)) \
+                    and _column_sum_nonzero(p, j, terms):
+                return j
+    return None
+
+
 class CohomologyData:
     """Cohomology of a complex at one degree with a chosen basis.
 
@@ -903,21 +1010,34 @@ class Complex:
     treated as zero.
 
     ``d^{n+1} o d^n = 0`` is checked at construction, for every adjacent
-    pair, in plain integer arithmetic, on the integer column view the rank
-    reads too (``_transpose``): each differential's columns are built once
-    and serve as the right factor of its pair with the next differential
-    and the left factor of its pair with the previous one, and each column
-    of the product is summed exactly and tested once.
-    This is exact over every field.  Over F_p the entries are integer
+    pair, column by column of the product, on the integer entries the rank
+    reads too.  Each column first tries a certificate that can only accept
+    (``_cancels``): when every term is a product of two entries whose
+    balanced integer lifts (over F_p, v - p when v > p/2) are +-1, the
+    column vanishes if the sorted keys of its +1 terms equal those of its
+    -1 terms; over F_2, if every key occurs an even number of times.  The
+    per-column row lists of each differential (``_CheckFactor``) are built
+    once and joined with list extends, so a cleared column costs no dict
+    operation per term.  A column the certificate does not clear (a
+    non-unit entry, or a stored 2 over F_3 that is the sum of two +1 terms)
+    is summed exactly in ints (``_column_sum_nonzero``), and that sum alone
+    decides, in the same column order.  This is exact over every field.  Over F_p the entries are integer
     representatives and reduction mod p is a ring map, so a column vanishes
     over F_p iff its integer sums are 0 mod p.  Over Q each matrix is first
     multiplied by the lcm of its denominators (1 unless an entry is not
     integral); a nonzero scalar on either factor changes neither which
     columns of the product vanish nor the first that does not.  A failure
     raises ``SquareZeroError`` naming that first column.
+
+    ``mixed_total`` builds the total complex of a mixed complex from its
+    parts and certifies it from the mixed-complex identities instead.
     """
 
     def __init__(self, field, dims: dict, diffs: dict):
+        self._setup(field, dims, diffs)
+        self._check_square_zero()
+
+    def _setup(self, field, dims: dict, diffs: dict):
         self.field = field
         self.dims = dict(dims)
         self.diffs = dict(diffs)
@@ -928,7 +1048,6 @@ class Complex:
         for n, d in self.diffs.items():
             if d.ncols != self.dims.get(n, 0) or d.nrows != self.dims.get(n + 1, 0):
                 raise LinalgError(f"differential d^{n} shape mismatch")
-        self._check_square_zero()
         self._cohomology_cache: dict[int, CohomologyData] = {}
         self._rank_cache: dict[int, int] = {}
         self._columns: dict[int, list] = {}
@@ -940,17 +1059,72 @@ class Complex:
             if n + 1 not in self.diffs:
                 continue
             if right_n != n:
-                right = _transpose(self.diffs[n])
-            left = _transpose(self.diffs[n + 1])
-            for j, col in enumerate(right):
-                acc: dict = {}
-                for i, a in col.items():
-                    for k, b in left[i].items():
-                        acc[k] = acc.get(k, 0) + a * b
-                if any(x % p for x in acc.values()) if p else any(acc.values()):
-                    raise SquareZeroError(n, j)
-            # the columns of d^{n+1} are the right factor of the next pair
+                right = _CheckFactor(self.diffs[n])
+            left = _CheckFactor(self.diffs[n + 1])
+            j = _first_failing_column(p, self.diffs[n].ncols, [[(right, left)]])
+            if j is not None:
+                raise SquareZeroError(n, j)
+            # d^{n+1} is the right factor of the next pair
             right_n, right = n + 1, left
+
+    @classmethod
+    def mixed_total(cls, bar: "Complex", rotations: dict) -> "Complex":
+        """The truncated total complex Tot^n = C^n (+) Tot^{n-2} of the
+        mixed complex (C, d, B), n = 0 .. N+1: ``bar`` is C on degrees
+        0 .. N+1, certified by its own construction, and ``rotations[n]``
+        is B_n : C^n -> C^{n-1}, n = 1 .. N.  The coordinates of C^n come
+        first.  Row by row, d_tot^n lists the rows of d^n, then one row per
+        coordinate of Tot^{n-1}: the row of d_tot^{n-2} with its columns
+        shifted by dim C^n, followed by the row of B_n where B_n has one.
+
+        On the summand C^m, d_tot^{n+1} d_tot^n is d^{m+1} d^m into
+        C^{m+2}, B_{m+1} d^m + d^{m-1} B_m into C^m and B_{m-1} B_m into
+        C^{m-2}.  So only the last two are checked on C^n, n = 0 .. N-1.  A
+        column of C^m fails in every Tot^n that holds it, first in Tot^m,
+        where C^m comes first, so the first failing (m, column) is what the
+        check of ``Complex`` names on the assembled d_tot."""
+        field = bar.field
+        N = max(bar.diffs)
+        for n in range(1, N + 1):
+            b = rotations[n]
+            if (b.nrows, b.ncols) != (bar.dim(n - 1), bar.dim(n)):
+                raise LinalgError(f"rotation B_{n} shape mismatch")
+        p = field.char
+        dv: dict = {}
+        bv: dict = {}
+        for n in range(N):
+            dv[n] = _CheckFactor(bar.diffs[n])
+            bv[n + 1] = _CheckFactor(rotations[n + 1])
+            dv.pop(n - 2, None)
+            bv.pop(n - 2, None)
+            mixed = [(dv[n], bv[n + 1])]
+            if n >= 1:
+                mixed.append((bv[n], dv[n - 1]))
+            sums = [mixed, [(bv[n], bv[n - 1])]] if n >= 2 else [mixed]
+            j = _first_failing_column(p, bar.dim(n), sums)
+            if j is not None:
+                raise SquareZeroError(n, j)
+
+        cdim = bar.dim
+        dims = {-2: 0, -1: 0}
+        for n in range(N + 2):
+            dims[n] = cdim(n) + dims[n - 2]
+        # d_tot^{-2} and d_tot^{-1} start from Tot = 0: no columns
+        rows = {-2: [], -1: [{} for _ in range(dims[0])]}
+        for n in range(N + 1):
+            b_rows = rotations[n].rows if n else []
+            rows[n] = list(bar.diffs[n].rows)
+            off = cdim(n)
+            for r, lower in enumerate(rows[n - 2]):
+                row = {c + off: v for c, v in lower.items()}
+                if r < len(b_rows):
+                    row.update(b_rows[r])
+                rows[n].append(row)
+        cx = cls.__new__(cls)
+        cx._setup(field, {n: dims[n] for n in range(N + 2)},
+                  {n: SparseMatrix(field, dims[n + 1], dims[n], rows[n])
+                   for n in range(N + 1)})
+        return cx
 
     def dim(self, n) -> int:
         return self.dims.get(n, 0)

@@ -319,6 +319,45 @@ def test_broken_differential_exits_3(capsys, monkeypatch):
     assert "d^1 o d^0 != 0 at column 2" in captured.err
 
 
+@pytest.mark.parametrize("break_bar, message", [
+    (False, "d^2 o d^1 != 0 at column 2"),
+    # the dual bar complex is certified before the total complex is built
+    (True, "d^1 o d^0 != 0 at column 2"),
+])
+def test_broken_cyclic_operator_exits_3(capsys, monkeypatch, break_bar, message):
+    # one sign of B_2 flipped: the total complex's certificate names the
+    # (degree, column) the generic check names on the assembled d_tot
+    import hbv.cyclic
+    from hbv.hochschild import BarComplex
+
+    rotation = hbv.cyclic.connes_b_dual_matrix
+
+    def broken_rotation(bar, n):
+        b = rotation(bar, n)
+        if n == 2:
+            # row 2 of B_2 on Q[Z3] is {6: 1, 3: -1}
+            b.rows[2][3] = -b.rows[2][3]
+        return b
+
+    monkeypatch.setattr(hbv.cyclic, "connes_b_dual_matrix", broken_rotation)
+    if break_bar:
+        build = BarComplex._dual_differential
+
+        def broken(self, n):
+            d = build(self, n)
+            if n == 0:
+                d.rows[4][2] = self.alg.field.one
+            return d
+
+        monkeypatch.setattr(BarComplex, "_dual_differential", broken)
+    status = main(["cyclic", "--group", "Z3", "--field", "Q",
+                   "--max-degree", "3"])
+    captured = capsys.readouterr()
+    assert status == 3
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_other_linalg_errors_exit_2(capsys, monkeypatch):
     import hbv.cli
     from hbv.linalg import LinalgError

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from hbv.fields import QQ, GF
@@ -10,7 +13,9 @@ from hbv.cyclic import (
     cyclic_cohomology,
     trace_space_dim,
 )
+from hbv.linalg import Complex, SparseMatrix, SquareZeroError
 from hbv.hochschild import (
+    BarComplex,
     CohomologyClass,
     HochschildCohomology,
     connes_b_dual,
@@ -58,10 +63,10 @@ def _column_layout(bar, n):
     return out
 
 
-def _block_total_differential(bar, n):
+def _block_total_differential(bar, n, rotations):
     """Rows of d_tot^n assembled block by block: column k of Tot^{n+1}
     receives the Hochschild differential of column k of Tot^n, then the
-    rotation image of column k-1."""
+    rotation image of column k-1 (``rotations[m]`` is B_m)."""
     src_off = {k: off for k, _, off, _ in _column_layout(bar, n)}
     dst = _column_layout(bar, n + 1)
     rows = [{} for _ in range(sum(d for *_, d in dst))]
@@ -70,12 +75,17 @@ def _block_total_differential(bar, n):
         if k in src_off and m >= 1:
             blocks.append((bar.complex.differential(m - 1), src_off[k]))
         if k - 1 in src_off:
-            blocks.append((connes_b_dual_matrix(bar, m + 1), src_off[k - 1]))
+            blocks.append((rotations[m + 1], src_off[k - 1]))
         for mat, o in blocks:
             for r in range(d):
                 for c, v in mat.rows[r].items():
                     rows[off + r][o + c] = v
     return rows
+
+
+def _rotations(bar, N):
+    """B_1 .. B_N of a dual bar complex, by degree."""
+    return {m: connes_b_dual_matrix(bar, m) for m in range(1, N + 1)}
 
 
 def _column_shift(bar, n, vec):
@@ -96,8 +106,9 @@ def test_total_differential_matches_block_layout():
     for alg, N in cases:
         hc = CyclicCohomology(alg, N)
         tot = hc.total
+        rotations = _rotations(tot.bar, N)
         for n in range(N + 1):
-            want = _block_total_differential(tot.bar, n)
+            want = _block_total_differential(tot.bar, n, rotations)
             d = tot.complex.differential(n)
             assert (d.nrows, d.ncols) == (len(want), tot.complex.dim(n))
             assert tot.complex.dim(n) == sum(c[3] for c in _column_layout(tot.bar, n))
@@ -109,6 +120,102 @@ def test_total_differential_matches_block_layout():
                 s = hc.periodicity(x)
                 assert s.representative == shifted
                 assert s.coords == hc.project(n + 2, shifted).coords
+
+
+def _mutated_rotations(rng, field, rotations, n, kind):
+    """``rotations`` with one entry of B_n changed by ``kind``: "flip"
+    negates an entry of a random nonempty row, "drop" removes it, "plus
+    one" adds 1 to it, and "fill" sets an entry of a random empty row to 1.
+    A change in row i of B_n reaches B_{n-1} B_n through column i of
+    B_{n-1}, which is zero where row i of B_n is not, so only "fill" can
+    break B B = 0."""
+    b = rotations[n]
+    i = rng.choice([r for r, row in enumerate(b.rows)
+                    if bool(row) != (kind == "fill")])
+    row = dict(b.rows[i])
+    c = rng.randrange(b.ncols) if kind == "fill" else rng.choice(sorted(row))
+    if kind == "fill":
+        row[c] = field.one
+    elif kind == "drop":
+        del row[c]
+    elif kind == "flip":
+        row[c] = field.neg(row[c])
+    else:
+        row[c] = field.add(row[c], field.one)
+        if not row[c]:
+            del row[c]
+    rows = list(b.rows)
+    rows[i] = row
+    return {**rotations, n: SparseMatrix(field, b.nrows, b.ncols, rows)}
+
+
+def _scaled(m, c):
+    """The sparse matrix ``c * m``."""
+    return SparseMatrix(m.field, m.nrows, m.ncols,
+                        [{k: v * c for k, v in row.items()} for row in m.rows])
+
+
+def test_total_complex_certificate_matches_generic_check():
+    # Complex.mixed_total checks only B d + d B = 0 and B B = 0, relying on
+    # the bar complex's own d o d = 0; on B with one entry mutated its
+    # verdict and (degree, column) must be those of the generic check on
+    # the assembled total differentials.  Each B also runs over the bar
+    # complex with its differentials replaced by zero, where B d + d B = 0
+    # holds whatever B is, so that only B B = 0 can fail, and over Q over
+    # the bar complex with each C^n rescaled, where B d and d B carry
+    # different scales.
+    from types import SimpleNamespace
+
+    rng = random.Random(71)
+    cases = [(group_algebra(preset("Z3"), GF(3)),
+              ("flip", "drop", "plus one", "fill")),
+             (group_algebra(preset("Z4"), GF(2)), ("drop", "fill")),
+             (group_algebra(preset("S3"), QQ), ("flip", "drop", "fill")),
+             (exterior_algebra([3, 5], QQ), ("flip", "drop", "fill"))]
+    N = 4
+    outcomes = {}
+    for alg, kinds in cases:
+        f = alg.field
+        bar = BarComplex(alg, "dual", N)
+        clean = _rotations(bar, N)
+        zero_d = Complex(f, bar.complex.dims, {
+            n: SparseMatrix(f, d.nrows, d.ncols)
+            for n, d in bar.complex.diffs.items()})
+        bases = [("bar", bar.complex, clean), ("zero d", zero_d, clean)]
+        if not f.char:
+            # C^n times p_n with p_{n+1} / p_n = r_n = 1/(n+2): d^n becomes
+            # r_n d^n and B_n becomes B_n / r_{n-1}
+            r = {n: Fraction(1, n + 2) for n in range(-1, N + 1)}
+            bases.append(("rescaled", Complex(f, bar.complex.dims, {
+                n: _scaled(d, r[n]) for n, d in bar.complex.diffs.items()}),
+                {n: _scaled(b, 1 / r[n - 1]) for n, b in clean.items()}))
+        dims = {n: sum(c[3] for c in _column_layout(bar, n))
+                for n in range(N + 2)}
+        for label, base, base_rotations in bases:
+            Complex.mixed_total(base, base_rotations)
+            for n in range(1, N + 1):
+                for kind in kinds:
+                    rotations = _mutated_rotations(rng, f, base_rotations, n,
+                                                   kind)
+                    diffs = {m: SparseMatrix(f, dims[m + 1], dims[m],
+                                             _block_total_differential(
+                                                 SimpleNamespace(complex=base),
+                                                 m, rotations))
+                             for m in range(N + 1)}
+                    try:
+                        Complex(f, dims, diffs)
+                        want = None
+                    except SquareZeroError as err:
+                        want = (err.degree, err.column)
+                    try:
+                        Complex.mixed_total(base, rotations)
+                        got = None
+                    except SquareZeroError as err:
+                        got = (err.degree, err.column)
+                    assert got == want, (alg, label, n, kind)
+                    key = label, "pass" if want is None else "fail"
+                    outcomes[key] = outcomes.get(key, 0) + 1
+    assert len(outcomes) == 6 and min(outcomes.values()) >= 3, outcomes
 
 
 def test_connes_sequence_f2_z2():

@@ -731,10 +731,96 @@ def _random_chain(rng, field, dims, entries, coefs):
     return mats
 
 
-def test_square_zero_check_matches_column_oracle():
+def _structured_complexes():
+    """(label, field, dims, diffs) of the complexes the package builds, at
+    truncation N = 3: the self and dual bar complexes, the group-cochain
+    complex of each group, and the rotations B_N, ..., B_1 read as the
+    differentials of a complex (B o B = 0)."""
+    from hbv.algebra import exterior_algebra, group_algebra
+    from hbv.groups import preset
+    from hbv.hochschild import (BarComplex, connes_b_dual_matrix,
+                                group_cochain_complex)
+
+    N = 3
+    out = []
+    for source, field in (("Z3", GF(3)), ("S3", GF(2)), ("Z6", GF(3)),
+                          ("S3", QQ), ((3, 5), QQ)):
+        group = isinstance(source, str)
+        alg = (group_algebra(preset(source), field) if group
+               else exterior_algebra(list(source), field))
+        for coeff in ("self", "dual"):
+            cx = BarComplex(alg, coeff, N).complex
+            out.append((f"{source} {coeff}", field, cx.dims, cx.diffs))
+        dual = BarComplex(alg, "dual", N)
+        out.append((f"{source} rotations", field,
+                    {k: dual.complex.dim(N - k) for k in range(N + 1)},
+                    {k: connes_b_dual_matrix(dual, N - k) for k in range(N)}))
+        if group:
+            cx = group_cochain_complex(preset(source), field, N)
+            out.append((f"{source} group cochains", field, cx.dims, cx.diffs))
+    return out
+
+
+def _mutated(rng, field, diffs, kind):
+    """``diffs`` with one entry of a random nonempty row of a random
+    differential changed by ``kind``: "flip" negates it, "drop" removes it,
+    "two" sets it to 2.  The other matrices and rows are shared."""
+    n = rng.choice([k for k, d in diffs.items() if d.nnz()])
+    d = diffs[n]
+    i = rng.choice([r for r, row in enumerate(d.rows) if row])
+    row = dict(d.rows[i])
+    c = rng.choice(sorted(row))
+    if kind == "drop":
+        del row[c]
+    else:
+        row[c] = field.neg(row[c]) if kind == "flip" else field.of_int(2)
+    rows = list(d.rows)
+    rows[i] = row
+    out = dict(diffs)
+    out[n] = SparseMatrix(field, d.nrows, d.ncols, rows)
+    return out
+
+
+def _assert_matches_oracle(field, dims, diffs):
+    """``Complex`` on ``diffs`` gives the oracle's verdict and witness;
+    returns that witness."""
+    want = _square_zero_oracle(diffs)
+    if want is None:
+        Complex(field, dims, diffs)
+        return None
+    with pytest.raises(SquareZeroError) as err:
+        Complex(field, dims, diffs)
+    assert (err.value.degree, err.value.column) == want
+    assert str(err.value) == (
+        f"d^{want[0] + 1} o d^{want[0]} != 0 at column {want[1]}")
+    return want
+
+
+def test_square_zero_check_matches_column_oracle(monkeypatch):
     # seeded chains d^0, d^1, d^2 with d o d = 0, half of them with one
-    # entry knocked off; the integer check must give the oracle's verdict
-    # and witness (degree, column)
+    # entry knocked off, and the bar, group-cochain and rotation complexes,
+    # clean and with one entry flipped, dropped or set to 2; the check must
+    # give the oracle's verdict and witness (degree, column)
+    import hbv.linalg as linalg
+
+    # each column the check reads: cleared by the certificate, or summed
+    # exactly to zero or to nonzero
+    paths = {"certified": 0, "exact zero": 0, "exact nonzero": 0}
+    cancels, column_sum = linalg._cancels, linalg._column_sum_nonzero
+
+    def counted_cancels(p, j, terms):
+        ok = cancels(p, j, terms)
+        paths["certified"] += ok
+        return ok
+
+    def counted_sum(p, j, terms):
+        nonzero = column_sum(p, j, terms)
+        paths["exact nonzero" if nonzero else "exact zero"] += 1
+        return nonzero
+
+    monkeypatch.setattr(linalg, "_cancels", counted_cancels)
+    monkeypatch.setattr(linalg, "_column_sum_nonzero", counted_sum)
+
     rng = random.Random(59)
     halves = [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 3)]
     cases = {"pass": 0, "fail": 0, "vanishes only mod p": 0}
@@ -753,10 +839,7 @@ def test_square_zero_check_matches_column_oracle():
                 i, j = rng.randrange(m.nrows), rng.randrange(m.ncols)
                 m.data[i][j] = field.add(m.data[i][j], rng.choice(entries))
             diffs = {n: SparseMatrix.from_matrix(m) for n, m in enumerate(mats)}
-            cx_dims = dict(enumerate(dims))
-            want = _square_zero_oracle(diffs)
-            if want is None:
-                Complex(field, cx_dims, diffs)
+            if _assert_matches_oracle(field, dict(enumerate(dims)), diffs) is None:
                 cases["pass"] += 1
                 if field.char and any(
                         sum(a * b for a, b in zip(row, col))
@@ -764,13 +847,22 @@ def test_square_zero_check_matches_column_oracle():
                         for row in d2.data for col in zip(*d1.data)):
                     cases["vanishes only mod p"] += 1
             else:
-                with pytest.raises(SquareZeroError) as err:
-                    Complex(field, cx_dims, diffs)
-                assert (err.value.degree, err.value.column) == want
-                assert str(err.value) == (
-                    f"d^{want[0] + 1} o d^{want[0]} != 0 at column {want[1]}")
                 cases["fail"] += 1
     assert min(cases.values()) >= 20, cases
+
+    structured = {"pass": 0, "fail": 0}
+    for label, field, dims, diffs in _structured_complexes():
+        assert _assert_matches_oracle(field, dims, diffs) is None, label
+        structured["pass"] += 1
+        kinds = ["drop"] + (["flip"] if field.char != 2 else []) \
+            + (["two"] if field.char not in (2, 3) else [])
+        for kind in kinds:
+            for _ in range(2):
+                bad = _mutated(rng, field, diffs, kind)
+                structured["pass" if _assert_matches_oracle(field, dims, bad)
+                           is None else "fail"] += 1
+    assert structured["fail"] >= 40 and structured["pass"] >= 19, structured
+    assert min(paths.values()) >= 100, paths
 
 
 def _accumulate(f, d, key, value):
