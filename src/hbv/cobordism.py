@@ -11,6 +11,10 @@ a cycle adds a handle, so the genus of a merged cluster grows by the cycle
 rank E - V + 1 of its gluing graph, and the Euler characteristic
 chi = 2k - 2g - p - q is additive under both compositions (asserted on
 every compose).
+
+A TQFT map (``TQFTMap``) is held as exact integer rows with one
+denominator, and evaluated, composed, tensored and compared in ints; its
+dense ``Matrix`` of field elements is made only when it is read.
 """
 
 from __future__ import annotations
@@ -20,27 +24,36 @@ from dataclasses import dataclass
 from itertools import product
 
 from .algebra import FDAlgebra, FrobeniusStructure, PreconditionError
-from .linalg import Matrix, kron
+from .linalg import (Matrix, _integer_view, _lowest_terms, _row_kron,
+                     _row_product, kron)
 
 
 class CobordismError(ValueError):
     pass
 
 
+def _count_error(n, what) -> CobordismError:
+    """The error for a port count or genus ``n`` that is not a nonnegative
+    int; a bool is not a count."""
+    if type(n) is not int:
+        return CobordismError(f"{what} {n!r} is not an integer")
+    return CobordismError(f"{what} {n!r} is negative")
+
+
 class Cobordism:
     __slots__ = ("p", "q", "components")
 
     def __init__(self, p: int, q: int, components):
-        if not (isinstance(p, int) and isinstance(q, int)):
-            raise CobordismError(f"port counts {p!r}, {q!r} are not integers")
+        if type(p) is not int or p < 0:
+            raise _count_error(p, "in-port count")
+        if type(q) is not int or q < 0:
+            raise _count_error(q, "out-port count")
         self.p = p
         self.q = q
         comps = []
         for genus, in_legs, out_legs in components:
-            if not isinstance(genus, int):
-                raise CobordismError(f"genus {genus!r} is not an integer")
-            if genus < 0:
-                raise CobordismError("negative genus")
+            if type(genus) is not int or genus < 0:
+                raise _count_error(genus, "genus")
             try:
                 comps.append((genus, tuple(sorted(in_legs)), tuple(sorted(out_legs))))
             except TypeError:  # legs not a list, or of mixed types
@@ -229,30 +242,51 @@ def preset_cobordism(name: str) -> Cobordism:
 
 
 class TQFTMap:
-    """A linear map A^{(x)p} -> A^{(x)q} attached to a cobordism evaluation."""
+    """A linear map A^{(x)p} -> A^{(x)q} attached to a cobordism evaluation,
+    held as exact integer rows with one denominator: ``rows[i]`` maps the
+    column j of each nonzero entry of row i to an int n, the entry being
+    n / c.  The form is normal: over F_p each n is reduced and c = 1, over
+    Q gcd(c, every n) = 1 (``_lowest_terms``).  So composition and tensor
+    products run on ints (``_row_product``, ``_row_kron``), and two maps are
+    equal iff their rows and c are.  ``matrix``, the dense ``Matrix`` of
+    field elements, is made on its first read."""
 
-    __slots__ = ("p", "q", "matrix")
+    __slots__ = ("field", "dim", "p", "q", "rows", "c", "_matrix")
 
-    def __init__(self, p, q, matrix: Matrix):
-        self.p = p
-        self.q = q
-        self.matrix = matrix
+    def __init__(self, field, dim, p, q, rows, c):
+        if c != 1:
+            rows, c = _lowest_terms(rows, c)
+        self.field, self.dim, self.p, self.q = field, dim, p, q
+        self.rows, self.c = rows, c
+        self._matrix = None
+
+    @property
+    def matrix(self) -> Matrix:
+        if self._matrix is None:
+            self._matrix = Matrix._from_int_rows(self.field, self.rows, self.c,
+                                                 self.dim ** self.p)
+        return self._matrix
 
     def compose(self, other: "TQFTMap") -> "TQFTMap":
         """other o self."""
         if self.q != other.p:
             raise CobordismError("TQFT map composition mismatch")
-        return TQFTMap(self.p, other.q, other.matrix * self.matrix)
+        return TQFTMap(self.field, self.dim, self.p, other.q,
+                       _row_product(other.rows, self.rows, self.field.char),
+                       self.c * other.c)
 
     def tensor(self, other: "TQFTMap") -> "TQFTMap":
-        return TQFTMap(self.p + other.p, self.q + other.q,
-                       kron(self.matrix, other.matrix))
+        return TQFTMap(self.field, self.dim, self.p + other.p, self.q + other.q,
+                       _row_kron(self.rows, other.rows, other.dim ** other.p,
+                                 self.field.char),
+                       self.c * other.c)
 
     def __eq__(self, other):
         return (
             isinstance(other, TQFTMap)
-            and (self.p, self.q) == (other.p, other.q)
-            and self.matrix == other.matrix
+            and (self.field, self.p, self.q, self.c)
+            == (other.field, other.p, other.q, other.c)
+            and self.rows == other.rows
         )
 
     def __repr__(self):
@@ -275,9 +309,11 @@ class FrobeniusTQFT:
     Frobenius form and the other two follow.  Noncommutative algebras and
     degenerate pairings are refused.
 
-    Component maps (per genus, in-legs, out-legs) and port index maps (per
+    Component maps (per genus, in-legs, out-legs), read once as integer
+    rows with one denominator (``_integer_view``), and port index maps (per
     slot permutation) are built on first use and kept on the instance, so
-    one instance serves many evaluations cheaply.
+    one instance serves many evaluations cheaply, each a ``TQFTMap`` of
+    integer rows.
     """
 
     def __init__(self, alg: FDAlgebra, frob: FrobeniusStructure,
@@ -289,8 +325,8 @@ class FrobeniusTQFT:
         self.alg = alg
         self.frob = frob
         self.strict = strict_positive_boundary
-        self._components = {}   # (genus, p, q) -> Matrix, never handed out
-        self._port_maps = {}    # sources -> [(index, sign)], never handed out
+        self._components = {}   # (genus, p, q) -> (rows, c), never handed out
+        self._port_maps = {}    # slots -> (indices, signs), never handed out
         # copairing gamma = sum C[i][j] e_i (x) e_j,  delta(a) = (a.e_i) (x) e_j
         self.copairing = frob.report.copairing
         self.mult = self._mult_matrix()
@@ -365,33 +401,45 @@ class FrobeniusTQFT:
         return cur
 
     def _component_matrix(self, genus: int, p_i: int, q_i: int) -> Matrix:
-        """The map of one connected component, cached per shape; callers
-        must not mutate it."""
-        key = (genus, p_i, q_i)
-        mat = self._components.get(key)
-        if mat is None:
-            mat = self._iterated_mult(p_i)
-            for _ in range(genus):
-                mat = self.handle * mat
-            mat = self._iterated_coproduct(q_i) * mat
-            self._components[key] = mat
-        return mat
+        """The map of one connected component: iterated product, handle
+        factors, iterated coproduct."""
+        mat = self._iterated_mult(p_i)
+        for _ in range(genus):
+            mat = self.handle * mat
+        return self._iterated_coproduct(q_i) * mat
 
-    def _port_map(self, sources: tuple) -> list:
-        """The signed permutation of A^{(x)width} (width = len(sources))
-        sending tensor slot t of the target to slot sources[t] of the source,
-        as a list over source indices of (target index, sign).  The Koszul
-        sign flips once per inverted pair of slots whose basis elements are
-        both of odd degree.  Cached per sources; callers must not mutate it."""
-        out = self._port_maps.get(sources)
+    def _component(self, genus: int, p_i: int, q_i: int):
+        """The map of one connected component as integer rows ``(rows, c)``
+        (``_integer_view``), cached per shape; callers must not mutate it."""
+        key = (genus, p_i, q_i)
+        view = self._components.get(key)
+        if view is None:
+            view = _integer_view(self._component_matrix(genus, p_i, q_i))
+            self._components[key] = view
+        return view
+
+    def _port_map(self, slots: tuple):
+        """The signed permutation of A^{(x)width} (width = len(slots)) from
+        the block of component maps, whose tensor slot k carries global port
+        ``slots[k]``, to the global ports 1..width, as two lists over block
+        indices: the global index and the sign.  The Koszul sign flips once
+        per inverted pair of slots whose basis elements are both of odd
+        degree.  Both ends of an evaluation use it: the map from the global
+        in-ports to the block is its inverse, and the inverse of a signed
+        slot permutation is the map of the inverse slot permutation, with
+        the same signs.  Cached per slots; callers must not mutate it."""
+        out = self._port_maps.get(slots)
         if out is None:
             m = self.alg.dim
             odd = [d % 2 for d in self.alg.degrees]
+            pos = {port: k for k, port in enumerate(slots)}
+            # global slot t carries block slot sources[t]
+            sources = [pos[j] for j in range(1, len(slots) + 1)]
             inversions = [(s, s2) for t, s in enumerate(sources)
                           for s2 in sources[t + 1:] if s2 < s]
-            out = []
+            targets, signs = [], []
             # digits run most significant first, as in the column index
-            for digits in product(range(m), repeat=len(sources)):
+            for digits in product(range(m), repeat=len(slots)):
                 row = 0
                 for s in sources:
                     row = row * m + digits[s]
@@ -399,8 +447,9 @@ class FrobeniusTQFT:
                 for s, s2 in inversions:
                     if odd[digits[s]] and odd[digits[s2]]:
                         sign = -sign
-                out.append((row, sign))
-            self._port_maps[sources] = out
+                targets.append(row)
+                signs.append(sign)
+            out = self._port_maps[slots] = (targets, signs)
         return out
 
     def evaluate(self, cob: Cobordism) -> TQFTMap:
@@ -408,50 +457,52 @@ class FrobeniusTQFT:
         handle factors, iterated coproduct; ports are wired by (signed)
         tensor permutations; closed components contribute scalar factors.
 
-        The permutations are applied as index maps: the columns of the
-        component block are gathered through the in-port map and its rows
-        scattered through the out-port map, so the result is built from
-        fresh rows and no dense permutation product is formed."""
+        All in integer rows: the open components' rows are multiplied out
+        by ``_row_kron``, the closed components' values fold into one int
+        factor and the denominator, and each row of the block is scattered
+        to its global row, each entry to its global column, through the
+        port maps, so no dense permutation product is formed."""
         f = self.alg.field
+        p = f.char
+        m = self.alg.dim
         if self.strict:
             for genus, ins, outs in cob.components:
                 if not ins or not outs:
                     raise PreconditionError(
                         "strict positive-boundary mode refuses closed-off components"
                     )
-        scalar = f.one
-        open_comps = []
+        block = None
+        scalar, c = 1, 1
+        in_slots, out_slots = [], []
         for genus, ins, outs in cob.components:
+            rows, cc = self._component(genus, len(ins), len(outs))
+            c *= cc
             if not ins and not outs:
                 # closed component: the 1x1 map counit(handle^genus(1))
-                value = self._component_matrix(genus, 0, 0).data[0][0]
-                scalar = f.mul(scalar, value)
+                scalar *= rows[0].get(0, 0)
             else:
-                open_comps.append((genus, ins, outs))
-        block = None
-        for genus, ins, outs in open_comps:
-            mat = self._component_matrix(genus, len(ins), len(outs))
-            block = mat if block is None else kron(block, mat)
+                block = rows if block is None else _row_kron(
+                    block, rows, m ** len(ins), p)
+                in_slots += ins
+                out_slots += outs
         if block is None:
-            return TQFTMap(cob.p, cob.q, Matrix._adopt(f, 1, 1, [[scalar]]))
-        # in: global input index -> (block column, sign)
-        in_slots = [i for _, ins, _ in open_comps for i in ins]
-        cols = self._port_map(tuple(port - 1 for port in in_slots))
-        # out: block row -> (global output index, sign); target global port
-        # j comes from block slot (position of j)
-        out_slots = [j for _, _, outs in open_comps for j in outs]
-        pos = {port: k for k, port in enumerate(out_slots)}
-        rows = self._port_map(tuple(pos[j] for j in range(1, cob.q + 1)))
-        neg = f.neg
-        data = [None] * len(rows)
-        # a zero is kept, not negated, so it stays the field's shared zero
-        for src, (r, s) in zip(block.data, rows):
-            data[r] = [src[c] if s == sc or not src[c] else neg(src[c])
-                       for c, sc in cols]
-        mat = Matrix._adopt(f, len(rows), len(cols), data)
-        if scalar != f.one:
-            mat = mat.scale(scalar)
-        return TQFTMap(cob.p, cob.q, mat)
+            block = [{0: 1}]   # the empty tensor product, a 1x1 identity
+        if p:
+            scalar %= p
+        if not scalar:
+            block = [{}] * len(block)
+        col_index, col_sign = self._port_map(tuple(in_slots))
+        row_index, row_sign = self._port_map(tuple(out_slots))
+        data = [None] * len(row_index)
+        for brow, r, s in zip(block, row_index, row_sign):
+            w = s * scalar
+            if p:
+                data[r] = {col_index[k]: v * w * col_sign[k] % p
+                           for k, v in brow.items()}
+            else:
+                data[r] = {col_index[k]: v * w * col_sign[k]
+                           for k, v in brow.items()}
+        return TQFTMap(f, m, cob.p, cob.q, data, c)
 
 
 def tqft_evaluate(alg: FDAlgebra, frob: FrobeniusStructure, cob: Cobordism,

@@ -2,14 +2,18 @@
 engines, and cohomology of cochain complexes.
 
 Two representations coexist.  ``Matrix`` is the dense row-major contract type
-used by all small structural computations (pairings, antipodes, TQFT maps).
-A structure map or linear system is built from its terms by
-``Matrix.from_terms``, which sums them with ``sum_terms``.  Products,
-matrix-vector products (``apply``) and Kronecker products run on integer
-views (``_integer_view``): each operand is read once as its nonzero
-entries, integers with one scale per matrix, so they cost one int
-operation per pair of nonzero entries that meet, and each nonzero result
-becomes a field element once.  ``SparseMatrix`` holds differentials of
+used by all small structural computations (pairings, antipodes, the
+structure maps of a TQFT).  A structure map or linear system is built from
+its terms by ``Matrix.from_terms``, which sums them with ``sum_terms``.
+Products, matrix-vector products (``apply``) and Kronecker products run on
+integer views (``_integer_view``): each operand is read once as integer
+rows, dicts of its nonzero entries with one scale per matrix, which
+``_row_product`` and ``_row_kron`` combine at one int operation per pair of
+nonzero entries that meet; each nonzero result becomes a field element
+once.  A TQFT map (``cobordism.TQFTMap``) stays in that form, integer rows
+with one denominator in lowest terms, through evaluation, composition,
+tensor products and comparison, and becomes a ``Matrix`` only when it is
+read.  ``SparseMatrix`` holds differentials of
 bar-type complexes, whose dimensions at the top truncation degree rule out
 dense storage; rank and kernel engines on it are exact over both Q and F_p.
 
@@ -168,6 +172,23 @@ class Matrix:
         return m
 
     @classmethod
+    def _from_int_rows(cls, field, rows, c, ncols):
+        """The matrix ``rows / c``: ``rows[i]`` maps column j of each nonzero
+        entry to an int, reduced over F_p (where ``c`` is 1).  Over Q each
+        entry becomes a Fraction, never an int, which a report renders
+        differently; every other entry is the field's shared ``zero``."""
+        to_field = (int if field.char else Fraction if c == 1
+                    else lambda n: Fraction(n, c))
+        z = field.zero
+        data = []
+        for row in rows:
+            out = [z] * ncols
+            for j, n in row.items():
+                out[j] = to_field(n)
+            data.append(out)
+        return cls._adopt(field, len(rows), ncols, data)
+
+    @classmethod
     def from_rows(cls, field, rows):
         nrows = len(rows)
         ncols = len(rows[0]) if rows else 0
@@ -223,9 +244,9 @@ class Matrix:
         )
 
     def __mul__(self, other):
-        """The product on integer views (``_integer_view``): plain int sums,
-        one multiply-add per pair of nonzero entries that meet, each nonzero
-        sum mapped into the field once."""
+        """The product on integer views (``_integer_view``) by ``_row_product``:
+        plain int sums, one multiply-add per pair of nonzero entries that
+        meet, each nonzero sum mapped into the field once."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.ncols != other.nrows:
@@ -233,16 +254,8 @@ class Matrix:
         f = self.field
         arows, ca = _integer_view(self)
         brows, cb = _integer_view(other)
-        to_field, z = _to_field(f, ca * cb), f.zero
-        n = other.ncols
-        data = []
-        for ra in arows:
-            acc = [0] * n
-            for k, x in ra:
-                for j, y in brows[k]:
-                    acc[j] += x * y
-            data.append([to_field(s) if s else z for s in acc])
-        return Matrix._adopt(f, self.nrows, n, data)
+        return Matrix._from_int_rows(f, _row_product(arows, brows, f.char),
+                                     ca * cb, other.ncols)
 
     def apply(self, vec):
         """Matrix times column vector (a list): the product with ``vec`` as a
@@ -264,65 +277,93 @@ class Matrix:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """The Kronecker product a (x) b: entry (i1*b.nrows + i2, j1*b.ncols + j2)
-    is a[i1][j1] * b[i2][j2].  Made on integer views, as ``Matrix.__mul__``:
-    one int product and one field element per pair of nonzero entries."""
+    is a[i1][j1] * b[i2][j2].  Made on integer views by ``_row_kron``, as
+    ``Matrix.__mul__``: one int product and one field element per pair of
+    nonzero entries."""
     f = a.field
     arows, ca = _integer_view(a)
     brows, cb = _integer_view(b)
-    to_field, z = _to_field(f, ca * cb), f.zero
-    bn = b.ncols
-    n = a.ncols * bn
-    data = []
-    for ra in arows:
-        for rb in brows:
-            orow = [z] * n
-            for j1, x in ra:
-                base = j1 * bn
-                for j2, y in rb:
-                    orow[base + j2] = to_field(x * y)
-            data.append(orow)
-    return Matrix._adopt(f, a.nrows * b.nrows, n, data)
+    return Matrix._from_int_rows(f, _row_kron(arows, brows, b.ncols, f.char),
+                                 ca * cb, a.ncols * b.ncols)
 
 
 def _integer_view(m: Matrix):
-    """``m`` read once as ``(rows, c)``: ``rows[i]`` lists ``(j, n)`` for each
-    nonzero ``m[i][j]``, with ``n`` an int and ``m = rows / c``.  Over Q,
-    ``c`` is the lcm of the denominators (``_denominator_lcm``) and ``n`` the
+    """``m`` read once as ``(rows, c)``: ``rows[i]`` maps j to an int ``n``
+    for each nonzero ``m[i][j]``, and ``m = rows / c``.  Over Q, ``c`` is
+    the lcm of the denominators (``_denominator_lcm``) and ``n`` the
     numerator times ``c`` over the denominator, both read in one call, so no
-    Fraction is made; over F_p ``c`` is 1 and ``n`` the entry itself.  A zero
-    is skipped by its value; the identity test against the field's shared
-    ``zero`` only saves reading it."""
+    Fraction is made; over F_p ``c`` is 1 and ``n`` the entry itself.  So
+    the view is in lowest terms (``_lowest_terms``).  A zero is skipped by
+    its value; the identity test against the field's shared ``zero`` only
+    saves reading it."""
     if m.field.char:
-        return [[(j, v) for j, v in enumerate(row) if v] for row in m.data], 1
+        return [{j: v for j, v in enumerate(row) if v} for row in m.data], 1
     z = m.field.zero
     rows, dens = [], []
     for row in m.data:
-        r = []
+        r = {}
         for j, v in enumerate(row):
             if v is not z:
                 n, d = v.as_integer_ratio()
                 if n:
-                    r.append((j, n))
+                    r[j] = n
                     if d != 1:
                         dens.append(d)
         rows.append(r)
     c = _denominator_lcm(dens)
     if c != 1:
-        rows = [[(j, n * (c // row[j].denominator)) for j, n in r]
+        rows = [{j: n * (c // row[j].denominator) for j, n in r.items()}
                 for r, row in zip(rows, m.data)]
     return rows, c
 
 
-def _to_field(f, c):
-    """The map from a nonzero int ``s`` to the element ``s / c`` of ``f``:
-    ``s % p`` over F_p (where ``c`` is 1), and a Fraction over Q, since a
-    stored Q entry is never an int (a report renders the two differently)."""
-    p = f.char
-    if p:
-        return p.__rmod__
-    if c == 1:
-        return Fraction
-    return lambda s: Fraction(s, c)
+def _row_product(arows, brows, p) -> list:
+    """The rows of the product of two matrices given as integer rows (dicts
+    ``column -> int``, as ``_integer_view`` reads them): plain int sums,
+    reduced mod ``p`` over F_p (``p`` = 0 over Q), zeros dropped.  A
+    product of views ``rows / c`` carries the product of their scales."""
+    out = []
+    for ra in arows:
+        acc: dict = {}
+        get = acc.get
+        for k, x in ra.items():
+            for j, y in brows[k].items():
+                acc[j] = get(j, 0) + x * y
+        if p:
+            out.append({j: r for j, s in acc.items() if (r := s % p)})
+        else:
+            out.append({j: s for j, s in acc.items() if s})
+    return out
+
+
+def _row_kron(arows, brows, bn, p) -> list:
+    """The rows of the Kronecker product of two matrices given as integer
+    rows, ``bn`` the number of columns of the second: one product per pair
+    of nonzero entries, reduced mod ``p`` over F_p, where it stays nonzero
+    as ``p`` is prime."""
+    out = []
+    for ra in arows:
+        pairs = [(j1 * bn, x) for j1, x in ra.items()]
+        for rb in brows:
+            if p:
+                out.append({base + j2: x * y % p for base, x in pairs
+                            for j2, y in rb.items()})
+            else:
+                out.append({base + j2: x * y for base, x in pairs
+                            for j2, y in rb.items()})
+    return out
+
+
+def _lowest_terms(rows, c):
+    """Integer rows ``rows / c`` over Q, ``c`` positive, as ``(rows, c)``
+    with gcd(c, every entry) = 1: the one form of each rational matrix, so
+    that two are equal iff their rows and ``c`` are."""
+    g = c
+    for row in rows:
+        g = gcd(g, *row.values())
+        if g == 1:
+            return rows, c
+    return [{j: n // g for j, n in row.items()} for row in rows], c // g
 
 
 def rref(m: Matrix):
@@ -886,7 +927,10 @@ class _CheckFactor:
     denominators, 1 unless an entry over Q is not an int), read in one pass
     over its rows: ``plus[j]`` and ``minus[j]`` list the rows of column j
     whose entry has balanced lift +1 and -1, ``other`` maps each column
-    holding any other entry to its ``(row, int)`` pairs."""
+    holding any other entry to its ``(row, int)`` pairs.  Over Q an entry 2
+    (-2) is listed twice in ``plus`` (``minus``), as the two unit terms it
+    sums, which keeps every sum the same; over F_p a stored 2 may be -1 or
+    1 + 1, so it stays in ``other``."""
 
     __slots__ = ("scale", "plus", "minus", "other")
 
@@ -910,6 +954,10 @@ class _CheckFactor:
                     plus[j].append(i)
                 elif v == minus_one:
                     minus[j].append(i)
+                elif v == 2 and not p:
+                    plus[j] += (i, i)
+                elif v == -2 and not p:
+                    minus[j] += (i, i)
                 else:
                     other.setdefault(j, []).append((i, v))
 

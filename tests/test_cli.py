@@ -444,9 +444,28 @@ def test_malformed_cobordism_file_is_input_error(capsys, tmp_path):
     (["tqft", "eval", "--group", "Z2", "--field", "Q", "--cobordism"], "cob.json",
      [{"in": 0, "out": 0, "components": []}],
      "cobordism file: the top level is malformed"),
+    # a port count or genus must be an int >= 0, and a bool is not one
+    (["tqft", "eval", "--group", "Z2", "--field", "Q", "--cobordism"], "cob.json",
+     {"in": -1, "out": 0, "components": []}, "in-port count -1 is negative"),
+    (["tqft", "eval", "--group", "Z2", "--field", "Q", "--cobordism"], "cob.json",
+     {"in": True, "out": 0, "components": []},
+     "in-port count True is not an integer"),
+    (["detline", "--cobordism"], "cob.json",
+     {"in": 1, "out": -2, "components": [{"in_legs": [1]}]},
+     "out-port count -2 is negative"),
+    (["detline", "--cobordism"], "cob.json",
+     {"in": 1, "out": 1,
+      "components": [{"genus": False, "in_legs": [1], "out_legs": [1]}]},
+     "genus False is not an integer"),
+    (["tqft", "eval", "--group", "Z2", "--field", "Q", "--cobordism"], "cob.json",
+     {"in": 1, "out": 1,
+      "components": [{"genus": -1, "in_legs": [1], "out_legs": [1]}]},
+     "genus -1 is negative"),
 ], ids=["group-table", "cobordism-legs", "group-list", "algebra-field-string",
         "algebra-basis-strings", "algebra-list", "detline-component-int",
-        "tqft-component-int", "detline-list", "tqft-list"])
+        "tqft-component-int", "detline-list", "tqft-list", "tqft-negative-in",
+        "tqft-bool-in", "detline-negative-out", "detline-bool-genus",
+        "tqft-negative-genus"])
 def test_malformed_group_and_legs_are_input_errors(capsys, tmp_path, argv, path,
                                                    obj, message):
     target = tmp_path / path

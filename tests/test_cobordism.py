@@ -3,6 +3,7 @@ import json
 import random
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -488,23 +489,25 @@ def signed_permutation(alg, sources, width):
 
 
 def dense_evaluate(T, cob):
-    """Reference evaluation of a cobordism without closed components: the
-    block of component maps between two dense signed permutations."""
+    """Reference evaluation: the block of component maps between two dense
+    signed permutations, scaled by the values of the closed components."""
     alg = T.alg
-    comps = cob.components
-    assert all(ins or outs for _, ins, outs in comps)
-    if not comps:
-        return Matrix.identity(alg.field, 1)
-    block = None
-    for genus, ins, outs in comps:
+    f = alg.field
+    block = Matrix.identity(f, 1)
+    scalar = f.one
+    in_slots, out_slots = [], []
+    for genus, ins, outs in cob.components:
         mat = T._component_matrix(genus, len(ins), len(outs))
-        block = mat if block is None else kron(block, mat)
-    in_slots = [i for _, ins, _ in comps for i in ins]
-    out_slots = [j for _, _, outs in comps for j in outs]
+        if ins or outs:
+            block = kron(block, mat)
+            in_slots += ins
+            out_slots += outs
+        else:
+            scalar = f.mul(scalar, mat.data[0][0])
     pin = signed_permutation(alg, [port - 1 for port in in_slots], cob.p)
     pos = {port: k for k, port in enumerate(out_slots)}
     pout = signed_permutation(alg, [pos[j] for j in range(1, cob.q + 1)], cob.q)
-    return pout * (block * pin)
+    return (pout * (block * pin)).scale(scalar)
 
 
 def test_koszul_wiring_matches_dense_reference():
@@ -524,6 +527,104 @@ def test_koszul_wiring_matches_dense_reference():
     twist = T.evaluate(preset_cobordism("twist")).matrix
     xx = 1 * 2 + 1   # x (x) x in the basis (1, x)
     assert twist.data[xx][xx] == -1
+
+
+def _row_tqft(name):
+    if name == "class S3/Q":
+        return FrobeniusTQFT(*class_algebra(preset("S3"), QQ))
+    if name.startswith("ext3/"):
+        alg = exterior_algebra([3], {"ext3/Q": QQ, "ext3/F3": GF(3)}[name])
+        return FrobeniusTQFT(alg, lie_pairing(alg))
+    group, field = {"Q[Z3]": ("Z3", QQ), "F3[Z4]": ("Z4", GF(3))}[name]
+    alg = group_algebra(preset(group), field)
+    return FrobeniusTQFT(alg, group_frobenius(alg))
+
+
+def with_closed(rng, cob):
+    """``cob``, and one time in three a closed component of genus 0..2."""
+    if rng.random() < 1 / 3:
+        return Cobordism(cob.p, cob.q,
+                         list(cob.components) + [(rng.randint(0, 2), [], [])])
+    return cob
+
+
+def assert_normal_form(tm):
+    """One int row per output index of nonzero entries in range; over F_p
+    reduced with c = 1, over Q with gcd(c, every entry) = 1."""
+    p = tm.field.char
+    assert len(tm.rows) == tm.dim ** tm.q
+    values = [n for row in tm.rows for n in row.values()]
+    assert all(0 <= j < tm.dim ** tm.p for row in tm.rows for j in row)
+    assert all(type(n) is int and n for n in values)
+    if p:
+        assert tm.c == 1 and all(0 < n < p for n in values)
+    else:
+        assert tm.c >= 1 and gcd(tm.c, *values) == 1
+
+
+# in-legs interleaved across components, so that the map from the global
+# in-ports to the components is not the identity and carries Koszul signs
+INTERLEAVED = [
+    Cobordism(3, 2, [(0, [1, 3], [2]), (0, [2], [1])]),
+    Cobordism(3, 1, [(1, [1, 3], [1]), (0, [2], [])]),
+    Cobordism(4, 2, [(0, [1, 4], [2]), (0, [2, 3], [1])]),
+    Cobordism(4, 3, [(1, [1, 3], [1, 3]), (0, [2, 4], [2])]),
+]
+
+
+@pytest.mark.parametrize("name", ["Q[Z3]", "F3[Z4]", "ext3/Q", "ext3/F3",
+                                  "class S3/Q"])
+def test_integer_rows_match_dense_route(name):
+    # evaluation, composition and tensor products on integer rows against
+    # products and Kronecker products of the dense reference matrices; the
+    # closed components' values fold into the rows and the denominator
+    T = _row_tqft(name)
+    for cob in INTERLEAVED:
+        assert_normal_form(T.evaluate(cob))
+        assert T.evaluate(cob).matrix == dense_evaluate(T, cob)
+    rng = random.Random(67)
+    denominators = set()
+    for _ in range(30):
+        p, q, r = (rng.randint(0, 2) for _ in range(3))
+        f = with_closed(rng, random_cobordism(rng, p, q, maxg=2))
+        g = with_closed(rng, random_cobordism(rng, q, r, maxg=1))
+        ef, eg = T.evaluate(f), T.evaluate(g)
+        df, dg = dense_evaluate(T, f), dense_evaluate(T, g)
+        for tm, want in ((ef, df), (eg, dg), (ef.compose(eg), dg * df),
+                         (ef.tensor(eg), kron(df, dg))):
+            assert_normal_form(tm)
+            assert tm.matrix == want
+            denominators.add(tm.c)
+        if not name.startswith("ext3/"):
+            # the exterior models' pairing is odd, and their evaluation is
+            # not functorial on every pair (a connected 2 -> 2 piece before
+            # a twist changes the map), so it is held to the dense route
+            assert ef.compose(eg) == T.evaluate(f.compose(g))
+            assert ef.tensor(eg) == T.evaluate(f.tensor(g))
+    assert (max(denominators) > 1) == (name == "class S3/Q"), denominators
+
+
+def test_equal_maps_with_a_denominator_compare_equal():
+    # the class algebra's maps carry c = 6 and its divisors: a pants
+    # decomposition multiplies the denominators of its layers, and only the
+    # normal form makes the result equal the direct evaluation
+    T = _row_tqft("class S3/Q")
+    assert T.evaluate(connected_cobordism(0, 0, 0)).c == 6
+    denominators = set()
+    for seed in range(20):
+        rng = random.Random(seed)
+        cob = with_closed(rng, random_cobordism(rng, rng.randint(1, 3),
+                                                rng.randint(1, 3), maxg=2))
+        ev = None
+        for layer in pants_decomposition(cob, rng):
+            piece = T.evaluate(layer)
+            denominators.add(piece.c)
+            ev = piece if ev is None else ev.compose(piece)
+        direct = T.evaluate(cob)
+        assert ev == direct
+        assert (ev.rows, ev.c) == (direct.rows, direct.c)
+        assert ev.matrix == direct.matrix
+    assert max(denominators) > 1, denominators
 
 
 def test_evaluate_keeps_the_shared_zero():

@@ -744,7 +744,7 @@ def _structured_complexes():
     N = 3
     out = []
     for source, field in (("Z3", GF(3)), ("S3", GF(2)), ("Z6", GF(3)),
-                          ("S3", QQ), ((3, 5), QQ)):
+                          ("Z6", QQ), ("S3", QQ), ((3, 5), QQ)):
         group = isinstance(source, str)
         alg = (group_algebra(preset(source), field) if group
                else exterior_algebra(list(source), field))
@@ -851,8 +851,11 @@ def test_square_zero_check_matches_column_oracle(monkeypatch):
     assert min(cases.values()) >= 20, cases
 
     structured = {"pass": 0, "fail": 0}
+    clean_paths = {}
     for label, field, dims, diffs in _structured_complexes():
+        before = dict(paths)
         assert _assert_matches_oracle(field, dims, diffs) is None, label
+        clean_paths[label, str(field)] = {k: paths[k] - before[k] for k in paths}
         structured["pass"] += 1
         kinds = ["drop"] + (["flip"] if field.char != 2 else []) \
             + (["two"] if field.char not in (2, 3) else [])
@@ -863,6 +866,14 @@ def test_square_zero_check_matches_column_oracle(monkeypatch):
                            is None else "fail"] += 1
     assert structured["fail"] >= 40 and structured["pass"] >= 19, structured
     assert min(paths.values()) >= 100, paths
+    # Z6's bar differentials store entries 2: over Q each joins the
+    # certificate as two unit terms, so every column clears; over F_3 a
+    # stored 2 is read as -1 and the 66 columns holding one are summed
+    for coeff in ("self", "dual"):
+        assert clean_paths[f"Z6 {coeff}", "Q"] == {
+            "certified": 186, "exact zero": 0, "exact nonzero": 0}
+        assert clean_paths[f"Z6 {coeff}", "F3"] == {
+            "certified": 120, "exact zero": 66, "exact nonzero": 0}
 
 
 def _accumulate(f, d, key, value):
