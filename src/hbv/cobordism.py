@@ -12,9 +12,10 @@ rank E - V + 1 of its gluing graph, and the Euler characteristic
 chi = 2k - 2g - p - q is additive under both compositions (asserted on
 every compose).
 
-A TQFT map (``TQFTMap``) is held as exact integer rows with one
-denominator, and evaluated, composed, tensored and compared in ints; its
-dense ``Matrix`` of field elements is made only when it is read.
+A TQFT map (``TQFTMap``), the structure maps of the Frobenius algebra
+included, is held as exact integer rows with one denominator, and
+evaluated, composed, tensored and compared in ints; its dense ``Matrix`` of
+field elements is made only when it is read.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import product
 
 from .algebra import FDAlgebra, FrobeniusStructure, PreconditionError
 from .linalg import (Matrix, _integer_view, _lowest_terms, _row_kron,
-                     _row_product, kron)
+                     _row_product)
 
 
 class CobordismError(ValueError):
@@ -248,8 +249,9 @@ class TQFTMap:
     n / c.  The form is normal: over F_p each n is reduced and c = 1, over
     Q gcd(c, every n) = 1 (``_lowest_terms``).  So composition and tensor
     products run on ints (``_row_product``, ``_row_kron``), and two maps are
-    equal iff their rows and c are.  ``matrix``, the dense ``Matrix`` of
-    field elements, is made on its first read."""
+    equal iff their algebras (field and dimension), rows and c are; maps
+    on different algebras are never composed or tensored.  ``matrix``, the
+    dense ``Matrix`` of field elements, is made on its first read."""
 
     __slots__ = ("field", "dim", "p", "q", "rows", "c", "_matrix")
 
@@ -267,8 +269,15 @@ class TQFTMap:
                                                  self.dim ** self.p)
         return self._matrix
 
+    def _check_algebra(self, other: "TQFTMap"):
+        if (self.field, self.dim) != (other.field, other.dim):
+            raise CobordismError(
+                f"TQFT maps on different algebras: dimension {self.dim} over "
+                f"{self.field} and dimension {other.dim} over {other.field}")
+
     def compose(self, other: "TQFTMap") -> "TQFTMap":
         """other o self."""
+        self._check_algebra(other)
         if self.q != other.p:
             raise CobordismError("TQFT map composition mismatch")
         return TQFTMap(self.field, self.dim, self.p, other.q,
@@ -276,6 +285,7 @@ class TQFTMap:
                        self.c * other.c)
 
     def tensor(self, other: "TQFTMap") -> "TQFTMap":
+        self._check_algebra(other)
         return TQFTMap(self.field, self.dim, self.p + other.p, self.q + other.q,
                        _row_kron(self.rows, other.rows, other.dim ** other.p,
                                  self.field.char),
@@ -284,8 +294,8 @@ class TQFTMap:
     def __eq__(self, other):
         return (
             isinstance(other, TQFTMap)
-            and (self.field, self.p, self.q, self.c)
-            == (other.field, other.p, other.q, other.c)
+            and (self.field, self.dim, self.p, self.q, self.c)
+            == (other.field, other.dim, other.p, other.q, other.c)
             and self.rows == other.rows
         )
 
@@ -298,10 +308,14 @@ class FrobeniusTQFT:
     Frobenius algebra: pants evaluate to the product, copants to the
     pairing-induced coproduct, genus to handle-element multiplication.
 
-    The coalgebra structure is derived from the pairing.  With gamma the
-    copairing (the inverse of the pairing matrix, as an element of A (x) A),
-    the coproduct is delta = (mu (x) 1)(1 (x) gamma), so delta(1) = gamma;
-    the counit is eps(a) = <a, 1>; the handle element is mu(delta(1)).
+    Every structure map is a ``TQFTMap``: ``ident``, ``mult``, ``unit``,
+    ``counit``, ``coproduct`` and ``handle``.  The product, unit and counit
+    are read once from their dense matrices (``_integer_view``); everything
+    else is built from them by ``TQFTMap.compose`` and ``tensor``, so no
+    dense product is formed.  With gamma the copairing (the inverse of the
+    pairing matrix, as an element of A (x) A), the coproduct is
+    delta = (mu (x) 1)(1 (x) gamma), so delta(1) = gamma; the counit is
+    eps(a) = <a, 1>; the handle is multiplication by mu(delta(1)).
     The counit identities (eps (x) 1) delta = 1 = (1 (x) eps) delta,
     coassociativity and the Frobenius relation
     delta mu = (mu (x) 1)(1 (x) delta) are asserted at construction, in that
@@ -309,11 +323,9 @@ class FrobeniusTQFT:
     Frobenius form and the other two follow.  Noncommutative algebras and
     degenerate pairings are refused.
 
-    Component maps (per genus, in-legs, out-legs), read once as integer
-    rows with one denominator (``_integer_view``), and port index maps (per
+    Component maps (per genus, in-legs, out-legs) and port index maps (per
     slot permutation) are built on first use and kept on the instance, so
-    one instance serves many evaluations cheaply, each a ``TQFTMap`` of
-    integer rows.
+    one instance serves many evaluations cheaply.
     """
 
     def __init__(self, alg: FDAlgebra, frob: FrobeniusStructure,
@@ -325,17 +337,26 @@ class FrobeniusTQFT:
         self.alg = alg
         self.frob = frob
         self.strict = strict_positive_boundary
-        self._components = {}   # (genus, p, q) -> (rows, c), never handed out
+        self._components = {}   # (genus, p, q) -> TQFTMap
         self._port_maps = {}    # slots -> (indices, signs), never handed out
-        # copairing gamma = sum C[i][j] e_i (x) e_j,  delta(a) = (a.e_i) (x) e_j
+        f, m = alg.field, alg.dim
         self.copairing = frob.report.copairing
-        self.mult = self._mult_matrix()
-        self.coproduct = self._coproduct_matrix()
-        self.unit_vec = list(alg.unit)
+        self.ident = TQFTMap(f, m, 1, 1, [{i: 1} for i in range(m)], 1)
+        self.mult = self._map(self._mult_matrix(), 2, 1)
+        self.unit = self._map(Matrix(f, m, 1, [[c] for c in alg.unit]), 0, 1)
         # counit(e_i) = <e_i, 1> = sum_j pairing[i][j] unit[j]
-        self.counit_vec = frob.pairing.apply(self.unit_vec)
-        self.handle = self._handle_matrix()
+        self.counit = self._map(Matrix.from_terms(f, 1, m, [
+            ((0, i), a * u) for i, row in enumerate(frob.pairing.data)
+            for a, u in zip(row, alg.unit)]), 1, 0)
+        self.coproduct = self._coproduct()
+        handle_element = self.unit.compose(self.coproduct).compose(self.mult)
+        self.handle = handle_element.tensor(self.ident).compose(self.mult)
         self._check_frobenius_axioms()
+
+    def _map(self, mat: Matrix, p: int, q: int) -> TQFTMap:
+        """The dense ``mat`` of a map A^{(x)p} -> A^{(x)q}, read once."""
+        rows, c = _integer_view(mat)
+        return TQFTMap(self.alg.field, self.alg.dim, p, q, rows, c)
 
     def _mult_matrix(self) -> Matrix:
         alg = self.alg
@@ -344,79 +365,45 @@ class FrobeniusTQFT:
             ((k, i * m + j), c)
             for (i, j), row in alg.mult.items() for k, c in row.items()])
 
-    def _coproduct_matrix(self) -> Matrix:
-        """(mu (x) 1)(1 (x) gamma), gamma the copairing as an m^2 x 1 column."""
-        f = self.alg.field
+    def _coproduct(self) -> TQFTMap:
+        """(mu (x) 1)(1 (x) gamma), gamma the copairing as a map A^0 -> A^2."""
         m = self.alg.dim
-        ident = Matrix.identity(f, m)
-        gamma = Matrix(f, m * m, 1, [[c] for row in self.copairing.data for c in row])
-        return kron(self.mult, ident) * kron(ident, gamma)
-
-    def _handle_matrix(self) -> Matrix:
-        """Left multiplication by the handle element mu(delta(1))."""
-        self.handle_vec = self.mult.apply(self.coproduct.apply(self.unit_vec))
-        return self.alg.left_mult_matrix(self.handle_vec)
+        column = [[c] for row in self.copairing.data for c in row]
+        gamma = self._map(Matrix(self.alg.field, m * m, 1, column), 0, 2)
+        return self.ident.tensor(gamma).compose(self.mult.tensor(self.ident))
 
     def _check_frobenius_axioms(self):
-        f = self.alg.field
-        ident = Matrix.identity(f, self.alg.dim)
-        dm = self.coproduct
+        ident, dm, mult = self.ident, self.coproduct, self.mult
         # counit axioms for the derived coproduct
-        eps = self._iterated_coproduct(0)
-        if kron(eps, ident) * dm != ident or kron(ident, eps) * dm != ident:
+        if (dm.compose(self.counit.tensor(ident)) != ident
+                or dm.compose(ident.tensor(self.counit)) != ident):
             raise PreconditionError("pairing-induced coproduct fails the counit axiom")
         # coassociativity
-        lhs = kron(dm, ident) * dm
-        rhs = kron(ident, dm) * dm
-        if lhs != rhs:
+        if dm.compose(dm.tensor(ident)) != dm.compose(ident.tensor(dm)):
             raise PreconditionError("pairing-induced coproduct is not coassociative")
         # Frobenius compatibility: delta o mu = (mu (x) id) o (id (x) delta)
-        lhs = dm * self.mult
-        rhs = kron(self.mult, ident) * kron(ident, dm)
-        if lhs != rhs:
+        if mult.compose(dm) != ident.tensor(dm).compose(mult.tensor(ident)):
             raise PreconditionError("Frobenius compatibility fails")
 
     # -- evaluation ---------------------------------------------------------------
 
-    def _iterated_mult(self, p: int) -> Matrix:
-        f = self.alg.field
-        m = self.alg.dim
-        if p == 0:
-            return Matrix(f, m, 1, [[c] for c in self.unit_vec])
-        ident = Matrix.identity(f, m)
-        cur = ident
-        for _ in range(p - 1):
-            cur = self.mult * kron(cur, ident)
-        return cur
-
-    def _iterated_coproduct(self, q: int) -> Matrix:
-        f = self.alg.field
-        m = self.alg.dim
-        if q == 0:
-            return Matrix(f, 1, m, [self.counit_vec])
-        ident = Matrix.identity(f, m)
-        cur = ident
-        for _ in range(q - 1):
-            cur = kron(cur, ident) * self.coproduct
-        return cur
-
-    def _component_matrix(self, genus: int, p_i: int, q_i: int) -> Matrix:
-        """The map of one connected component: iterated product, handle
-        factors, iterated coproduct."""
-        mat = self._iterated_mult(p_i)
-        for _ in range(genus):
-            mat = self.handle * mat
-        return self._iterated_coproduct(q_i) * mat
-
-    def _component(self, genus: int, p_i: int, q_i: int):
-        """The map of one connected component as integer rows ``(rows, c)``
-        (``_integer_view``), cached per shape; callers must not mutate it."""
+    def _component(self, genus: int, p_i: int, q_i: int) -> TQFTMap:
+        """The map of one connected component, cached per shape: iterated
+        product, handle factors, iterated coproduct.  Callers must not
+        mutate it."""
         key = (genus, p_i, q_i)
-        view = self._components.get(key)
-        if view is None:
-            view = _integer_view(self._component_matrix(genus, p_i, q_i))
-            self._components[key] = view
-        return view
+        tm = self._components.get(key)
+        if tm is None:
+            tm = self.unit if p_i == 0 else self.ident
+            for _ in range(p_i - 1):
+                tm = tm.tensor(self.ident).compose(self.mult)
+            for _ in range(genus):
+                tm = tm.compose(self.handle)
+            split = self.counit if q_i == 0 else self.ident
+            for _ in range(q_i - 1):
+                split = self.coproduct.compose(split.tensor(self.ident))
+            tm = self._components[key] = tm.compose(split)
+        return tm
 
     def _port_map(self, slots: tuple):
         """The signed permutation of A^{(x)width} (width = len(slots)) from
@@ -475,8 +462,9 @@ class FrobeniusTQFT:
         scalar, c = 1, 1
         in_slots, out_slots = [], []
         for genus, ins, outs in cob.components:
-            rows, cc = self._component(genus, len(ins), len(outs))
-            c *= cc
+            tm = self._component(genus, len(ins), len(outs))
+            rows = tm.rows
+            c *= tm.c
             if not ins and not outs:
                 # closed component: the 1x1 map counit(handle^genus(1))
                 scalar *= rows[0].get(0, 0)

@@ -2,20 +2,20 @@
 engines, and cohomology of cochain complexes.
 
 Two representations coexist.  ``Matrix`` is the dense row-major contract type
-used by all small structural computations (pairings, antipodes, the
-structure maps of a TQFT).  A structure map or linear system is built from
-its terms by ``Matrix.from_terms``, which sums them with ``sum_terms``.
-Products, matrix-vector products (``apply``) and Kronecker products run on
-integer views (``_integer_view``): each operand is read once as integer
-rows, dicts of its nonzero entries with one scale per matrix, which
-``_row_product`` and ``_row_kron`` combine at one int operation per pair of
-nonzero entries that meet; each nonzero result becomes a field element
-once.  A TQFT map (``cobordism.TQFTMap``) stays in that form, integer rows
-with one denominator in lowest terms, through evaluation, composition,
-tensor products and comparison, and becomes a ``Matrix`` only when it is
-read.  ``SparseMatrix`` holds differentials of
-bar-type complexes, whose dimensions at the top truncation degree rule out
-dense storage; rank and kernel engines on it are exact over both Q and F_p.
+of small structural computations (pairings, antipodes, the systems for the
+centre and the integrals) and of what reports print.  A structure map or
+linear system is built from its terms by ``Matrix.from_terms``, which sums
+them with ``sum_terms``.  Products and matrix-vector products (``apply``)
+run on integer views (``_integer_view``): each operand is read once as
+integer rows, dicts of its nonzero entries with one scale per matrix, which
+``_row_product`` combines at one int operation per pair of nonzero entries
+that meet; each nonzero result becomes a field element once.  A TQFT map
+(``cobordism.TQFTMap``) stays in that form, integer rows with one
+denominator in lowest terms, through evaluation, composition, tensor
+products (``_row_kron``) and comparison, and becomes a ``Matrix`` only when
+it is read.  ``SparseMatrix`` holds differentials of bar-type complexes,
+whose dimensions at the top truncation degree rule out dense storage; rank
+and kernel engines on it are exact over both Q and F_p.
 
 Arithmetic.  Over F_p every stored entry is a reduced int.  Over Q a
 ``Matrix`` entry, a cochain value and every vector the engines hand out
@@ -54,12 +54,17 @@ order, and the rows of a square or wide one.  Over F_2 it eliminates the
 rows, since a bitset costs its length.  The kernel path always eliminates
 rows.  The sparse kernel basis is one algorithm on every field (reduce the
 echelon, read the kernel off it, reduce again: ``_reduce_f2`` on bitsets,
-``_reduce`` on dict rows).  It equals, vector for vector, the one the dense
-leftmost-pivot ``rref`` gives, since the reduced kernel basis is unique,
-and its keys are in ascending order on every field.  ``EchelonStore``
-pivots on the smallest column, because the cohomology representatives it
-selects, and so every coordinate in a report, depend on that rule; over F_2
-it too keeps bitset rows, and hands vectors back with ascending keys.
+``_reduce`` on dict rows).  It equals, vector for vector, the basis a
+leftmost-pivot Gauss-Jordan elimination gives, since the reduced kernel
+basis is unique, and its keys are in ascending order on every field.  A
+dense ``Matrix`` has no elimination of its own: ``rank``, ``kernel_basis``,
+``inverse`` and ``determinant`` feed its rows to ``_echelon`` (the last two
+with one tag column per row, ``_tagged_echelon``); the tests keep a dense
+Gauss-Jordan as the independent oracle they are checked against.
+``EchelonStore`` pivots on the smallest column, because the cohomology
+representatives it selects, and so every coordinate in a report, depend on
+that rule; over F_2 it too keeps bitset rows, and hands vectors back with
+ascending keys.
 """
 
 from __future__ import annotations
@@ -218,9 +223,6 @@ class Matrix:
     def col(self, j):
         return [self.data[i][j] for i in range(self.nrows)]
 
-    def copy(self):
-        return Matrix(self.field, self.nrows, self.ncols, self.data)
-
     def transpose(self):
         return Matrix(
             self.field,
@@ -273,18 +275,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.field}, {self.nrows}x{self.ncols})"
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """The Kronecker product a (x) b: entry (i1*b.nrows + i2, j1*b.ncols + j2)
-    is a[i1][j1] * b[i2][j2].  Made on integer views by ``_row_kron``, as
-    ``Matrix.__mul__``: one int product and one field element per pair of
-    nonzero entries."""
-    f = a.field
-    arows, ca = _integer_view(a)
-    brows, cb = _integer_view(b)
-    return Matrix._from_int_rows(f, _row_kron(arows, brows, b.ncols, f.char),
-                                 ca * cb, a.ncols * b.ncols)
 
 
 def _integer_view(m: Matrix):
@@ -366,112 +356,68 @@ def _lowest_terms(rows, c):
     return [{j: n // g for j, n in row.items()} for row in rows], c // g
 
 
-def rref(m: Matrix):
-    """Reduced row echelon form.
-
-    Returns ``(echelon, pivot_cols, rank)``.  Pivots are found leftmost
-    column first, searching rows top to bottom, so the result is canonical.
-    """
-    f = m.field
-    e = m.copy()
-    pivots = []
-    r = 0
-    for c in range(e.ncols):
-        sel = None
-        for i in range(r, e.nrows):
-            if not f.is_zero(e.data[i][c]):
-                sel = i
-                break
-        if sel is None:
-            continue
-        if sel != r:
-            e.data[r], e.data[sel] = e.data[sel], e.data[r]
-        inv = f.inv(e.data[r][c])
-        if inv != f.one:
-            e.data[r] = [f.mul(inv, v) for v in e.data[r]]
-        for i in range(e.nrows):
-            if i == r:
-                continue
-            coef = e.data[i][c]
-            if f.is_zero(coef):
-                continue
-            row_r = e.data[r]
-            row_i = e.data[i]
-            for j in range(c, e.ncols):
-                if not f.is_zero(row_r[j]):
-                    row_i[j] = f.sub(row_i[j], f.mul(coef, row_r[j]))
-        pivots.append(c)
-        r += 1
-        if r == e.nrows:
-            break
-    return e, pivots, r
-
-
 def rank(m: Matrix) -> int:
-    return rref(m)[2]
+    """The pivot count of the max-column echelon (``_echelon``) of the rows."""
+    return len(_echelon(m.field, SparseMatrix.from_matrix(m).rows))
 
 
 def kernel_basis(m: Matrix):
     """Basis of the null space, one vector per free column, in increasing
-    free-column order (deterministic)."""
-    f = m.field
-    e, pivots, _ = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
-    out = []
-    for c in free:
-        v = [f.zero] * m.ncols
-        v[c] = f.one
-        for r, pc in enumerate(pivots):
-            coef = e.data[r][c]
-            if not f.is_zero(coef):
-                v[pc] = f.neg(coef)
-        out.append(v)
-    return out
+    free-column order: ``sparse_kernel_basis`` written out as dense lists,
+    every other entry the field's shared ``zero``."""
+    z = m.field.zero
+    return [[vec.get(c, z) for c in range(m.ncols)]
+            for vec in sparse_kernel_basis(SparseMatrix.from_matrix(m))]
+
+
+def _tagged_echelon(m: Matrix, what: str):
+    """``(n, ech)``: the max-column echelon (``_echelon``) of the rows
+    (e_i | m_i) of the n x n matrix ``m``, tags in columns 0..n-1 and ``m``
+    in n..2n-1, input rows in order.  Each stored row is a combination of
+    input rows, so its tag part t and its ``m`` part u satisfy t m = u, and
+    a pivot in a tag column (u = 0) means ``m`` is singular."""
+    if m.nrows != m.ncols:
+        raise LinalgError(f"{what} of non-square matrix")
+    n = m.nrows
+    one = m.field.one
+    rows = [{i: one} | {n + j: v for j, v in enumerate(row) if v}
+            for i, row in enumerate(m.data)]
+    return n, _echelon(m.field, rows)
 
 
 def determinant(m: Matrix):
-    """Determinant by fraction-free-ish elimination with row-swap tracking."""
-    if m.nrows != m.ncols:
-        raise LinalgError("determinant of non-square matrix")
+    """det m from the tagged echelon (``_tagged_echelon``), unreduced.  Row
+    i is reduced by earlier rows only, so the tag parts form a lower
+    triangular T whose diagonal entry i is 1/lead_i, lead_i being the
+    row's pivot entry while its tag-i coefficient was 1.  T m holds the
+    ``m`` parts, unit lower triangular once sorted by pivot, so
+    det m = sign(pi) prod lead_i, pi sending row i to its pivot column."""
+    n, ech = _tagged_echelon(m, "determinant")
     f = m.field
-    e = m.copy()
-    n = m.nrows
     det = f.one
-    for c in range(n):
-        sel = None
-        for i in range(c, n):
-            if not f.is_zero(e.data[i][c]):
-                sel = i
-                break
-        if sel is None:
+    pi = [0] * n
+    for pc, row in ech.items():
+        if pc < n:
             return f.zero
-        if sel != c:
-            e.data[c], e.data[sel] = e.data[sel], e.data[c]
-            det = f.neg(det)
-        piv = e.data[c][c]
-        det = f.mul(det, piv)
-        inv = f.inv(piv)
-        for i in range(c + 1, n):
-            coef = f.mul(e.data[i][c], inv)
-            if f.is_zero(coef):
-                continue
-            for j in range(c, n):
-                e.data[i][j] = f.sub(e.data[i][j], f.mul(coef, e.data[c][j]))
+        i = max(c for c in row if c < n)
+        pi[i] = pc - n
+        det = f.mul(det, f.inv(row[i]))
+    if sum(pi[i] > pi[j] for i in range(n) for j in range(i + 1, n)) % 2:
+        det = f.neg(det)
     return det
 
 
 def inverse(m: Matrix) -> Matrix:
-    if m.nrows != m.ncols:
-        raise LinalgError("inverse of non-square matrix")
-    f = m.field
-    n = m.nrows
-    ident = Matrix.identity(f, n)
-    aug = Matrix(f, n, 2 * n, [list(m.data[i]) + ident.data[i] for i in range(n)])
-    e, pivots, r = rref(aug)
-    if r < n or pivots != list(range(n)):
+    """m^{-1} from the tagged echelon (``_tagged_echelon``), reduced: with
+    every pivot in an ``m`` column, the row with pivot n + k is
+    (row k of m^{-1} | e_k)."""
+    n, ech = _tagged_echelon(m, "inverse")
+    if min(ech, default=n) < n:
         raise LinalgError("matrix is singular")
-    return Matrix(f, n, n, [row[n:] for row in e.data])
+    f = m.field
+    ech = _reduce(f, ech)
+    return Matrix._adopt(f, n, n, [[ech[n + k].get(c, f.zero)
+                                    for c in range(n)] for k in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -790,9 +736,9 @@ def sparse_rank(sm: SparseMatrix) -> int:
 
 
 def sparse_kernel_basis(sm: SparseMatrix):
-    """Kernel basis as sparse dicts, one per free column in increasing order;
-    identical vector-for-vector to ``kernel_basis`` on the dense form, with
-    ascending keys on every field.
+    """Kernel basis as sparse dicts, one per free column in increasing order,
+    with ascending keys on every field; ``kernel_basis`` writes it out for a
+    dense ``Matrix``.
 
     The canonical (leftmost-pivot RREF) kernel basis is computed without the
     slow leftmost elimination, by one algorithm on every field: the

@@ -32,7 +32,9 @@ from hbv.cobordism import (
     tqft_evaluate,
     twist_coeff,
 )
-from hbv.linalg import Matrix, determinant, kron
+from hbv.linalg import Matrix, determinant
+
+from dense_oracle import kron
 
 
 def random_cobordism(rng, p, q, maxg=2):
@@ -217,7 +219,7 @@ def test_cylinder_evaluates_to_identity(qz3):
 def test_pants_evaluates_to_multiplication(qz3):
     alg, frob = qz3
     T = FrobeniusTQFT(alg, frob)
-    assert T.evaluate(preset_cobordism("pants")).matrix == T.mult
+    assert T.evaluate(preset_cobordism("pants")) == T.mult
 
 
 def test_genus_multiplies_by_group_order(qz3):
@@ -441,7 +443,8 @@ def test_substituted_coproduct_messages(monkeypatch, group, columns, message):
     alg = group_algebra(preset(group), QQ)
     delta = Matrix(QQ, len(columns), len(columns[0]),
                    [[Fraction(c) for c in row] for row in columns])
-    monkeypatch.setattr(FrobeniusTQFT, "_coproduct_matrix", lambda self: delta)
+    monkeypatch.setattr(FrobeniusTQFT, "_coproduct",
+                        lambda self: self._map(delta, 1, 2))
     with pytest.raises(PreconditionError) as err:
         FrobeniusTQFT(alg, group_frobenius(alg))
     assert type(err.value) is PreconditionError
@@ -488,16 +491,43 @@ def signed_permutation(alg, sources, width):
     return out
 
 
+def dense_component(T, genus, p, q):
+    """Reference map of one connected component: iterated product, handle
+    factors and iterated coproduct, as products and Kronecker products of
+    dense structure matrices built from the algebra and its pairing alone,
+    so that no ``TQFTMap`` operation enters."""
+    alg = T.alg
+    f, m = alg.field, alg.dim
+    ident = Matrix.identity(f, m)
+    mult = T._mult_matrix()
+    gamma = Matrix(f, m * m, 1, [[c] for row in T.frob.report.copairing.data
+                                 for c in row])
+    coproduct = kron(mult, ident) * kron(ident, gamma)
+    unit = Matrix(f, m, 1, [[c] for c in alg.unit])
+    counit = Matrix(f, 1, m, [T.frob.pairing.apply(alg.unit)])
+    handle = alg.left_mult_matrix(mult.apply(coproduct.apply(list(alg.unit))))
+    mat = unit if p == 0 else ident
+    for _ in range(p - 1):
+        mat = mult * kron(mat, ident)
+    for _ in range(genus):
+        mat = handle * mat
+    split = counit if q == 0 else ident
+    for _ in range(q - 1):
+        split = kron(split, ident) * coproduct
+    return split * mat
+
+
 def dense_evaluate(T, cob):
-    """Reference evaluation: the block of component maps between two dense
-    signed permutations, scaled by the values of the closed components."""
+    """Reference evaluation: the block of dense component maps between two
+    dense signed permutations, scaled by the values of the closed
+    components."""
     alg = T.alg
     f = alg.field
     block = Matrix.identity(f, 1)
     scalar = f.one
     in_slots, out_slots = [], []
     for genus, ins, outs in cob.components:
-        mat = T._component_matrix(genus, len(ins), len(outs))
+        mat = dense_component(T, genus, len(ins), len(outs))
         if ins or outs:
             block = kron(block, mat)
             in_slots += ins
@@ -625,6 +655,35 @@ def test_equal_maps_with_a_denominator_compare_equal():
         assert (ev.rows, ev.c) == (direct.rows, direct.c)
         assert ev.matrix == direct.matrix
     assert max(denominators) > 1, denominators
+
+
+def _group_tqft(group, field):
+    alg = group_algebra(preset(group), field)
+    return FrobeniusTQFT(alg, group_frobenius(alg))
+
+
+def test_maps_on_different_algebras_never_mix():
+    # cap_in is the row (1, 0, ...) on every group algebra, so only the
+    # dimension and the field tell these maps apart
+    z2, z3, f3z3 = (_group_tqft("Z2", QQ), _group_tqft("Z3", QQ),
+                    _group_tqft("Z3", GF(3)))
+    cap_in, cap_out = preset_cobordism("cap_in"), preset_cobordism("cap_out")
+    assert z2.evaluate(cap_in).rows == z3.evaluate(cap_in).rows
+    assert z2.evaluate(cap_in) != z3.evaluate(cap_in)
+    assert z3.evaluate(cap_in) != f3z3.evaluate(cap_in)
+    assert z3.evaluate(cap_in) == _group_tqft("Z3", QQ).evaluate(cap_in)
+    for a, b in ((z2, z3), (z3, z2), (f3z3, z3), (z3, f3z3)):
+        out, into = a.evaluate(cap_out), b.evaluate(cap_in)
+        for op in (out.compose, out.tensor):
+            with pytest.raises(CobordismError) as err:
+                op(into)
+            assert str(err.value).startswith("TQFT maps on different algebras")
+    with pytest.raises(CobordismError, match="dimension 2 over Q and "
+                                             "dimension 3 over Q"):
+        z2.evaluate(cap_out).compose(z3.evaluate(cap_in))
+    with pytest.raises(CobordismError, match="dimension 3 over F3 and "
+                                             "dimension 3 over Q"):
+        f3z3.mult.tensor(z3.mult)
 
 
 def test_evaluate_keeps_the_shared_zero():

@@ -17,14 +17,14 @@ from hbv.linalg import (
     determinant,
     inverse,
     kernel_basis,
-    kron,
     rank,
-    rref,
     sparse_kernel_basis,
     sparse_rank,
     sum_terms,
 )
-from hbv.linalg import _echelon, _reduce
+from hbv.linalg import _echelon, _integer_view, _reduce, _row_kron
+
+import dense_oracle as oracle
 
 
 def M(field, rows):
@@ -42,22 +42,22 @@ def test_field_parsing():
     assert GF(7).parse("3/2") == (3 * pow(2, -1, 7)) % 7
 
 
-# -- rref ---------------------------------------------------------------------
+# -- the dense oracle's rref ------------------------------------------------
 
 def test_rref_identity():
-    e, pivots, r = rref(Matrix.identity(QQ, 2))
+    e, pivots, r = oracle.rref(Matrix.identity(QQ, 2))
     assert e == Matrix.identity(QQ, 2)
     assert pivots == [0, 1] and r == 2
 
 
 def test_rref_zero():
-    e, pivots, r = rref(Matrix(QQ, 3, 2))
+    e, pivots, r = oracle.rref(Matrix(QQ, 3, 2))
     assert e.is_zero() and pivots == [] and r == 0
 
 
 def test_rref_rank_one():
     # [[2,4],[1,2]] over Q -> [[1,2],[0,0]], pivots [0], rank 1
-    e, pivots, r = rref(M(QQ, [["2", "4"], ["1", "2"]]))
+    e, pivots, r = oracle.rref(M(QQ, [["2", "4"], ["1", "2"]]))
     assert e == M(QQ, [["1", "2"], ["0", "0"]])
     assert pivots == [0] and r == 1
 
@@ -72,8 +72,8 @@ def test_rref_idempotent():
                 [[field.of_int(rng.randint(-3, 3)) for _ in range(nc)]
                  for _ in range(nr)],
             )
-            e1, p1, r1 = rref(m)
-            e2, p2, r2 = rref(e1)
+            e1, p1, r1 = oracle.rref(m)
+            e2, p2, r2 = oracle.rref(e1)
             assert (e1, p1, r1) == (e2, p2, r2)
 
 
@@ -121,6 +121,55 @@ def test_determinant():
     assert determinant(M(QQ, [["2", "0"], ["0", "3"]])) == Fraction(6)
     assert determinant(M(QQ, [["0", "1"], ["1", "0"]])) == Fraction(-1)
     assert determinant(M(QQ, [["1", "2"], ["2", "4"]])) == 0
+
+
+def _typed(value):
+    """A result with every entry paired with its type: ints, Fractions and
+    lists of them, or a ``Matrix``'s rows."""
+    if isinstance(value, Matrix):
+        value = value.data
+    if isinstance(value, list):
+        return [_typed(v) for v in value]
+    return type(value), value
+
+
+def _outcome(fn, m):
+    try:
+        return _typed(fn(m))
+    except LinalgError as err:
+        return str(err)
+
+
+def test_dense_functions_match_the_oracle():
+    # rank, kernel_basis, inverse and determinant run on the max-column
+    # echelon; the oracle is Gauss-Jordan on dense rows.  Square matrices
+    # half the time, one in three made singular by a repeated row, and
+    # empty shapes included
+    rng = random.Random(97)
+    entries = {QQ: [Fraction(0)] * 4 + [Fraction(a, b) for a in (-2, -1, 1, 3)
+                                        for b in (1, 1, 2, 3)]}
+    pairs = [(rank, oracle.rank), (kernel_basis, oracle.kernel_basis),
+             (inverse, oracle.inverse), (determinant, oracle.determinant)]
+    messages = set()
+    for field in (QQ, GF(2), GF(3), GF(5)):
+        drawn = entries.get(field) or [field.of_int(v) for v in (0, 0, 0, 1, -1, 2)]
+        shapes = [(0, 0), (0, 3), (3, 0), (1, 1)]
+        shapes += [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(150)]
+        for nr, nc in shapes:
+            if nc != nr and rng.random() < 0.5:
+                nc = nr
+            data = [[rng.choice(drawn) for _ in range(nc)] for _ in range(nr)]
+            if nr > 1 and rng.random() < 1 / 3:
+                data[-1] = list(data[0])
+            m = Matrix(field, nr, nc, data)
+            for fn, reference in pairs:
+                got = _outcome(fn, m)
+                assert got == _outcome(reference, m), (fn.__name__, field, data)
+                if type(got) is str:
+                    messages.add(got)
+            assert m.data == data
+    assert messages == {"matrix is singular", "inverse of non-square matrix",
+                        "determinant of non-square matrix"}
 
 
 def random_sparse(rng, field, nrows, ncols, entry=None):
@@ -199,6 +248,16 @@ def test_product_matches_triple_loop():
         Matrix(QQ, 2, 3) * Matrix(QQ, 2, 3)
 
 
+def row_kron(a, b):
+    """a (x) b on integer views (``_row_kron``), as ``TQFTMap.tensor``
+    makes it."""
+    f = a.field
+    arows, ca = _integer_view(a)
+    brows, cb = _integer_view(b)
+    return Matrix._from_int_rows(f, _row_kron(arows, brows, b.ncols, f.char),
+                                 ca * cb, a.ncols * b.ncols)
+
+
 def test_kron_entries():
     rng = random.Random(31)
     shapes = [((0, 2), (2, 3)), ((2, 0), (3, 2)), ((2, 3), (0, 2)),
@@ -211,7 +270,7 @@ def test_kron_entries():
             a = random_sparse(rng, field, n1, m1, entry)
             b = random_sparse(rng, field, n2, m2, entry)
             snapshots = [[list(r) for r in x.data] for x in (a, b)]
-            k = kron(a, b)
+            k = row_kron(a, b)
             assert (k.nrows, k.ncols) == (a.nrows * b.nrows, a.ncols * b.ncols)
             for i1 in range(a.nrows):
                 for j1 in range(a.ncols):
@@ -240,7 +299,7 @@ def assert_kernels_agree(sm):
     in value and type."""
     field = sm.field
     rows = [list(r.items()) for r in sm.rows]
-    dense_k = kernel_basis(_dense(sm))
+    dense_k = oracle.kernel_basis(_dense(sm))
     sparse_k = sparse_kernel_basis(sm)
     assert [list(r.items()) for r in sm.rows] == rows
     assert len(dense_k) == len(sparse_k)
@@ -341,7 +400,7 @@ def test_sparse_matches_dense():
             nr, nc = rng.randint(1, 6), rng.randint(1, 6)
             m = Matrix.from_rows(field, _random_rows(rng, field, nr, nc))
             sm = SparseMatrix.from_matrix(m)
-            assert sparse_rank(sm) == rank(m)
+            assert sparse_rank(sm) == oracle.rank(m)
             assert_kernels_agree(sm)
     # blocks sharing no column, interleaved: the rank is the sum of theirs
     for field in (QQ, GF(2), GF(3)):
@@ -351,7 +410,8 @@ def test_sparse_matches_dense():
                       for _ in range(rng.randint(2, 4))]
             m = _interleaved_block_diagonal(field, [b.data for b in blocks])
             sm = SparseMatrix.from_matrix(m)
-            assert sparse_rank(sm) == rank(m) == sum(rank(b) for b in blocks)
+            assert sparse_rank(sm) == oracle.rank(m) == sum(
+                oracle.rank(b) for b in blocks)
             assert_kernels_agree(sm)
 
 
@@ -382,7 +442,7 @@ def test_reduce_matches_rref_of_reversed_columns():
             reduced += sum(c != pc and c in ech
                            for pc, row in ech.items() for c in row)
             got = _reduce(field, ech)
-            e, pivots, r = rref(Matrix.from_rows(field, [row[::-1] for row in data]))
+            e, pivots, r = oracle.rref(Matrix.from_rows(field, [row[::-1] for row in data]))
             want = {nc - 1 - pc: {nc - 1 - j: v for j, v in enumerate(e.data[k])
                                   if not field.is_zero(v)}
                     for k, pc in enumerate(pivots)}
@@ -596,7 +656,7 @@ def test_rank_q_unit_and_nonunit_pivots():
             rows.append([sum((c * g[j] for c, g in zip(coefs, gens)), Fraction(0))
                          for j in range(nc)])
         m = Matrix.from_rows(QQ, rows)
-        assert sparse_rank(SparseMatrix.from_matrix(m)) == rank(m)
+        assert sparse_rank(SparseMatrix.from_matrix(m)) == oracle.rank(m)
 
 
 def _low_rank(rng, field, nr, nc):
@@ -643,7 +703,7 @@ def test_sparse_rank_eliminates_the_smaller_side(monkeypatch):
                 t = SparseMatrix.from_matrix(m.transpose())
                 rows = [list(r.items()) for r in sm.rows]
                 fed.clear()
-                assert sparse_rank(sm) == sparse_rank(t) == rank(m)
+                assert sparse_rank(sm) == sparse_rank(t) == oracle.rank(m)
                 assert fed == ([nr, nc] if field.char == 2 else [min(nr, nc)] * 2)
                 assert [list(r.items()) for r in sm.rows] == rows
 

@@ -43,7 +43,28 @@ def test_traced_names_resolve():
 def test_unresolved_finds_a_renamed_target():
     entries = [("hbv.linalg", "Matrix.__mul__", "a"),
                ("hbv.linalg", "Matrix.no_such_method", "b"),
-               ("hbv.linalg", "kron", "c"),
+               ("hbv.linalg", "kernel_basis", "c"),
                ("hbv.linalg", "no_such_function", "d"),
                ("hbv.linalg", "NoSuchClass.__init__", "e")]
     assert [tag for _, _, tag in unresolved(entries)] == ["b", "d", "e"]
+
+
+def test_dense_functions_stay_off_the_traced_rank(monkeypatch):
+    # the tracer appends every result of the public ``sparse_rank`` to the
+    # fingerprint, and ``connes_maps`` calls ``rank`` for its Connes-
+    # sequence identities: a dense function that reached ``sparse_rank``
+    # would add entries the reference does not have
+    from hbv import linalg
+    from hbv.fields import GF, QQ
+
+    def refuse(sm):
+        raise AssertionError("sparse_rank called")
+
+    monkeypatch.setattr(linalg, "sparse_rank", refuse)
+    for field in (QQ, GF(2), GF(3)):
+        one, two = field.of_int(1), field.of_int(2)
+        m = linalg.Matrix(field, 2, 2, [[one, two], [field.zero, one]])
+        assert linalg.rank(m) == 2
+        assert linalg.kernel_basis(m) == []
+        assert linalg.inverse(m) * m == linalg.Matrix.identity(field, 2)
+        assert linalg.determinant(m) == one
