@@ -816,7 +816,11 @@ def algebra_from_json(obj: dict) -> FDAlgebra:
             raise AlgebraError(f"unknown field tag {ftag!r}")
         part = "'basis'"
         names = [b["name"] for b in obj["basis"]]
-        degrees = [int(b.get("degree", 0)) for b in obj["basis"]]
+        degrees = [b.get("degree", 0) for b in obj["basis"]]
+        for name, d in zip(names, degrees):
+            if type(d) is not int:  # a bool or a float is not a degree
+                raise AlgebraError(
+                    f"basis element {name!r} has degree {d!r}, not an integer")
         part = "'mult'"
         mult: dict = {}
         for i, j, k, c in _entries(obj, "mult"):

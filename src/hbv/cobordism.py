@@ -51,18 +51,27 @@ class Cobordism:
             raise _count_error(q, "out-port count")
         self.p = p
         self.q = q
-        comps = []
+        comps, ins, outs = [], [], []
         for genus, in_legs, out_legs in components:
             if type(genus) is not int or genus < 0:
                 raise _count_error(genus, "genus")
             try:
-                comps.append((genus, tuple(sorted(in_legs)), tuple(sorted(out_legs))))
+                a, b = sorted(in_legs), sorted(out_legs)
             except TypeError:  # legs not a list, or of mixed types
                 raise CobordismError(
                     f"legs {in_legs!r}, {out_legs!r} are not lists of integers"
                 ) from None
+            comps.append((genus, tuple(a), tuple(b)))
+            ins += a
+            outs += b
+        # a bool or an integral float would pass the partition test as a port
+        if not {int}.issuperset(map(type, ins + outs)):
+            raise CobordismError(f"legs {ins}, {outs} are not lists of integers")
+        if sorted(ins) != list(range(1, p + 1)):
+            raise CobordismError(f"in-legs {sorted(ins)} do not partition 1..{p}")
+        if sorted(outs) != list(range(1, q + 1)):
+            raise CobordismError(f"out-legs {sorted(outs)} do not partition 1..{q}")
         self.components = tuple(sorted(comps, key=self._component_key))
-        self._validate()
 
     @staticmethod
     def _component_key(comp):
@@ -70,14 +79,6 @@ class Cobordism:
         # the leading port, in-ports before out-ports; the legs are sorted
         lead = (0, in_legs[0]) if in_legs else (1, out_legs[0]) if out_legs else (2, 0)
         return (lead, genus, in_legs, out_legs)
-
-    def _validate(self):
-        ins = [i for _, in_legs, _ in self.components for i in in_legs]
-        outs = [j for _, _, out_legs in self.components for j in out_legs]
-        if sorted(ins) != list(range(1, self.p + 1)):
-            raise CobordismError(f"in-legs {sorted(ins)} do not partition 1..{self.p}")
-        if sorted(outs) != list(range(1, self.q + 1)):
-            raise CobordismError(f"out-legs {sorted(outs)} do not partition 1..{self.q}")
 
     # -- invariants -----------------------------------------------------------
 

@@ -62,7 +62,7 @@ class RationalField:
         return a == 0
 
     def parse(self, s) -> Fraction:
-        if isinstance(s, (int, Fraction)):
+        if isinstance(s, (int, Fraction)) and type(s) is not bool:
             return Fraction(s)
         if isinstance(s, str):
             try:
@@ -126,7 +126,7 @@ class PrimeField:
         return a % self.p == 0
 
     def parse(self, s) -> int:
-        if isinstance(s, int):
+        if isinstance(s, int) and type(s) is not bool:
             return s % self.p
         if isinstance(s, str):
             if "/" in s:

@@ -28,12 +28,13 @@ only where it is not.  Differentials are built (``sum_terms`` into
 ``operator_ring``) and checked (``Complex``) by the same code for F_2, F_p
 and Q: plain sums of exact representatives, mapped into the ring as each
 entry is stored, or tested once per product column.  The ``d o d = 0``
-check and the rank read the same integer entries of a differential,
-integral rows as they are: the rank as one integer column view,
-``_transpose``, the check as per-column key lists (``_CheckFactor``).  A
-view of anything holding a Fraction, dense or sparse, scales by the lcm of
-the denominators (``_denominator_lcm``) and reads numerators, so no
-Fraction is made until a result leaves the engine.
+check and the rank read the same integer entries of a differential: the
+rank as integer rows or columns (``_transpose``), the check as per-column
+key lists (``_CheckFactor``).  One reader, ``_integer_rows``, turns exact
+rationals into ints for every engine, dense or sparse: rows of ints are
+taken as they are, and rows holding a Fraction are scaled by the lcm of
+their denominators, so no Fraction is made until a result leaves the
+engine.
 
 The ``d o d = 0`` check (``Complex``).  Each column of d^{n+1} d^n first
 tries a certificate that can only accept: its terms, read as balanced
@@ -46,17 +47,17 @@ Elimination.  One forward echelon per arithmetic, pivoting on the largest
 index (empirically near fill-free on bar differentials), serves both rank
 and kernel: ``_echelon_f2`` on bitsets (ints) over F_2, ``_echelon_fp``
 over F_p and the fraction-free ``_echelon_q`` over Q, which takes integer
-vectors; ``_integer_vectors`` scales Q vectors to them by reading
-numerators.  ``sparse_rank`` eliminates the side with fewer vectors
-(LaMacchia-Odlyzko): over F_p and Q the columns of a tall matrix, so of
-every bar differential, built once as integer vectors and fed in ascending
-order, and the rows of a square or wide one.  Over F_2 it eliminates the
-rows, since a bitset costs its length.  The kernel path always eliminates
-rows.  The sparse kernel basis is one algorithm on every field (reduce the
-echelon, read the kernel off it, reduce again: ``_reduce_f2`` on bitsets,
-``_reduce`` on dict rows).  It equals, vector for vector, the basis a
-leftmost-pivot Gauss-Jordan elimination gives, since the reduced kernel
-basis is unique, and its keys are in ascending order on every field.  A
+vectors (``_integer_rows``).  ``sparse_rank`` eliminates the side with
+fewer vectors (LaMacchia-Odlyzko): over F_p and Q the columns of a tall
+matrix, so of every bar differential, built once as integer vectors and fed
+in ascending order, and the rows of a square or wide one.  Over F_2 it
+eliminates the rows, since a bitset costs its length.  The kernel path
+always eliminates rows.  The sparse kernel basis is one algorithm on every
+field (reduce the echelon, read the kernel off it, reduce again:
+``_reduce_f2`` on bitsets, ``_reduce`` on dict rows).  It equals, vector
+for vector, the basis a leftmost-pivot Gauss-Jordan elimination gives,
+since the reduced kernel basis is unique, and its keys are in ascending
+order on every field.  A
 dense ``Matrix`` has no elimination of its own: ``rank``, ``kernel_basis``,
 ``inverse`` and ``determinant`` feed its rows to ``_echelon`` (the last two
 with one tag column per row, ``_tagged_echelon``); the tests keep a dense
@@ -72,8 +73,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-
-from .fields import RationalField
 
 
 class LinalgError(ValueError):
@@ -143,7 +142,7 @@ def operator_ring(f):
     in with ``sum_terms``: ``f`` itself over F_p, and over Q its exact
     integer representatives, an int for an integral entry and a Fraction
     only for another.  The engines read integral rows as they are
-    (``_transpose``), and every vector they hand out is made of field
+    (``_integer_rows``), and every vector they hand out is made of field
     elements again."""
     return f if f.char else _INTEGRAL_Q
 
@@ -277,34 +276,34 @@ class Matrix:
         return f"Matrix({self.field}, {self.nrows}x{self.ncols})"
 
 
+def _integer_rows(rows, p):
+    """The sparse vectors ``rows`` over F_p (``p`` prime) or Q (``p`` = 0)
+    as ``(vecs, c)``: integer vectors with ``rows = vecs / c``, the one
+    reader of exact rationals as ints.  Over F_p, and over Q when every
+    entry is an int, ``vecs`` is ``rows`` itself and ``c`` is 1: nothing is
+    copied and no entry is read, only each entry's type tested.  Otherwise
+    ``c`` is the lcm of the denominators and ``vecs`` are fresh dicts, each
+    entry read once as a ratio of ints, so ``(vecs, c)`` is in lowest terms
+    (``_lowest_terms``).  ``rows`` is read twice, so it must not be an
+    iterator."""
+    if not p:
+        types = set()
+        for row in rows:
+            types.update(map(type, row.values()))
+        if not types <= {int}:
+            ratios = [{j: v.as_integer_ratio() for j, v in row.items()}
+                      for row in rows]
+            c = lcm(*{d for r in ratios for _, d in r.values()})
+            return [{j: n * (c // d) for j, (n, d) in r.items()}
+                    for r in ratios], c
+    return rows, 1
+
+
 def _integer_view(m: Matrix):
-    """``m`` read once as ``(rows, c)``: ``rows[i]`` maps j to an int ``n``
-    for each nonzero ``m[i][j]``, and ``m = rows / c``.  Over Q, ``c`` is
-    the lcm of the denominators (``_denominator_lcm``) and ``n`` the
-    numerator times ``c`` over the denominator, both read in one call, so no
-    Fraction is made; over F_p ``c`` is 1 and ``n`` the entry itself.  So
-    the view is in lowest terms (``_lowest_terms``).  A zero is skipped by
-    its value; the identity test against the field's shared ``zero`` only
-    saves reading it."""
-    if m.field.char:
-        return [{j: v for j, v in enumerate(row) if v} for row in m.data], 1
-    z = m.field.zero
-    rows, dens = [], []
-    for row in m.data:
-        r = {}
-        for j, v in enumerate(row):
-            if v is not z:
-                n, d = v.as_integer_ratio()
-                if n:
-                    r[j] = n
-                    if d != 1:
-                        dens.append(d)
-        rows.append(r)
-    c = _denominator_lcm(dens)
-    if c != 1:
-        rows = [{j: n * (c // row[j].denominator) for j, n in r.items()}
-                for r, row in zip(rows, m.data)]
-    return rows, c
+    """``m`` read once as integer rows ``(rows, c)`` (``_integer_rows``):
+    ``rows[i]`` maps j to an int for each nonzero ``m[i][j]``, and
+    ``m = rows / c`` in lowest terms."""
+    return _integer_rows(SparseMatrix.from_matrix(m).rows, m.field.char)
 
 
 def _row_product(arows, brows, p) -> list:
@@ -450,11 +449,7 @@ class SparseMatrix:
 
     def columns(self):
         """Column-oriented copy: list of dicts row -> value."""
-        cols = [dict() for _ in range(self.ncols)]
-        for i, row in enumerate(self.rows):
-            for j, v in row.items():
-                cols[j][i] = v
-        return cols
+        return _transpose(self.rows, self.ncols)
 
     def apply_sparse(self, vec: dict, colview=None) -> dict:
         """self @ vec for a sparse column vector {index: value}."""
@@ -574,17 +569,18 @@ def _strip_content(row: dict) -> dict:
 
 
 def _echelon_q(rows) -> dict:
-    """Forward echelon over Q of integer vectors (``_integer_vectors``,
-    ``_transpose``), max-index pivot: returns ``{pivot: row}`` with integer rows, each a
+    """Forward echelon over Q of integer vectors (``_integer_rows``),
+    max-index pivot: returns ``{pivot: row}`` with integer rows, each a
     nonzero multiple of the row the same elimination over Fractions would
     store.  Rows are updated by fraction-free cross-multiplication, so there
     is no Fraction churn in the loop.  Against a pivot of +-1 the row is
     reduced in place without scaling, and its content is left for the next
-    non-unit step to strip.  The rows are the engine's own: one may be
-    reduced in place and stored."""
+    non-unit step to strip.  Each input vector is copied once and only the
+    copy is reduced and stored, so the caller's vectors are left as they
+    are."""
     ech: dict[int, dict] = {}
     for r in rows:
-        cur = _strip_content(r)
+        cur = _strip_content(dict(r))
         while cur:
             pc = max(cur)
             er = ech.get(pc)
@@ -644,64 +640,24 @@ def _reduce(f, ech: dict) -> dict:
 def _echelon(f, rows) -> dict:
     """Max-column forward echelon over the field ``f``: ``{pivot: row}``,
     every row a field vector with pivot entry 1."""
-    if isinstance(f, RationalField):
-        return {pc: {c: Fraction(v, row[pc]) for c, v in row.items()}
-                for pc, row in _echelon_q(_integer_vectors(rows)).items()}
-    return _echelon_fp(rows, f.char)
+    if f.char:
+        return _echelon_fp(rows, f.char)
+    vecs, _ = _integer_rows(rows, 0)
+    return {pc: {c: Fraction(v, row[pc]) for c, v in row.items()}
+            for pc, row in _echelon_q(vecs).items()}
 
 
-def _denominator_lcm(dens) -> int:
-    """The lcm of the denominators ``dens`` (ints, one per rational): the
-    least ``c`` that makes each of those rationals integral times ``c``."""
-    c = 1
-    for d in dens:
-        if d != 1:
-            c = lcm(c, d)
-    return c
-
-
-def _integer_vectors(vecs):
-    """The sparse vectors ``vecs`` over Q (dicts of Fractions, of ints, or
-    of both) times ``c``, the lcm of all their denominators
-    (``_denominator_lcm``), as fresh dicts of ints, one at a time.  Each
-    entry is read off its numerator, so no Fraction is made; ``c`` is 1
-    unless an entry is not integral.  ``vecs`` is read twice, so it must not
-    be an iterator.  The copies are the engine's own (``_echelon_q`` reduces
-    in place); ``_transpose``, which copies anyway, reads integral vectors
-    without them.  Over F_p the entries are ints already, and callers read
-    the vectors as they are."""
-    c = _denominator_lcm(v.denominator for vec in vecs for v in vec.values())
-    if c == 1:
-        for vec in vecs:
-            yield {k: v.numerator for k, v in vec.items()}
-    else:
-        for vec in vecs:
-            yield {k: v.numerator * (c // v.denominator) for k, v in vec.items()}
-
-
-def _transpose(sm: SparseMatrix) -> list:
-    """The columns of ``sm`` as dicts ``row -> int``, built in one pass over
-    its rows.  Rows of ints (every operator over F_p, and each one over Q
-    with integral entries, ``operator_ring``) are read as they are; over Q a
-    matrix holding any Fraction gives the columns of ``c * sm``, as in
-    ``_integer_vectors``.  The integer column view the column-side rank
+def _transpose(rows, ncols) -> list:
+    """The columns of the matrix with sparse ``rows`` and ``ncols`` columns,
+    as dicts ``row -> value``, built in one pass over the rows: the column
+    view of ``SparseMatrix.columns``, and over integer rows
+    (``_integer_rows``) the integer column view the column-side rank
     reads."""
-    rows = sm.rows
-    if not sm.field.char and not _all_ints(rows):
-        rows = _integer_vectors(rows)
-    cols: list = [{} for _ in range(sm.ncols)]
+    cols: list = [{} for _ in range(ncols)]
     for i, row in enumerate(rows):
         for j, v in row.items():
             cols[j][i] = v
     return cols
-
-
-def _all_ints(rows) -> bool:
-    """Whether every entry of the sparse vectors ``rows`` is an int."""
-    types = set()
-    for row in rows:
-        types.update(map(type, row.values()))
-    return types <= {int}
 
 
 def _handed_out(vecs: list):
@@ -728,10 +684,9 @@ def sparse_rank(sm: SparseMatrix) -> int:
     p = sm.field.char
     if p == 2:
         return len(_echelon_f2(map(_f2_bits, sm.rows)))
+    vecs, _ = _integer_rows(sm.rows, p)
     if sm.ncols < sm.nrows:
-        vecs = _handed_out(_transpose(sm))
-    else:
-        vecs = sm.rows if p else _integer_vectors(sm.rows)
+        vecs = _handed_out(_transpose(vecs, sm.ncols))
     return len(_echelon_fp(vecs, p) if p else _echelon_q(vecs))
 
 
@@ -885,9 +840,8 @@ class _CheckFactor:
         self._read(sm.rows, sm.field.char, sm.ncols)
         if not sm.field.char and any(type(v) is not int for pairs in
                                      self.other.values() for _, v in pairs):
-            self.scale = _denominator_lcm(v.denominator for row in sm.rows
-                                          for v in row.values())
-            self._read(list(_integer_vectors(sm.rows)), 0, sm.ncols)
+            rows, self.scale = _integer_rows(sm.rows, 0)
+            self._read(rows, 0, sm.ncols)
 
     def _read(self, rows, p, ncols):
         self.plus = plus = [[] for _ in range(ncols)]

@@ -380,6 +380,16 @@ Z2_ALGEBRA = {
 }
 
 
+def dual_numbers(degree):
+    """Q[x]/(x^2) with x in ``degree``, as an algebra file."""
+    return {
+        "field": {"type": "Q"},
+        "basis": [{"name": "1"}, {"name": "x", "degree": degree}],
+        "unit": ["1", "0"],
+        "mult": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"]],
+    }
+
+
 @pytest.mark.parametrize("changes, message", [
     ({"mult": None}, "algebra file missing key 'mult'"),
     ({"mult": [[0, 1, 5, "1"]]},
@@ -461,11 +471,38 @@ def test_malformed_cobordism_file_is_input_error(capsys, tmp_path):
      {"in": 1, "out": 1,
       "components": [{"genus": -1, "in_legs": [1], "out_legs": [1]}]},
      "genus -1 is negative"),
+    # a leg must be an int: a bool or an integral float is not a port number
+    (["tqft", "eval", "--group", "Z2", "--field", "Q", "--cobordism"], "cob.json",
+     {"in": 1, "out": 1,
+      "components": [{"genus": 0, "in_legs": [True], "out_legs": [1]}]},
+     "legs [True], [1] are not lists of integers"),
+    (["tqft", "eval", "--group", "Z2", "--field", "Q", "--cobordism"], "cob.json",
+     {"in": 1, "out": 1,
+      "components": [{"genus": 0, "in_legs": [1.0], "out_legs": [1]}]},
+     "legs [1.0], [1] are not lists of integers"),
+    # a degree must be an int, and a coefficient is never a bool
+    (["hochschild", "--algebra"], "alg.json", dual_numbers(2.7),
+     "basis element 'x' has degree 2.7, not an integer"),
+    (["hochschild", "--algebra"], "alg.json", dual_numbers(True),
+     "basis element 'x' has degree True, not an integer"),
+    (["hochschild", "--algebra"], "alg.json", dual_numbers("1"),
+     "basis element 'x' has degree '1', not an integer"),
+    (["hochschild", "--algebra"], "alg.json", {**Z2_ALGEBRA, "unit": [True, "0"]},
+     "cannot parse rational from True"),
+    (["hochschild", "--algebra"], "alg.json",
+     {**Z2_ALGEBRA, "mult": Z2_ALGEBRA["mult"][:3] + [[1, 1, 0, True]]},
+     "cannot parse rational from True"),
+    (["hochschild", "--algebra"], "alg.json",
+     {**Z2_ALGEBRA, "field": {"type": "Fp", "p": 3},
+      "mult": Z2_ALGEBRA["mult"] + [[1, 1, 1, False]]},
+     "cannot parse F3 element from False"),
 ], ids=["group-table", "cobordism-legs", "group-list", "algebra-field-string",
         "algebra-basis-strings", "algebra-list", "detline-component-int",
         "tqft-component-int", "detline-list", "tqft-list", "tqft-negative-in",
         "tqft-bool-in", "detline-negative-out", "detline-bool-genus",
-        "tqft-negative-genus"])
+        "tqft-negative-genus", "tqft-bool-leg", "tqft-float-leg",
+        "algebra-float-degree", "algebra-bool-degree", "algebra-string-degree",
+        "algebra-bool-unit", "algebra-bool-mult", "algebra-fp-bool-mult"])
 def test_malformed_group_and_legs_are_input_errors(capsys, tmp_path, argv, path,
                                                    obj, message):
     target = tmp_path / path

@@ -1,6 +1,7 @@
 import random
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -22,7 +23,8 @@ from hbv.linalg import (
     sparse_rank,
     sum_terms,
 )
-from hbv.linalg import _echelon, _integer_view, _reduce, _row_kron
+from hbv.linalg import (_echelon, _integer_rows, _integer_view, _reduce,
+                        _row_kron)
 
 import dense_oracle as oracle
 
@@ -279,6 +281,46 @@ def test_kron_entries():
                             assert (k.data[i1 * b.nrows + i2][j1 * b.ncols + j2]
                                     == field.mul(a.data[i1][j1], b.data[i2][j2]))
             assert_dense_result(k, (a, b), snapshots)
+
+
+def _random_int_rows(rng, p, nrows, ncols):
+    """Sparse rows of nonzero ints: reduced mod ``p`` over F_p, in -5..5
+    over Q (``p`` = 0)."""
+    values = range(1, p) if p else [v for v in range(-5, 6) if v]
+    return [{j: rng.choice(values) for j in range(ncols) if rng.random() < 0.4}
+            for _ in range(nrows)]
+
+
+def test_integer_rows_contract():
+    # over F_p, and over Q when every entry is an int, the rows themselves;
+    # over Q rows holding a Fraction (an integral one included) become
+    # fresh integer rows, rows = vecs / c in lowest terms
+    rng = random.Random(41)
+    for field in (GF(2), GF(3), QQ):
+        p = field.char
+        for rows in ([], [{}, {}]):
+            vecs, c = _integer_rows(rows, p)
+            assert vecs is rows and c == 1
+        for _ in range(30):
+            rows = _random_int_rows(rng, p, rng.randint(1, 6), rng.randint(1, 6))
+            vecs, c = _integer_rows(rows, p)
+            assert vecs is rows and c == 1
+    assert _integer_rows([{0: Fraction(4, 2)}], 0) == ([{0: 2}], 1)
+    for _ in range(30):
+        rows = _random_int_rows(rng, 0, rng.randint(1, 6), rng.randint(1, 6))
+        rows.append({0: Fraction(2 * rng.randint(1, 5), 2)})
+        for row in rows:
+            for j in row:
+                if rng.random() < 0.3:
+                    row[j] = Fraction(row[j], rng.randint(1, 6))
+        snapshot = [dict(row) for row in rows]
+        vecs, c = _integer_rows(rows, 0)
+        assert rows == snapshot
+        assert not {id(v) for v in vecs} & {id(row) for row in rows}
+        assert all(type(n) is int for vec in vecs for n in vec.values())
+        assert [list(vec.items()) for vec in vecs] == [
+            [(j, v * c) for j, v in row.items()] for row in rows]
+        assert gcd(c, *(n for vec in vecs for n in vec.values())) == 1
 
 
 # -- sparse engines agree with dense ------------------------------------------
