@@ -392,14 +392,11 @@ def group_algebra(g: FiniteGroup, field) -> FDAlgebra:
     unit = [f.zero] * dim
     unit[g.identity] = f.one
     alg = FDAlgebra(f, g.names, [0] * dim, mult, unit)
-    antipode = Matrix(f, dim, dim)
-    for j in range(dim):
-        antipode.data[g.inv[j]][j] = f.one
     alg.hopf = HopfData(
         alg,
         {i: {(i, i): f.one} for i in range(dim)},
         [f.one] * dim,
-        antipode,
+        Matrix.from_terms(f, dim, dim, [((g.inv[j], j), f.one) for j in range(dim)]),
     )
     alg.group = g
     return alg
@@ -637,9 +634,8 @@ def lambda_L(alg: FDAlgebra) -> Matrix:
         raise PreconditionError("lambda_L is defined for group algebras")
     f = alg.field
     g = alg.group
-    lam = Matrix(f, alg.dim, alg.dim)
-    for j in range(alg.dim):
-        lam.data[g.inv[j]][j] = f.one
+    lam = Matrix.from_terms(f, alg.dim, alg.dim,
+                            [((g.inv[j], j), f.one) for j in range(alg.dim)])
     # bimodule identity on all basis triples: lam(x a y) = x . lam(a) . y,
     # with the dual actions (x.phi.y)(z) = phi(y z x)
     for x in range(alg.dim):
@@ -661,10 +657,8 @@ def group_frobenius(alg: FDAlgebra) -> FrobeniusStructure:
         raise PreconditionError("group_frobenius is defined for group algebras")
     f = alg.field
     g = alg.group
-    pairing = Matrix(f, alg.dim, alg.dim)
-    for i in range(alg.dim):
-        pairing.data[i][g.inv[i]] = f.one
-    return FrobeniusStructure(alg, pairing)
+    return FrobeniusStructure(alg, Matrix.from_terms(
+        f, alg.dim, alg.dim, [((i, g.inv[i]), f.one) for i in range(alg.dim)]))
 
 
 def class_algebra(g: FiniteGroup, field):
@@ -698,11 +692,9 @@ def class_algebra(g: FiniteGroup, field):
     unit[e] = f.one
     alg = FDAlgebra(f, [f"[{g.names[cls[0]]}]" for cls in classes], [0] * m,
                     mult, unit)
-    pairing = Matrix(f, m, m)
     order = f.of_int(g.order)
-    for (i, j), row in mult.items():
-        if e in row:
-            pairing.data[i][j] = f.div(row[e], order)
+    pairing = Matrix.from_terms(f, m, m, [((i, j), f.div(row[e], order))
+                                          for (i, j), row in mult.items() if e in row])
     return alg, FrobeniusStructure(alg, pairing)
 
 
@@ -726,11 +718,8 @@ def lie_pairing(alg: FDAlgebra) -> FrobeniusStructure:
     if len(zero_deg) != 1:
         raise ModelError("algebra is not connected (degree 0 is not one-dimensional)")
     t = top[0]
-    pairing = Matrix(f, alg.dim, alg.dim)
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            pairing.data[i][j] = alg.mul_basis(i, j).get(t, f.zero)
-    return FrobeniusStructure(alg, pairing)
+    return FrobeniusStructure(alg, Matrix.from_terms(
+        f, alg.dim, alg.dim, [(ij, row[t]) for ij, row in alg.mult.items() if t in row]))
 
 
 def matrix_algebra(n, field) -> FDAlgebra:
@@ -753,13 +742,10 @@ def matrix_algebra(n, field) -> FDAlgebra:
 
 def trace_pairing(alg: FDAlgebra, n) -> Matrix:
     """<A, B> = tr(AB) on matrix_algebra(n)."""
-    f = alg.field
-    pairing = Matrix(f, alg.dim, alg.dim)
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            prod = alg.mul_basis(i, j)
-            pairing.data[i][j] = f.of_int(sum(prod.get(a * n + a, 0) for a in range(n)))
-    return pairing
+    # the diagonal E_aa has index a * n + a
+    return Matrix.from_terms(alg.field, alg.dim, alg.dim, [
+        (ij, row[k]) for ij, row in alg.mult.items()
+        for k in range(0, n * n, n + 1) if k in row])
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ rank E - V + 1 of its gluing graph, and the Euler characteristic
 chi = 2k - 2g - p - q is additive under both compositions (asserted on
 every compose).
 
-A TQFT map (``TQFTMap``), the structure maps of the Frobenius algebra
-included, is held as exact integer rows with one denominator, and
-evaluated, composed, tensored and compared in ints; its dense ``Matrix`` of
+A TQFT map (``TQFTMap``) is held as exact integer rows with one
+denominator, and evaluated, composed, tensored and compared in ints; the
+structure maps of the Frobenius algebra are read into that form straight
+from its structure constants and pairing.  A map's dense ``Matrix`` of
 field elements is made only when it is read.
 """
 
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .algebra import FDAlgebra, FrobeniusStructure, PreconditionError
-from .linalg import (Matrix, _integer_view, _lowest_terms, _row_kron,
-                     _row_product)
+from .linalg import (Matrix, _integer_rows, _lowest_terms, _row_kron,
+                     _row_product, sum_terms)
 
 
 class CobordismError(ValueError):
@@ -310,13 +311,14 @@ class FrobeniusTQFT:
     pairing-induced coproduct, genus to handle-element multiplication.
 
     Every structure map is a ``TQFTMap``: ``ident``, ``mult``, ``unit``,
-    ``counit``, ``coproduct`` and ``handle``.  The product, unit and counit
-    are read once from their dense matrices (``_integer_view``); everything
-    else is built from them by ``TQFTMap.compose`` and ``tensor``, so no
-    dense product is formed.  With gamma the copairing (the inverse of the
-    pairing matrix, as an element of A (x) A), the coproduct is
-    delta = (mu (x) 1)(1 (x) gamma), so delta(1) = gamma; the counit is
-    eps(a) = <a, 1>; the handle is multiplication by mu(delta(1)).
+    ``counit``, ``coproduct`` and ``handle``.  The product, unit, counit and
+    copairing are read once from the structure constants and the pairing as
+    integer rows (``_structure_map``); everything else is built from them by
+    ``TQFTMap.compose`` and ``tensor``, so no map is formed as a dense
+    matrix.  With gamma the copairing (the inverse of the pairing matrix, as
+    an element of A (x) A), the coproduct is delta = (mu (x) 1)(1 (x) gamma),
+    so delta(1) = gamma; the counit is eps(a) = <a, 1>; the handle is
+    multiplication by mu(delta(1)).
     The counit identities (eps (x) 1) delta = 1 = (1 (x) eps) delta,
     coassociativity and the Frobenius relation
     delta mu = (mu (x) 1)(1 (x) delta) are asserted at construction, in that
@@ -343,34 +345,35 @@ class FrobeniusTQFT:
         f, m = alg.field, alg.dim
         self.copairing = frob.report.copairing
         self.ident = TQFTMap(f, m, 1, 1, [{i: 1} for i in range(m)], 1)
-        self.mult = self._map(self._mult_matrix(), 2, 1)
-        self.unit = self._map(Matrix(f, m, 1, [[c] for c in alg.unit]), 0, 1)
+        self.mult = self._structure_map(2, 1, [
+            ((k, i * m + j), c)
+            for (i, j), row in alg.mult.items() for k, c in row.items()])
+        self.unit = self._structure_map(0, 1, [
+            ((k, 0), c) for k, c in enumerate(alg.unit)])
         # counit(e_i) = <e_i, 1> = sum_j pairing[i][j] unit[j]
-        self.counit = self._map(Matrix.from_terms(f, 1, m, [
+        self.counit = self._structure_map(1, 0, [
             ((0, i), a * u) for i, row in enumerate(frob.pairing.data)
-            for a, u in zip(row, alg.unit)]), 1, 0)
+            for a, u in zip(row, alg.unit)])
         self.coproduct = self._coproduct()
         handle_element = self.unit.compose(self.coproduct).compose(self.mult)
         self.handle = handle_element.tensor(self.ident).compose(self.mult)
         self._check_frobenius_axioms()
 
-    def _map(self, mat: Matrix, p: int, q: int) -> TQFTMap:
-        """The dense ``mat`` of a map A^{(x)p} -> A^{(x)q}, read once."""
-        rows, c = _integer_view(mat)
-        return TQFTMap(self.alg.field, self.alg.dim, p, q, rows, c)
-
-    def _mult_matrix(self) -> Matrix:
-        alg = self.alg
-        m = alg.dim
-        return Matrix.from_terms(alg.field, m, m * m, [
-            ((k, i * m + j), c)
-            for (i, j), row in alg.mult.items() for k, c in row.items()])
+    def _structure_map(self, p: int, q: int, terms) -> TQFTMap:
+        """The map A^{(x)p} -> A^{(x)q} whose entries sum the ``((i, j), c)``
+        terms (``sum_terms``), read once as integer rows (``_integer_rows``)."""
+        f, m = self.alg.field, self.alg.dim
+        rows = [{} for _ in range(m ** q)]
+        for (i, j), c in sum_terms(f, terms).items():
+            rows[i][j] = c
+        return TQFTMap(f, m, p, q, *_integer_rows(rows, f.char))
 
     def _coproduct(self) -> TQFTMap:
         """(mu (x) 1)(1 (x) gamma), gamma the copairing as a map A^0 -> A^2."""
         m = self.alg.dim
-        column = [[c] for row in self.copairing.data for c in row]
-        gamma = self._map(Matrix(self.alg.field, m * m, 1, column), 0, 2)
+        gamma = self._structure_map(0, 2, [
+            ((i * m + j, 0), c) for i, row in enumerate(self.copairing.data)
+            for j, c in enumerate(row)])
         return self.ident.tensor(gamma).compose(self.mult.tensor(self.ident))
 
     def _check_frobenius_axioms(self):

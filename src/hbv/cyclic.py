@@ -116,11 +116,8 @@ class CyclicCohomology:
 
 def _map_matrix(field, images, target_dim):
     """Columns = coordinate images; as a dense Matrix."""
-    m = Matrix(field, target_dim, len(images))
-    for j, img in enumerate(images):
-        for i, v in enumerate(img):
-            m.data[i][j] = v
-    return m
+    return Matrix.from_terms(field, target_dim, len(images), [
+        ((i, j), v) for j, img in enumerate(images) for i, v in enumerate(img)])
 
 
 def connes_maps(alg: FDAlgebra, max_degree: int, budget: int | None = None):

@@ -17,8 +17,8 @@ class GroupError(ValueError):
 class FiniteGroup:
     def __init__(self, names, table, name="G"):
         if not (isinstance(names, list) and isinstance(table, list)
-                and all(isinstance(r, list) and all(isinstance(x, int) for x in r)
-                        for r in table)):
+                and all(isinstance(r, list) and all(type(x) is int for x in r)
+                        for r in table)):  # a bool is not an element index
             raise GroupError("elements must be a list and table a list of lists of integers")
         self.names = list(names)
         self.table = [list(r) for r in table]

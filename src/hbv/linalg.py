@@ -10,12 +10,13 @@ run on integer views (``_integer_view``): each operand is read once as
 integer rows, dicts of its nonzero entries with one scale per matrix, which
 ``_row_product`` combines at one int operation per pair of nonzero entries
 that meet; each nonzero result becomes a field element once.  A TQFT map
-(``cobordism.TQFTMap``) stays in that form, integer rows with one
-denominator in lowest terms, through evaluation, composition, tensor
-products (``_row_kron``) and comparison, and becomes a ``Matrix`` only when
-it is read.  ``SparseMatrix`` holds differentials of bar-type complexes,
-whose dimensions at the top truncation degree rule out dense storage; rank
-and kernel engines on it are exact over both Q and F_p.
+(``cobordism.TQFTMap``) is read from its terms straight into that form,
+integer rows with one denominator in lowest terms, and stays in it through
+evaluation, composition, tensor products (``_row_kron``) and comparison; it
+becomes a ``Matrix`` only when it is read.  ``SparseMatrix`` holds
+differentials of bar-type complexes, whose dimensions at the top truncation
+degree rule out dense storage; rank and kernel engines on it are exact over
+both Q and F_p.
 
 Arithmetic.  Over F_p every stored entry is a reduced int.  Over Q a
 ``Matrix`` entry, a cochain value and every vector the engines hand out
@@ -58,10 +59,10 @@ field (reduce the echelon, read the kernel off it, reduce again:
 for vector, the basis a leftmost-pivot Gauss-Jordan elimination gives,
 since the reduced kernel basis is unique, and its keys are in ascending
 order on every field.  A
-dense ``Matrix`` has no elimination of its own: ``rank``, ``kernel_basis``,
-``inverse`` and ``determinant`` feed its rows to ``_echelon`` (the last two
-with one tag column per row, ``_tagged_echelon``); the tests keep a dense
-Gauss-Jordan as the independent oracle they are checked against.
+dense ``Matrix`` has no elimination of its own: ``rank``, ``kernel_basis``
+and ``inverse`` feed its rows to ``_echelon`` (``inverse`` with one tag
+column per row); the tests keep a dense Gauss-Jordan and a determinant as
+the independent oracle they are checked against.
 ``EchelonStore`` pivots on the smallest column, because the cohomology
 representatives it selects, and so every coordinate in a report, depend on
 that rule; over F_2 it too keeps bitset rows, and hands vectors back with
@@ -211,13 +212,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n):
-        m = cls(field, n, n)
-        for i in range(n):
-            m.data[i][i] = field.one
-        return m
-
-    def row(self, i):
-        return list(self.data[i])
+        return cls.from_terms(field, n, n, [((i, i), field.one) for i in range(n)])
 
     def col(self, j):
         return [self.data[i][j] for i in range(self.nrows)]
@@ -265,12 +260,6 @@ class Matrix:
             raise LinalgError("vector length mismatch")
         column = Matrix._adopt(self.field, self.ncols, 1, [[v] for v in vec])
         return [row[0] for row in (self * column).data]
-
-    def scale(self, c):
-        f = self.field
-        return Matrix(
-            f, self.nrows, self.ncols, [[f.mul(c, v) for v in r] for r in self.data]
-        )
 
     def __repr__(self):
         return f"Matrix({self.field}, {self.nrows}x{self.ncols})"
@@ -369,51 +358,21 @@ def kernel_basis(m: Matrix):
             for vec in sparse_kernel_basis(SparseMatrix.from_matrix(m))]
 
 
-def _tagged_echelon(m: Matrix, what: str):
-    """``(n, ech)``: the max-column echelon (``_echelon``) of the rows
-    (e_i | m_i) of the n x n matrix ``m``, tags in columns 0..n-1 and ``m``
-    in n..2n-1, input rows in order.  Each stored row is a combination of
-    input rows, so its tag part t and its ``m`` part u satisfy t m = u, and
-    a pivot in a tag column (u = 0) means ``m`` is singular."""
-    if m.nrows != m.ncols:
-        raise LinalgError(f"{what} of non-square matrix")
-    n = m.nrows
-    one = m.field.one
-    rows = [{i: one} | {n + j: v for j, v in enumerate(row) if v}
-            for i, row in enumerate(m.data)]
-    return n, _echelon(m.field, rows)
-
-
-def determinant(m: Matrix):
-    """det m from the tagged echelon (``_tagged_echelon``), unreduced.  Row
-    i is reduced by earlier rows only, so the tag parts form a lower
-    triangular T whose diagonal entry i is 1/lead_i, lead_i being the
-    row's pivot entry while its tag-i coefficient was 1.  T m holds the
-    ``m`` parts, unit lower triangular once sorted by pivot, so
-    det m = sign(pi) prod lead_i, pi sending row i to its pivot column."""
-    n, ech = _tagged_echelon(m, "determinant")
-    f = m.field
-    det = f.one
-    pi = [0] * n
-    for pc, row in ech.items():
-        if pc < n:
-            return f.zero
-        i = max(c for c in row if c < n)
-        pi[i] = pc - n
-        det = f.mul(det, f.inv(row[i]))
-    if sum(pi[i] > pi[j] for i in range(n) for j in range(i + 1, n)) % 2:
-        det = f.neg(det)
-    return det
-
-
 def inverse(m: Matrix) -> Matrix:
-    """m^{-1} from the tagged echelon (``_tagged_echelon``), reduced: with
-    every pivot in an ``m`` column, the row with pivot n + k is
-    (row k of m^{-1} | e_k)."""
-    n, ech = _tagged_echelon(m, "inverse")
+    """m^{-1} from the max-column echelon (``_echelon``) of the rows
+    (e_i | m_i) of the n x n matrix ``m``, tags in columns 0..n-1 and ``m``
+    in n..2n-1.  Each stored row is a combination of input rows, so its tag
+    part t and its ``m`` part u satisfy t m = u: a pivot in a tag column
+    (u = 0) means ``m`` is singular, and otherwise, reduced, the row with
+    pivot n + k is (row k of m^{-1} | e_k)."""
+    if m.nrows != m.ncols:
+        raise LinalgError("inverse of non-square matrix")
+    n = m.nrows
+    f = m.field
+    ech = _echelon(f, [{i: f.one} | {n + j: v for j, v in enumerate(row) if v}
+                       for i, row in enumerate(m.data)])
     if min(ech, default=n) < n:
         raise LinalgError("matrix is singular")
-    f = m.field
     ech = _reduce(f, ech)
     return Matrix._adopt(f, n, n, [[ech[n + k].get(c, f.zero)
                                     for c in range(n)] for k in range(n)])
@@ -441,10 +400,12 @@ class SparseMatrix:
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "SparseMatrix":
+        """The nonzero entries of ``m``; an entry that is the field's shared
+        ``zero`` is dropped untested."""
         f = m.field
-        rows = [
-            {j: v for j, v in enumerate(r) if not f.is_zero(v)} for r in m.data
-        ]
+        z, is_zero = f.zero, f.is_zero
+        rows = [{j: v for j, v in enumerate(r) if v is not z and not is_zero(v)}
+                for r in m.data]
         return cls(f, m.nrows, m.ncols, rows)
 
     def columns(self):

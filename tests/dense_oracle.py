@@ -1,7 +1,8 @@
-"""Dense Gauss-Jordan and Kronecker products on ``Matrix`` rows, one field
-operation per entry: the independent oracle the package's elimination
-engine (``hbv.linalg``) and its integer-row TQFT maps are compared against.
-No elimination or product code is shared with what it checks."""
+"""Dense Gauss-Jordan, products and Kronecker products on ``Matrix`` rows,
+one field operation per entry: the independent oracle the package's
+elimination engine (``hbv.linalg``) and its integer-row TQFT maps are
+compared against.  No elimination or product code is shared with what it
+checks."""
 
 from hbv.linalg import LinalgError, Matrix
 
@@ -112,6 +113,21 @@ def inverse(m: Matrix) -> Matrix:
     if r < n or pivots != list(range(n)):
         raise LinalgError("matrix is singular")
     return Matrix(f, n, n, [row[n:] for row in e.data])
+
+
+def product(a: Matrix, b: Matrix) -> Matrix:
+    """a b by the triple loop, one field multiply-add per pair of nonzero
+    entries that meet."""
+    f = a.field
+    out = Matrix(f, a.nrows, b.ncols)
+    for ra, acc in zip(a.data, out.data):
+        for x, rb in zip(ra, b.data):
+            if f.is_zero(x):
+                continue
+            for j, y in enumerate(rb):
+                if not f.is_zero(y):
+                    acc[j] = f.add(acc[j], f.mul(x, y))
+    return out
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -1,6 +1,7 @@
 import json
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -32,7 +33,6 @@ from hbv.algebra import (
     verify_frobenius,
 )
 from hbv.algebra import _commutation_kernel
-from hbv.cobordism import FrobeniusTQFT
 from hbv.cyclic import trace_space_dim
 from hbv.linalg import Matrix, rank
 
@@ -393,17 +393,6 @@ def _right_mult_loop(alg, vec):
     return m
 
 
-def _tqft_mult_loop(alg):
-    f = alg.field
-    m = alg.dim
-    out = Matrix(f, m, m * m)
-    for i in range(m):
-        for j in range(m):
-            for k, c in alg.mul_basis(i, j).items():
-                out.data[k][i * m + j] = f.add(out.data[k][i * m + j], c)
-    return out
-
-
 def _apply_loop(m, vec):
     f = m.field
     out = []
@@ -528,6 +517,48 @@ def _same(got, want, f):
     assert all(v is f.zero for v in flat if not v)
 
 
+def test_structure_matrices_match_field_loops():
+    # the antipode, lambda_L and the pairings are built from their terms
+    # (``Matrix.from_terms``); each equals a zero matrix filled in by field
+    # operations, and over Q holds only Fractions and the shared zero
+    for f in (QQ, GF(2), GF(3), GF(5)):
+        for name in ("Z3", "S3", "Q8"):
+            g = preset(name)
+            alg = group_algebra(g, f)
+            inv, pairing = Matrix(f, g.order, g.order), Matrix(f, g.order, g.order)
+            for j in range(g.order):
+                inv.data[g.inv[j]][j] = f.one
+                pairing.data[j][g.inv[j]] = f.one
+            _same(alg.hopf.antipode, inv, f)
+            _same(lambda_L(alg), inv, f)
+            _same(group_frobenius(alg).pairing, pairing, f)
+    for f in (QQ, GF(5)):
+        for name in ("S3", "D4"):
+            g = preset(name)
+            alg, frob = class_algebra(g, f)
+            pairing = Matrix(f, alg.dim, alg.dim)
+            for (i, j), row in alg.mult.items():
+                if alg.unit_index in row:
+                    pairing.data[i][j] = f.div(row[alg.unit_index], f.of_int(g.order))
+            _same(frob.pairing, pairing, f)
+    for f in (QQ, GF(3)):
+        for gens in ([3], [3, 5], [1, 3]):
+            alg = exterior_algebra(gens, f)
+            top = alg.degrees.index(alg.top_degree())
+            pairing = Matrix(f, alg.dim, alg.dim)
+            for i, j in product(range(alg.dim), repeat=2):
+                pairing.data[i][j] = alg.mul_basis(i, j).get(top, f.zero)
+            _same(lie_pairing(alg).pairing, pairing, f)
+        for n in (2, 3):
+            alg = matrix_algebra(n, f)
+            pairing = Matrix(f, alg.dim, alg.dim)
+            for i, j in product(range(alg.dim), repeat=2):
+                for a in range(n):
+                    c = alg.mul_basis(i, j).get(a * n + a, f.zero)
+                    pairing.data[i][j] = f.add(pairing.data[i][j], c)
+            _same(trace_pairing(alg, n), pairing, f)
+
+
 def test_dense_builders_match_field_loops():
     pairings = 0
     for alg in _oracle_algebras():
@@ -541,9 +572,6 @@ def test_dense_builders_match_field_loops():
         m = alg.left_mult_matrix(dense)
         for vec in e + [dense, [f.zero] * d]:
             _same(m.apply(vec), _apply_loop(m, vec), f)
-        tqft = FrobeniusTQFT.__new__(FrobeniusTQFT)
-        tqft.alg = alg
-        _same(tqft._mult_matrix(), _tqft_mult_loop(alg), f)
 
         def kernel(rows):
             return oracle.kernel_basis(Matrix.from_rows(f, rows))

@@ -496,13 +496,18 @@ def test_malformed_cobordism_file_is_input_error(capsys, tmp_path):
      {**Z2_ALGEBRA, "field": {"type": "Fp", "p": 3},
       "mult": Z2_ALGEBRA["mult"] + [[1, 1, 1, False]]},
      "cannot parse F3 element from False"),
+    # a table entry must be an int, and a bool is not one
+    (["hochschild", "--field", "F2", "--max-degree", "3", "--group"], "group.json",
+     {"elements": ["e", "a"], "table": [[0, True], [True, 0]]},
+     "elements must be a list and table a list of lists of integers"),
 ], ids=["group-table", "cobordism-legs", "group-list", "algebra-field-string",
         "algebra-basis-strings", "algebra-list", "detline-component-int",
         "tqft-component-int", "detline-list", "tqft-list", "tqft-negative-in",
         "tqft-bool-in", "detline-negative-out", "detline-bool-genus",
         "tqft-negative-genus", "tqft-bool-leg", "tqft-float-leg",
         "algebra-float-degree", "algebra-bool-degree", "algebra-string-degree",
-        "algebra-bool-unit", "algebra-bool-mult", "algebra-fp-bool-mult"])
+        "algebra-bool-unit", "algebra-bool-mult", "algebra-fp-bool-mult",
+        "group-bool-entry"])
 def test_malformed_group_and_legs_are_input_errors(capsys, tmp_path, argv, path,
                                                    obj, message):
     target = tmp_path / path

@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from hbv.fields import GF, QQ
+from hbv.fields import GF, QQ, field_by_name
 from hbv.groups import preset
 from hbv.algebra import (
     FrobeniusStructure,
@@ -32,9 +32,9 @@ from hbv.cobordism import (
     tqft_evaluate,
     twist_coeff,
 )
-from hbv.linalg import Matrix, determinant
+from hbv.linalg import Matrix
 
-from dense_oracle import kron
+from dense_oracle import determinant, inverse, kron, product
 
 
 def random_cobordism(rng, p, q, maxg=2):
@@ -226,7 +226,9 @@ def test_genus_multiplies_by_group_order(qz3):
     alg, frob = qz3
     for g in range(4):
         ev = tqft_evaluate(alg, frob, connected_cobordism(g, 1, 1))
-        assert ev.matrix == Matrix.identity(QQ, 3).scale(Fraction(3) ** g)
+        assert ev.matrix == Matrix(QQ, 3, 3, [
+            [Fraction(3) ** g if i == j else QQ.zero for j in range(3)]
+            for i in range(3)])
 
 
 def hom_count(g, genus):
@@ -286,8 +288,8 @@ def test_caps_evaluate_to_unit_and_counit(qz3):
     unit = tqft_evaluate(alg, frob, preset_cobordism("cap_out"))
     assert unit.matrix.col(0) == list(alg.unit)
     counit = tqft_evaluate(alg, frob, preset_cobordism("cap_in"))
-    assert counit.matrix.row(0) == [frob.pairing.data[i][alg.group.identity]
-                                    for i in range(3)]
+    assert counit.matrix.data[0] == [frob.pairing.data[i][alg.group.identity]
+                                     for i in range(3)]
 
 
 def test_twist_evaluates_to_flip(qz3):
@@ -441,10 +443,9 @@ def test_substituted_coproduct_messages(monkeypatch, group, columns, message):
     # and its coproduct is coassociative and compatible.  So the coproduct
     # is substituted after it is derived.
     alg = group_algebra(preset(group), QQ)
-    delta = Matrix(QQ, len(columns), len(columns[0]),
-                   [[Fraction(c) for c in row] for row in columns])
+    delta = [((i, j), c) for i, row in enumerate(columns) for j, c in enumerate(row)]
     monkeypatch.setattr(FrobeniusTQFT, "_coproduct",
-                        lambda self: self._map(delta, 1, 2))
+                        lambda self: self._structure_map(1, 2, delta))
     with pytest.raises(PreconditionError) as err:
         FrobeniusTQFT(alg, group_frobenius(alg))
     assert type(err.value) is PreconditionError
@@ -491,30 +492,80 @@ def signed_permutation(alg, sources, width):
     return out
 
 
+def _tqft_mult_loop(alg):
+    f = alg.field
+    m = alg.dim
+    out = Matrix(f, m, m * m)
+    for i in range(m):
+        for j in range(m):
+            for k, c in alg.mul_basis(i, j).items():
+                out.data[k][i * m + j] = f.add(out.data[k][i * m + j], c)
+    return out
+
+
+def dense_structure(alg, frob):
+    """Reference structure maps of a commutative Frobenius algebra: the
+    product by a field loop over the structure constants, the unit, the
+    counit eps(e_i) = <e_i, 1>, the coproduct (mu (x) 1)(1 (x) gamma) with
+    gamma the inverse pairing, and the handle, multiplication by
+    mu(delta(1)), all made with the dense oracle's inverse, products and
+    Kronecker products, so that no ``TQFTMap`` operation and no product of
+    the package enters."""
+    f, m = alg.field, alg.dim
+    ident = Matrix(f, m, m, [[f.one if i == j else f.zero for j in range(m)]
+                             for i in range(m)])
+    mult = _tqft_mult_loop(alg)
+    gamma = Matrix(f, m * m, 1, [[c] for row in inverse(frob.pairing).data
+                                 for c in row])
+    unit = Matrix(f, m, 1, [[c] for c in alg.unit])
+    counit = product(frob.pairing, unit).transpose()
+    coproduct = product(kron(mult, ident), kron(ident, gamma))
+    handle_element = product(mult, product(coproduct, unit))
+    handle = product(mult, kron(handle_element, ident))
+    return {"ident": ident, "mult": mult, "unit": unit, "counit": counit,
+            "coproduct": coproduct, "handle": handle}
+
+
+FROBENIUS_CASES = [f"{g}/{f}" for g in ("Z2", "Z3", "Z4", "Z6")
+                   for f in ("Q", "F3")] + ["ext1/Q", "ext3/Q", "class-S3/Q"]
+
+
+@pytest.mark.parametrize("case", FROBENIUS_CASES)
+def test_structure_maps_match_dense_references(case):
+    name, field = case.split("/")
+    f = field_by_name(field)
+    if name.startswith("ext"):
+        alg = exterior_algebra([int(name[3:])], f)
+        frob = lie_pairing(alg)
+    elif name.startswith("class-"):
+        alg, frob = class_algebra(preset(name[6:]), f)
+    else:
+        alg = group_algebra(preset(name), f)
+        frob = group_frobenius(alg)
+    T = FrobeniusTQFT(alg, frob)
+    ref = dense_structure(alg, frob)
+    for key in ("mult", "unit", "counit", "coproduct", "handle"):
+        got = getattr(T, key).matrix
+        assert got == ref[key], key
+        if not f.char:
+            assert all(type(v) is Fraction for row in got.data for v in row)
+
+
 def dense_component(T, genus, p, q):
     """Reference map of one connected component: iterated product, handle
     factors and iterated coproduct, as products and Kronecker products of
-    dense structure matrices built from the algebra and its pairing alone,
-    so that no ``TQFTMap`` operation enters."""
-    alg = T.alg
-    f, m = alg.field, alg.dim
-    ident = Matrix.identity(f, m)
-    mult = T._mult_matrix()
-    gamma = Matrix(f, m * m, 1, [[c] for row in T.frob.report.copairing.data
-                                 for c in row])
-    coproduct = kron(mult, ident) * kron(ident, gamma)
-    unit = Matrix(f, m, 1, [[c] for c in alg.unit])
-    counit = Matrix(f, 1, m, [T.frob.pairing.apply(alg.unit)])
-    handle = alg.left_mult_matrix(mult.apply(coproduct.apply(list(alg.unit))))
-    mat = unit if p == 0 else ident
+    the dense reference structure maps (``dense_structure``)."""
+    ref = dense_structure(T.alg, T.frob)
+    ident, mult = ref["ident"], ref["mult"]
+    mat = ref["unit"] if p == 0 else ident
     for _ in range(p - 1):
-        mat = mult * kron(mat, ident)
+        mat = product(mult, kron(mat, ident))
     for _ in range(genus):
-        mat = handle * mat
-    split = counit if q == 0 else ident
+        mat = product(ref["handle"], mat)
+    split = ref["counit"] if q == 0 else ident
     for _ in range(q - 1):
-        split = kron(split, ident) * coproduct
-    return split * mat
+        split = product(kron(split, ident), ref["coproduct"])
+    return product(split, mat)
 
 
 def dense_evaluate(T, cob):
@@ -537,7 +588,9 @@ def dense_evaluate(T, cob):
     pin = signed_permutation(alg, [port - 1 for port in in_slots], cob.p)
     pos = {port: k for k, port in enumerate(out_slots)}
     pout = signed_permutation(alg, [pos[j] for j in range(1, cob.q + 1)], cob.q)
-    return (pout * (block * pin)).scale(scalar)
+    out = product(pout, product(block, pin))
+    return Matrix(f, out.nrows, out.ncols,
+                  [[f.mul(scalar, v) for v in row] for row in out.data])
 
 
 def test_koszul_wiring_matches_dense_reference():
@@ -620,7 +673,7 @@ def test_integer_rows_match_dense_route(name):
         g = with_closed(rng, random_cobordism(rng, q, r, maxg=1))
         ef, eg = T.evaluate(f), T.evaluate(g)
         df, dg = dense_evaluate(T, f), dense_evaluate(T, g)
-        for tm, want in ((ef, df), (eg, dg), (ef.compose(eg), dg * df),
+        for tm, want in ((ef, df), (eg, dg), (ef.compose(eg), product(dg, df)),
                          (ef.tensor(eg), kron(df, dg))):
             assert_normal_form(tm)
             assert tm.matrix == want
