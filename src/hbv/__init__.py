@@ -20,7 +20,6 @@ from .algebra import (
     lambda_L,
     lie_pairing,
     sweedler_algebra,
-    verify_frobenius,
 )
 from .hochschild import (
     BarComplex,
@@ -68,7 +67,6 @@ __all__ = [
     "lambda_L",
     "lie_pairing",
     "sweedler_algebra",
-    "verify_frobenius",
     "BarComplex",
     "BVStructure",
     "Cochain",

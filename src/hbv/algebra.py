@@ -14,12 +14,14 @@ building both sides as ``sum_terms`` sums and comparing them: sparse vectors
 drop their zeros, so two sides agree iff the dicts are equal, and a scalar
 side is ``f.of_int`` of a plain sum.  Basis triples and pairs are visited in
 lexicographic order, so the first witness named is the first that fails.
+Algebra and Hopf axioms raise on the first failure; a ``FrobeniusStructure``
+instead keeps its check flags and witnesses as fields, since a pairing that
+fails a check (a non-symmetric one, say) is still a valid input to report on.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dataclass_field
 from importlib import resources
 from itertools import product
 
@@ -289,94 +291,59 @@ class HopfData:
                 raise AlgebraError(f"antipode axiom fails at {alg.names[i]}")
 
 
-@dataclass
-class FrobeniusReport:
-    """``copairing`` is the inverse of the pairing matrix, ``None`` when the
-    pairing is degenerate."""
-    copairing: Matrix | None
-    frobenius_identity: bool
-    symmetric: bool
-    degree: int | None
-    failures: list = dataclass_field(default_factory=list)
+class FrobeniusStructure:
+    """A bilinear pairing on an algebra, checked at construction by
+    exhaustive basis checks in this order: homogeneity, nondegeneracy, the
+    Frobenius identity <a,bc> = <ab,c> and graded symmetry.
+
+    ``copairing`` is the inverse of the pairing matrix, ``None`` when the
+    pairing is degenerate.  ``degree`` is the lower degree of the pairing
+    (-d for the homology of a Lie-group model, 0 in the ungraded case),
+    ``None`` when the pairing is not homogeneous.  ``frobenius_identity``
+    and ``symmetric`` are the flags of the last two checks.  ``failures``
+    holds the witnesses in check order: ``("inhomogeneous-pairing",)``,
+    ``("degenerate",)``, then the ``("frobenius", a, b, c)`` and
+    ``("symmetry", a, b)`` basis names, 20 witnesses at most.  Every field
+    is computed from the pairing matrix, never stored blindly.
+    """
+
+    def __init__(self, alg: FDAlgebra, pairing: Matrix):
+        f = alg.field
+        if pairing.nrows != alg.dim or pairing.ncols != alg.dim:
+            raise PreconditionError("pairing dimensions do not match the algebra")
+        self.alg = alg
+        self.pairing = pairing
+        P, names, degrees = pairing.data, alg.names, alg.degrees
+        basis = range(alg.dim)
+        failures = []
+        sums = {degrees[i] + degrees[j] for i, j in product(basis, repeat=2)
+                if not f.is_zero(P[i][j])}
+        if len(sums) > 1:
+            self.degree = None
+            failures.append(("inhomogeneous-pairing",))
+        else:
+            self.degree = -sums.pop() if sums else 0
+        try:
+            self.copairing = inverse(pairing)
+        except LinalgError:
+            self.copairing = None
+            failures.append(("degenerate",))
+        frob = [("frobenius", names[a], names[b], names[c])
+                for a, b, c in product(basis, repeat=3)
+                if f.of_int(sum(cc * P[a][k] for k, cc in alg.mul_basis(b, c).items()))
+                != f.of_int(sum(cc * P[k][c] for k, cc in alg.mul_basis(a, b).items()))]
+        minus = f.neg(f.one)
+        sym = [("symmetry", names[i], names[j])
+               for i, j in product(basis, repeat=2)
+               if P[i][j] != f.mul(minus if degrees[i] * degrees[j] % 2 else f.one,
+                                   P[j][i])]
+        self.frobenius_identity = not frob
+        self.symmetric = not sym
+        self.failures = (failures + frob + sym)[:20]
 
     @property
     def nondegenerate(self) -> bool:
         return self.copairing is not None
-
-    def all_ok(self) -> bool:
-        return self.nondegenerate and self.frobenius_identity and self.symmetric
-
-
-class FrobeniusStructure:
-    """A bilinear pairing on an algebra with its verification report.
-
-    ``degree`` is the lower degree of the pairing (-d for the homology of a
-    Lie-group model, 0 in the ungraded case).  Flags live in ``report`` and
-    are recomputed from the pairing matrix, never stored blindly.
-    """
-
-    def __init__(self, alg: FDAlgebra, pairing: Matrix):
-        self.alg = alg
-        self.pairing = pairing
-        self.report = verify_frobenius(alg, pairing)
-        self.degree = self.report.degree
-
-    def lambda_matrix(self) -> Matrix:
-        """Matrix of a -> <a, -> : A -> A-dual (rows index dual basis)."""
-        return self.pairing.transpose()
-
-
-def verify_frobenius(alg: FDAlgebra, pairing: Matrix) -> FrobeniusReport:
-    """Check nondegeneracy, the Frobenius identity <a,bc> = <ab,c>, and
-    graded symmetry, by exhaustive basis checks.  Failures carry witnesses."""
-    f = alg.field
-    if pairing.nrows != alg.dim or pairing.ncols != alg.dim:
-        raise PreconditionError("pairing dimensions do not match the algebra")
-    failures = []
-    # homogeneity and pairing degree
-    degree = None
-    homogeneous = True
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            if f.is_zero(pairing.data[i][j]):
-                continue
-            s = alg.degrees[i] + alg.degrees[j]
-            if degree is None:
-                degree = -s
-            elif degree != -s:
-                homogeneous = False
-    if degree is None:
-        degree = 0
-    if not homogeneous:
-        failures.append(("inhomogeneous-pairing",))
-        degree = None
-    try:
-        copairing = inverse(pairing)
-    except LinalgError:
-        copairing = None
-        failures.append(("degenerate",))
-    frob = True
-    P = pairing.data
-    for a, b, c in product(range(alg.dim), repeat=3):
-        lhs = sum(cc * P[a][k] for k, cc in alg.mul_basis(b, c).items())
-        rhs = sum(cc * P[k][c] for k, cc in alg.mul_basis(a, b).items())
-        if f.of_int(lhs) != f.of_int(rhs):
-            frob = False
-            if len(failures) < 20:
-                failures.append(("frobenius", alg.names[a], alg.names[b], alg.names[c]))
-    sym = True
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            sign = (
-                f.neg(f.one)
-                if (alg.degrees[i] * alg.degrees[j]) % 2
-                else f.one
-            )
-            if pairing.data[i][j] != f.mul(sign, pairing.data[j][i]):
-                sym = False
-                if len(failures) < 20:
-                    failures.append(("symmetry", alg.names[i], alg.names[j]))
-    return FrobeniusReport(copairing, frob, sym, degree, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -835,7 +802,11 @@ def algebra_from_json(obj: dict) -> FDAlgebra:
 
 def load_algebra(path) -> FDAlgebra:
     with open(path) as fh:
-        return algebra_from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # a JSON or a text decoding error
+            raise AlgebraError(f"algebra file {path}: not valid JSON ({exc})") from None
+    return algebra_from_json(obj)
 
 
 def sweedler_algebra() -> FDAlgebra:

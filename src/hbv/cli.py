@@ -27,17 +27,18 @@ from .algebra import (
 )
 from .cobordism import (
     Cobordism,
+    FrobeniusTQFT,
     det_compose,
     det_line,
     preset_cobordism,
-    tqft_evaluate,
 )
 from .cyclic import StringBracket, connes_maps
 from .fields import field_by_name
 from .groups import FiniteGroup, preset, PRESET_NAMES
 from .hochschild import (
+    DEFAULT_BUDGET,
+    BudgetError,
     bv_check,
-    budget_from_env,
     centralizer_oracle,
     check_budget,
     hochschild_dims,
@@ -98,6 +99,16 @@ def _frobenius_for(alg):
     if u is None:
         raise InputError("no invertible conjugator for the antipode square found")
     return frobenius_from_integral(alg, lams[0], u)
+
+
+def budget_from_env() -> int:
+    raw = os.environ.get("HBV_BUDGET")
+    if raw is None:
+        return DEFAULT_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise BudgetError(f"HBV_BUDGET must be an integer, got {raw!r}") from None
 
 
 def _budget(args):
@@ -169,15 +180,14 @@ def cmd_string_bracket(args):
 def cmd_frobenius(args):
     alg, cfg = _algebra_from_args(args)
     frob = _frobenius_for(alg)
-    rep = frob.report
     checks = CheckReport()
-    checks.record("nondegenerate", rep.nondegenerate)
-    checks.record("frobenius identity", rep.frobenius_identity)
+    checks.record("nondegenerate", frob.nondegenerate)
+    checks.record("frobenius identity", frob.frobenius_identity)
     results = {
-        "symmetric": rep.symmetric,
-        "degree": rep.degree,
+        "symmetric": frob.symmetric,
+        "degree": frob.degree,
         "pairing": [[alg.field.fmt(v) for v in row] for row in frob.pairing.data],
-        "failures": [list(fx) for fx in rep.failures],
+        "failures": [list(fx) for fx in frob.failures],
     }
     return cfg, results, checks
 
@@ -208,7 +218,11 @@ def cmd_tqft(args):
         raise InputError("tqft eval needs --cobordism or --preset")
     width = max(cob.p, cob.q)
     check_budget(f"tensor power A^(x){width}", alg.dim ** width, _budget(args))
-    tm = tqft_evaluate(alg, frob, cob, args.strict_positive_boundary)
+    T = FrobeniusTQFT(alg, frob)
+    if args.strict_positive_boundary and not cob.positive_boundary():
+        raise InputError(
+            "strict positive-boundary mode refuses closed-off components")
+    tm = T.evaluate(cob)
     f = alg.field
     results = {
         "in_circles": tm.p,
@@ -299,7 +313,9 @@ def build_parser():
     _add_algebra_opts(p)
     p.add_argument("--cobordism", help="cobordism JSON file")
     p.add_argument("--preset", help="cobordism preset (cyl, pants, ...)")
-    p.add_argument("--strict-positive-boundary", action="store_true")
+    p.add_argument("--strict-positive-boundary", action="store_true",
+                   help="refuse a cobordism with a component that has no "
+                        "in- or no out-circle")
     p.add_argument("--budget", type=int, default=None,
                    help="cap on dim(A)^max(in, out) (default 20000 or HBV_BUDGET)")
     p.add_argument("-o", "--output")

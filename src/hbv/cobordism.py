@@ -94,6 +94,10 @@ class Cobordism:
         return (2 * self.component_count() - 2 * self.total_genus()
                 - self.p - self.q)
 
+    def positive_boundary(self) -> bool:
+        """Whether every component has an in-circle and an out-circle."""
+        return all(ins and outs for _, ins, outs in self.components)
+
     def __eq__(self, other):
         return (
             isinstance(other, Cobordism)
@@ -196,7 +200,12 @@ class Cobordism:
     @classmethod
     def load(cls, path):
         with open(path) as fh:
-            return cls.from_json(json.load(fh))
+            try:
+                obj = json.load(fh)
+            except ValueError as exc:  # a JSON or a text decoding error
+                raise CobordismError(
+                    f"cobordism file {path}: not valid JSON ({exc})") from None
+        return cls.from_json(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -315,35 +324,34 @@ class FrobeniusTQFT:
     copairing are read once from the structure constants and the pairing as
     integer rows (``_structure_map``); everything else is built from them by
     ``TQFTMap.compose`` and ``tensor``, so no map is formed as a dense
-    matrix.  With gamma the copairing (the inverse of the pairing matrix, as
-    an element of A (x) A), the coproduct is delta = (mu (x) 1)(1 (x) gamma),
-    so delta(1) = gamma; the counit is eps(a) = <a, 1>; the handle is
-    multiplication by mu(delta(1)).
+    matrix.  With gamma the copairing (``frob.copairing``, the inverse of
+    the pairing matrix, as an element of A (x) A), the coproduct is
+    delta = (mu (x) 1)(1 (x) gamma), so delta(1) = gamma; the counit is
+    eps(a) = <a, 1>; the handle is multiplication by mu(delta(1)).
     The counit identities (eps (x) 1) delta = 1 = (1 (x) eps) delta,
     coassociativity and the Frobenius relation
     delta mu = (mu (x) 1)(1 (x) delta) are asserted at construction, in that
     order.  Once the first holds, <a, b> = eps(ab), so the pairing is a
     Frobenius form and the other two follow.  Noncommutative algebras and
-    degenerate pairings are refused.
+    degenerate pairings are refused.  Every cobordism evaluates, caps and
+    closed components included; a caller that wants only cobordisms with
+    positive boundary tests ``Cobordism.positive_boundary`` first.
 
     Component maps (per genus, in-legs, out-legs) and port index maps (per
     slot permutation) are built on first use and kept on the instance, so
     one instance serves many evaluations cheaply.
     """
 
-    def __init__(self, alg: FDAlgebra, frob: FrobeniusStructure,
-                 strict_positive_boundary: bool = False):
+    def __init__(self, alg: FDAlgebra, frob: FrobeniusStructure):
         if not alg.is_commutative():
             raise PreconditionError("TQFT evaluation needs a commutative algebra")
-        if not frob.report.nondegenerate:
+        if not frob.nondegenerate:
             raise PreconditionError("TQFT evaluation needs a nondegenerate pairing")
         self.alg = alg
         self.frob = frob
-        self.strict = strict_positive_boundary
         self._components = {}   # (genus, p, q) -> TQFTMap
         self._port_maps = {}    # slots -> (indices, signs), never handed out
         f, m = alg.field, alg.dim
-        self.copairing = frob.report.copairing
         self.ident = TQFTMap(f, m, 1, 1, [{i: 1} for i in range(m)], 1)
         self.mult = self._structure_map(2, 1, [
             ((k, i * m + j), c)
@@ -372,7 +380,7 @@ class FrobeniusTQFT:
         """(mu (x) 1)(1 (x) gamma), gamma the copairing as a map A^0 -> A^2."""
         m = self.alg.dim
         gamma = self._structure_map(0, 2, [
-            ((i * m + j, 0), c) for i, row in enumerate(self.copairing.data)
+            ((i * m + j, 0), c) for i, row in enumerate(self.frob.copairing.data)
             for j, c in enumerate(row)])
         return self.ident.tensor(gamma).compose(self.mult.tensor(self.ident))
 
@@ -456,12 +464,6 @@ class FrobeniusTQFT:
         f = self.alg.field
         p = f.char
         m = self.alg.dim
-        if self.strict:
-            for genus, ins, outs in cob.components:
-                if not ins or not outs:
-                    raise PreconditionError(
-                        "strict positive-boundary mode refuses closed-off components"
-                    )
         block = None
         scalar, c = 1, 1
         in_slots, out_slots = [], []
@@ -497,9 +499,9 @@ class FrobeniusTQFT:
         return TQFTMap(f, m, cob.p, cob.q, data, c)
 
 
-def tqft_evaluate(alg: FDAlgebra, frob: FrobeniusStructure, cob: Cobordism,
-                  strict_positive_boundary: bool = False) -> TQFTMap:
-    return FrobeniusTQFT(alg, frob, strict_positive_boundary).evaluate(cob)
+def tqft_evaluate(alg: FDAlgebra, frob: FrobeniusStructure,
+                  cob: Cobordism) -> TQFTMap:
+    return FrobeniusTQFT(alg, frob).evaluate(cob)
 
 
 # ---------------------------------------------------------------------------
@@ -603,14 +605,13 @@ class DetLine:
 
 
 def det_line(cob: Cobordism, coeff: int = 1, power: int = 1) -> DetLine:
-    """The determinant line of a cobordism whose components all have at
-    least one in- and one out-circle; its rank is -chi.  The coefficient is
+    """The determinant line of a cobordism with positive boundary
+    (``Cobordism.positive_boundary``); its rank is -chi.  The coefficient is
     stored already twisted: an orientation sign s enters as s**power."""
-    for genus, ins, outs in cob.components:
-        if not ins or not outs:
-            raise CobordismError(
-                "determinant lines need positive in- and out-boundary on every component"
-            )
+    if not cob.positive_boundary():
+        raise CobordismError(
+            "determinant lines need positive in- and out-boundary on every component"
+        )
     if coeff == 0:
         raise CobordismError("a determinant-line element must be a generator multiple")
     return DetLine(cob, -cob.euler_characteristic(), coeff, power)

@@ -208,11 +208,11 @@ class StringBracket:
     with the cup computed in HH(A;A) through the Frobenius duality.
 
     Each distinct bracket is computed once per instance: ``bracket`` keeps
-    its results keyed by the exact arguments, degree and representative
-    with its key order, never by coordinates.  Two representatives of one
-    class are therefore each computed, so the suites still test that the
-    bracket is well defined on classes.  Every call returns a fresh class
-    with its own coordinates and representative.
+    its results keyed by the arguments' ``memo_key``, degree and exact
+    representative with its key order, never coordinates.  Two
+    representatives of one class are therefore each computed, so the suites
+    still test that the bracket is well defined on classes.  Every call
+    returns a fresh class with its own coordinates and representative.
     """
 
     def __init__(self, alg: FDAlgebra, frob: FrobeniusStructure,
@@ -233,8 +233,7 @@ class StringBracket:
         through HH(A;A) since dual-coefficient cochains cannot be cupped."""
         if x.degree + y.degree > self.hc.certified:
             raise ValueError("bracket exceeds the certified window")
-        key = (x.degree, tuple(x.representative.items()),
-               y.degree, tuple(y.representative.items()))
+        key = x.memo_key() + y.memo_key()
         out = self._brackets.get(key)
         if out is None:
             out = self._brackets[key] = self._compute_bracket(x, y)

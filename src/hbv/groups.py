@@ -128,7 +128,10 @@ class FiniteGroup:
     @classmethod
     def load(cls, path):
         with open(path) as fh:
-            obj = json.load(fh)
+            try:
+                obj = json.load(fh)
+            except ValueError as exc:  # a JSON or a text decoding error
+                raise GroupError(f"group file {path}: not valid JSON ({exc})") from None
         return cls.from_json(obj, name=str(path))
 
 

@@ -46,7 +46,6 @@ vanish.
 
 from __future__ import annotations
 
-import os
 from itertools import accumulate, product
 
 from .algebra import FDAlgebra, FrobeniusStructure, PreconditionError
@@ -63,16 +62,6 @@ class BudgetError(ValueError):
 
 class CoefficientError(ValueError):
     """Operation not defined for this coefficient bimodule."""
-
-
-def budget_from_env(default: int = DEFAULT_BUDGET) -> int:
-    raw = os.environ.get("HBV_BUDGET")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise BudgetError(f"HBV_BUDGET must be an integer, got {raw!r}") from None
 
 
 def check_budget(what: str, dim: int, budget: int | None) -> None:
@@ -461,13 +450,15 @@ class CohomologyClass:
         self._memo_key = None
 
     def memo_key(self) -> tuple:
-        """``(degree, items of the HH representative's table)``, key order
-        included: what a memo of class operations is keyed by.  Built on
-        first use and kept, so it assumes the representative is not mutated
-        afterwards."""
+        """``(degree, items of the representative)``, key order included:
+        what a memo of class operations is keyed by.  The items are those of
+        an HH representative's table or of an HC representative, a plain
+        dict.  Built on first use and kept, so it assumes the representative
+        is not mutated afterwards."""
         if self._memo_key is None:
-            self._memo_key = (self.degree,
-                              tuple(self.representative.table.items()))
+            rep = self.representative
+            items = rep.items() if isinstance(rep, dict) else rep.table.items()
+            self._memo_key = (self.degree, tuple(items))
         return self._memo_key
 
     def is_zero(self):
@@ -593,7 +584,7 @@ class BVStructure:
 
     def __init__(self, alg: FDAlgebra, frob: FrobeniusStructure,
                  max_degree: int, budget: int | None = None):
-        if not frob.report.symmetric or not frob.report.nondegenerate:
+        if not frob.symmetric or not frob.nondegenerate:
             raise PreconditionError(
                 "BV structure needs a symmetric nondegenerate Frobenius pairing"
             )
@@ -602,8 +593,9 @@ class BVStructure:
         self.max_degree = max_degree
         self.hh = HochschildCohomology(alg, "self", max_degree, budget)
         self.hh_dual = HochschildCohomology(alg, "dual", max_degree, budget)
-        self.lam = frob.lambda_matrix()
-        self.lam_inv = frob.report.copairing.transpose()
+        # a -> <a, -> : A -> A-dual (rows index the dual basis), and back
+        self.lam = frob.pairing.transpose()
+        self.lam_inv = frob.copairing.transpose()
 
     # -- duality --------------------------------------------------------------
 

@@ -120,15 +120,16 @@ def test_criterion_4_frobenius_hopf_suite():
                         and len({field.fmt(c) for c in right[0]}) == 1
                         and not field.is_zero(left[0][0]))
             lam = lambda_L(alg)  # bimodule identity verified inside
-            rep = group_frobenius(alg).report
-            if not (full_sum and rep.nondegenerate and rep.frobenius_identity
-                    and rep.symmetric and rank(lam) == alg.dim):
+            fs = group_frobenius(alg)
+            if not (full_sum and fs.nondegenerate and fs.frobenius_identity
+                    and fs.symmetric and rank(lam) == alg.dim):
                 ok = False
                 print(f"  group suite fails for {name}/{field}")
     for degrees in ([3], [1], [3, 5], [1, 3, 5]):
         alg = exterior_algebra(degrees, QQ)
         fs = lie_pairing(alg)
-        if not (fs.report.all_ok() and fs.degree == -alg.top_degree()):
+        if not (fs.nondegenerate and fs.frobenius_identity and fs.symmetric
+                and fs.degree == -alg.top_degree()):
             ok = False
             print(f"  exterior suite fails for degrees {degrees}")
     sw = sweedler_algebra()
@@ -136,7 +137,7 @@ def test_criterion_4_frobenius_hopf_suite():
     fs = frobenius_from_integral(
         sw, dual_left_integrals(sw)[0], s_square_conjugator(sw)
     )
-    if unimodular or fs.report.symmetric or not fs.report.nondegenerate:
+    if unimodular or fs.symmetric or not fs.nondegenerate:
         ok = False
         print("  non-unimodular example not detected")
     _report("criterion 4: Frobenius/Hopf suite (integrals, lambda_L, exterior "

@@ -10,6 +10,7 @@ from hbv.groups import preset
 from hbv.algebra import (
     AlgebraError,
     FDAlgebra,
+    FrobeniusStructure,
     HopfData,
     ModelError,
     PreconditionError,
@@ -30,7 +31,6 @@ from hbv.algebra import (
     s_square_conjugator,
     sweedler_algebra,
     trace_pairing,
-    verify_frobenius,
 )
 from hbv.algebra import _commutation_kernel
 from hbv.cyclic import trace_space_dim
@@ -145,9 +145,9 @@ def test_sweedler_not_unimodular():
 def test_group_frobenius_flags():
     a = group_algebra(preset("S3"), QQ)
     fs = group_frobenius(a)
-    assert fs.report.nondegenerate
-    assert fs.report.frobenius_identity
-    assert fs.report.symmetric
+    assert fs.nondegenerate
+    assert fs.frobenius_identity
+    assert fs.symmetric
     assert fs.degree == 0
 
 
@@ -157,7 +157,7 @@ def test_frobenius_from_integral_group_case():
     lam = [QQ.one if i == a.group.identity else QQ.zero for i in range(a.dim)]
     fs = frobenius_from_integral(a, lam, list(a.unit))
     assert fs.pairing == group_frobenius(a).pairing
-    assert fs.report.symmetric and fs.report.nondegenerate
+    assert fs.symmetric and fs.nondegenerate
 
 
 def test_frobenius_from_integral_precondition():
@@ -173,9 +173,9 @@ def test_sweedler_frobenius_not_symmetric():
     u = s_square_conjugator(a)
     assert u is not None
     fs = frobenius_from_integral(a, lam, u)
-    assert fs.report.nondegenerate
-    assert fs.report.frobenius_identity
-    assert not fs.report.symmetric
+    assert fs.nondegenerate
+    assert fs.frobenius_identity
+    assert not fs.symmetric
 
 
 def test_frobenius_from_integral_exterior_example():
@@ -204,19 +204,68 @@ def test_unimodular_with_conjugator_gives_symmetric_form():
             continue
         lam = dual_left_integrals(alg)[0]
         fs = frobenius_from_integral(alg, lam, u)
-        assert fs.report.symmetric and fs.report.nondegenerate, alg
+        assert fs.symmetric and fs.nondegenerate, alg
 
 
 def test_zero_pairing_degenerate():
     a = group_algebra(preset("Z2"), QQ)
-    rep = verify_frobenius(a, Matrix(QQ, 2, 2))
-    assert not rep.nondegenerate and rep.copairing is None
+    fs = FrobeniusStructure(a, Matrix(QQ, 2, 2))
+    assert not fs.nondegenerate and fs.copairing is None
+    assert fs.degree == 0 and fs.frobenius_identity and fs.symmetric
+    assert fs.failures == [("degenerate",)]
 
 
 def test_matrix_algebra_trace_pairing():
     a = matrix_algebra(2, QQ)
-    rep = verify_frobenius(a, trace_pairing(a, 2))
-    assert rep.nondegenerate and rep.frobenius_identity and rep.symmetric
+    fs = FrobeniusStructure(a, trace_pairing(a, 2))
+    assert fs.nondegenerate and fs.frobenius_identity and fs.symmetric
+
+
+# The witnesses of a bad pairing, pinned exactly: their order is the check
+# order (homogeneity, nondegeneracy, Frobenius identity, symmetry), basis
+# triples and pairs in lexicographic order, 20 witnesses at most.
+
+def test_identity_pairing_z3_frobenius_witnesses():
+    # <g, h> = [g = h]: <a, bc> = [a = bc] and <ab, c> = [ab = c] differ
+    # on 12 of the 27 triples
+    a = group_algebra(preset("Z3"), QQ)
+    fs = FrobeniusStructure(a, Matrix.identity(QQ, 3))
+    assert fs.nondegenerate and fs.copairing == Matrix.identity(QQ, 3)
+    assert fs.degree == 0 and fs.symmetric and not fs.frobenius_identity
+    assert fs.failures == [
+        ("frobenius", "e", "g1", "g1"), ("frobenius", "e", "g1", "g2"),
+        ("frobenius", "e", "g2", "g1"), ("frobenius", "e", "g2", "g2"),
+        ("frobenius", "g1", "g1", "e"), ("frobenius", "g1", "g1", "g2"),
+        ("frobenius", "g1", "g2", "e"), ("frobenius", "g1", "g2", "g2"),
+        ("frobenius", "g2", "g1", "e"), ("frobenius", "g2", "g1", "g1"),
+        ("frobenius", "g2", "g2", "e"), ("frobenius", "g2", "g2", "g1"),
+    ]
+
+
+def test_identity_pairing_z6_witness_cap():
+    # more than 20 triples fail; the list stops at the 20th
+    a = group_algebra(preset("Z6"), QQ)
+    fs = FrobeniusStructure(a, Matrix.identity(QQ, 6))
+    assert not fs.frobenius_identity and fs.symmetric
+    assert len(fs.failures) == 20
+    assert fs.failures[:2] == [("frobenius", "e", "g1", "g1"),
+                               ("frobenius", "e", "g1", "g5")]
+    assert fs.failures[-2:] == [("frobenius", "g2", "g2", "e"),
+                                ("frobenius", "g2", "g2", "g4")]
+
+
+def test_identity_pairing_exterior_inhomogeneous():
+    # <1, 1> = <x3, x3> = 1 pairs degrees 0 and 6, and graded symmetry
+    # needs <x3, x3> = -<x3, x3> for the odd x3
+    a = exterior_algebra([3], QQ)
+    fs = FrobeniusStructure(a, Matrix.identity(QQ, 2))
+    assert fs.degree is None and fs.nondegenerate
+    assert not fs.frobenius_identity and not fs.symmetric
+    assert fs.failures == [
+        ("inhomogeneous-pairing",),
+        ("frobenius", "1", "x3", "x3"), ("frobenius", "x3", "x3", "1"),
+        ("symmetry", "x3", "x3"),
+    ]
 
 
 def test_exterior_lie_pairing():
@@ -237,7 +286,7 @@ def test_exterior_lie_pairing_koszul():
     i3, i5 = a.names.index("x3"), a.names.index("x5")
     assert fs.pairing.data[i3][i5] == 1
     assert fs.pairing.data[i5][i3] == -1  # graded symmetry: odd.odd
-    assert fs.report.symmetric and fs.report.nondegenerate
+    assert fs.symmetric and fs.nondegenerate
 
 
 def test_lie_pairing_multiplication_injective():

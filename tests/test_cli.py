@@ -429,6 +429,48 @@ def test_malformed_cobordism_file_is_input_error(capsys, tmp_path):
     assert "hbv: error: genus 'a' is not an integer\n" in captured.err
 
 
+@pytest.mark.parametrize("text", [b'{"in": 1, "elements": [', b'\xff{}'],
+                         ids=["truncated", "not-utf8"])
+@pytest.mark.parametrize("argv, kind", [
+    (["hochschild", "--field", "F2", "--max-degree", "3", "--group"], "group"),
+    (["integrals", "--algebra"], "algebra"),
+    (["detline", "--cobordism"], "cobordism"),
+], ids=["group", "algebra", "cobordism"])
+def test_truncated_json_file_names_kind_and_path(capsys, tmp_path, argv, kind,
+                                                 text):
+    # a file that is not JSON text is refused by what it was read as and
+    # where it is
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(text)
+    status = main(argv + [str(path)])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert f"hbv: error: {kind} file {path}: not valid JSON (" in captured.err
+
+
+@pytest.mark.parametrize("group, preset, message", [
+    ("Z3", "cap_in",
+     "strict positive-boundary mode refuses closed-off components"),
+    # the algebra is refused before the cobordism is looked at
+    ("S3", "cap_in", "TQFT evaluation needs a commutative algebra"),
+    ("Z3", "pants", None),
+])
+def test_strict_positive_boundary_flag(capsys, group, preset, message):
+    argv = ["tqft", "eval", "--group", group, "--field", "Q", "--preset", preset]
+    status = main(argv + ["--strict-positive-boundary"])
+    captured = capsys.readouterr()
+    if message is not None:
+        assert status == 2
+        assert captured.out == ""
+        assert f"hbv: error: {message}\n" in captured.err
+        return
+    # a cobordism with positive boundary evaluates as without the flag
+    assert status == 0
+    assert main(argv) == 0
+    assert capsys.readouterr().out == captured.out
+
+
 @pytest.mark.parametrize("argv, path, obj, message", [
     (["hochschild", "--group"], "group.json", {"elements": ["e"], "table": 5},
      "elements must be a list and table a list of lists of integers"),

@@ -361,11 +361,17 @@ def test_closed_component_scalar(qz3):
     assert ev.matrix.data[0][0] == Fraction(3)
 
 
-def test_strict_positive_boundary_refusal(qz3):
-    alg, frob = qz3
-    with pytest.raises(PreconditionError):
-        tqft_evaluate(alg, frob, preset_cobordism("cap_in"),
-                      strict_positive_boundary=True)
+def test_strict_positive_boundary_refusal():
+    # every component needs an in-circle and an out-circle
+    assert preset_cobordism("pants").positive_boundary()
+    assert preset_cobordism("cyl").positive_boundary()
+    assert identity_cobordism(0).positive_boundary()
+    for name in ("cap_in", "cap_out"):
+        assert not preset_cobordism(name).positive_boundary(), name
+    # a cap beside a cylinder, and a component with in-circles only
+    assert not Cobordism(2, 1, [(0, [1], [1]), (0, [2], [])]).positive_boundary()
+    assert not Cobordism(2, 0, [(1, [1, 2], [])]).positive_boundary()
+    assert not Cobordism(0, 2, [(0, [], [1, 2])]).positive_boundary()
 
 
 def test_noncommutative_refused():
@@ -383,7 +389,7 @@ def test_degenerate_pairing_refused():
 
 def test_pairing_inverted_once(monkeypatch):
     """One ``inverse`` call per FrobeniusStructure: FrobeniusTQFT reads the
-    copairing its report keeps, and BVStructure its transpose.  Both are the
+    copairing the structure keeps, and BVStructure its transpose.  Both are the
     exact matrices a second inversion gives, so the TQFT maps built from the
     copairing are unchanged, and the BV suite's report is the one pinned
     here."""
@@ -411,7 +417,7 @@ def test_pairing_inverted_once(monkeypatch):
     bv = BVStructure(alg, frob, 3)
     rep = bv_check(alg, frob, 3)
     assert len(calls) == 1
-    assert T.copairing == real(frob.pairing)
+    assert T.frob.copairing == real(frob.pairing)
     assert bv.lam_inv == real(bv.lam)
     assert rep.counts() == (103, 103)
     assert hashlib.sha256(render(checks_from(rep)).encode()).hexdigest() == (
