@@ -70,7 +70,11 @@ def _algebra_from_args(args):
         alg = group_algebra(g, _field(args))
         cfg = {"group": args.group, "field": _field(args).name}
     elif src == "exterior":
-        degrees = [int(x) for x in args.exterior.split(",") if x.strip()]
+        try:
+            degrees = [int(x) for x in args.exterior.split(",") if x.strip()]
+        except ValueError:
+            raise InputError(f"--exterior {args.exterior!r}: expected "
+                             "comma-separated odd positive degrees") from None
         alg = exterior_algebra(degrees, _field(args))
         cfg = {"exterior": degrees, "field": _field(args).name}
     else:

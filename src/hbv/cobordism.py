@@ -5,12 +5,17 @@ against a commutative Frobenius algebra, and determinant lines.
 
 A cobordism is a multiset of connected components (genus, in-legs, out-legs)
 whose legs partition the global in-ports 1..p and out-ports 1..q.  Two
-cobordisms are equal iff their normal forms coincide.  Gluing merges
-components by a union-find over the glued circles; each circle that closes
-a cycle adds a handle, so the genus of a merged cluster grows by the cycle
-rank E - V + 1 of its gluing graph, and the Euler characteristic
-chi = 2k - 2g - p - q is additive under both compositions (asserted on
-every compose).
+cobordisms are equal iff their normal forms coincide.  Input is checked
+once, where it enters the program: the ``Cobordism`` constructor,
+``Cobordism.from_json`` and ``load``, and the identity, permutation,
+connected and preset constructors.  ``compose`` and ``tensor`` combine
+checked cobordisms into results that partition their ports by
+construction, so they build the normal form directly, unchecked; each
+normal form stores its Euler characteristic chi = 2k - 2g - p - q.  Gluing
+merges components by a union-find over the glued circles; each circle that
+closes a cycle adds a handle, so the genus of a merged cluster grows by the
+cycle rank E - V + 1 of its gluing graph, and chi is additive under both
+compositions (asserted on every compose).
 
 A TQFT map (``TQFTMap``) is held as exact integer rows with one
 denominator, and evaluated, composed, tensored and compared in ints; the
@@ -43,15 +48,22 @@ def _count_error(n, what) -> CobordismError:
 
 
 class Cobordism:
-    __slots__ = ("p", "q", "components")
+    """A morphism p -> q of the cobordism prop in normal form: components
+    (genus, in-legs, out-legs) with sorted leg tuples, in a canonical order
+    (``_component_key``), and chi = 2k - 2g - p - q, stored when the normal
+    form is made.  The constructor, and so every entry point the module
+    docstring lists, refuses anything but nonnegative int counts and int
+    legs that partition the ports.  ``compose`` and ``tensor`` take checked
+    cobordisms and build their results' normal forms directly
+    (``_normal``)."""
+
+    __slots__ = ("p", "q", "components", "_chi")
 
     def __init__(self, p: int, q: int, components):
         if type(p) is not int or p < 0:
             raise _count_error(p, "in-port count")
         if type(q) is not int or q < 0:
             raise _count_error(q, "out-port count")
-        self.p = p
-        self.q = q
         comps, ins, outs = [], [], []
         for genus, in_legs, out_legs in components:
             if type(genus) is not int or genus < 0:
@@ -72,7 +84,26 @@ class Cobordism:
             raise CobordismError(f"in-legs {sorted(ins)} do not partition 1..{p}")
         if sorted(outs) != list(range(1, q + 1)):
             raise CobordismError(f"out-legs {sorted(outs)} do not partition 1..{q}")
+        self._set_normal(p, q, comps)
+
+    def _set_normal(self, p: int, q: int, comps):
+        """The normalization step: order the components and store chi.  The
+        legs are sorted tuples that partition 1..p and 1..q."""
+        genus = 0
+        for comp in comps:
+            genus += comp[0]
+        self.p = p
+        self.q = q
         self.components = tuple(sorted(comps, key=self._component_key))
+        self._chi = 2 * (len(comps) - genus) - p - q
+
+    @classmethod
+    def _normal(cls, p: int, q: int, comps) -> "Cobordism":
+        """The cobordism of components already known to be valid, through
+        the normalization step alone: no input is checked."""
+        cob = cls.__new__(cls)
+        cob._set_normal(p, q, comps)
+        return cob
 
     @staticmethod
     def _component_key(comp):
@@ -83,16 +114,9 @@ class Cobordism:
 
     # -- invariants -----------------------------------------------------------
 
-    def component_count(self) -> int:
-        return len(self.components)
-
-    def total_genus(self) -> int:
-        return sum(g for g, _, _ in self.components)
-
     def euler_characteristic(self) -> int:
-        """chi = 2k - 2g - p - q."""
-        return (2 * self.component_count() - 2 * self.total_genus()
-                - self.p - self.q)
+        """chi = 2k - 2g - p - q, stored with the normal form."""
+        return self._chi
 
     def positive_boundary(self) -> bool:
         """Whether every component has an in-circle and an out-circle."""
@@ -119,7 +143,9 @@ class Cobordism:
         A union-find over the components of both sides, this cobordism's
         first: each glued circle joins the two components it bounds.  A
         circle whose two sides already share a root closes a cycle and adds
-        one handle, and merging two roots carries their handle counts over."""
+        one handle, and merging two roots carries their handle counts over.
+        Every component ends under one root, so the merged components
+        partition the ports and the result is built in normal form."""
         if self.q != g.p:
             raise CobordismError(
                 f"cannot glue {self.q} out-circles to {g.p} in-circles"
@@ -128,45 +154,43 @@ class Cobordism:
         k = len(self.components)
         parent = list(range(len(comps)))
         genus = [c[0] for c in comps]
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         out_owner = {j: i for i, (_, _, outs) in enumerate(self.components)
                      for j in outs}
-        for i, (_, ins, _) in enumerate(g.components, k):
+        for b, (_, ins, _) in enumerate(g.components, k):
+            # b stays a root while its legs are glued: each joins a root to it
             for j in ins:
-                a, b = find(out_owner[j]), find(i)
+                a = out_owner[j]
+                while parent[a] != a:
+                    a = parent[a]
                 if a == b:
-                    genus[a] += 1
+                    genus[b] += 1
                 else:
                     parent[a] = b
                     genus[b] += genus[a]
         legs: dict = {}   # root -> the merged component's (in-legs, out-legs)
         for i, (_, ins, outs) in enumerate(comps):
-            in_legs, out_legs = legs.setdefault(find(i), ([], []))
+            r = i
+            while parent[r] != r:
+                r = parent[r]
+            in_legs, out_legs = legs.setdefault(r, ([], []))
             if i < k:
                 in_legs.extend(ins)
             else:
                 out_legs.extend(outs)
-        result = Cobordism(self.p, g.q,
-                           [(genus[r], ins, outs) for r, (ins, outs) in legs.items()])
-        expected = self.euler_characteristic() + g.euler_characteristic()
-        if result.euler_characteristic() != expected:
+        result = Cobordism._normal(self.p, g.q, [
+            (genus[r], tuple(sorted(ins)), tuple(sorted(outs)))
+            for r, (ins, outs) in legs.items()])
+        if result._chi != self._chi + g._chi:
             raise CobordismError("gluing broke Euler characteristic additivity")
         return result
 
     def tensor(self, g: "Cobordism") -> "Cobordism":
         """Disjoint union, with g's ports shifted past this cobordism's."""
+        p, q = self.p, self.q
         comps = list(self.components)
-        for genus, ins, outs in g.components:
-            comps.append(
-                (genus, [i + self.p for i in ins], [j + self.q for j in outs])
-            )
-        return Cobordism(self.p + g.p, self.q + g.q, comps)
+        comps += [(genus, tuple(i + p for i in ins), tuple(j + q for j in outs))
+                  for genus, ins, outs in g.components]
+        return Cobordism._normal(p + g.p, q + g.q, comps)
 
     # -- serialization ------------------------------------------------------------
 
@@ -339,7 +363,10 @@ class FrobeniusTQFT:
 
     Component maps (per genus, in-legs, out-legs) and port index maps (per
     slot permutation) are built on first use and kept on the instance, so
-    one instance serves many evaluations cheaply.
+    one instance serves many evaluations cheaply.  A component map is built
+    from the next smaller shape by one composition (``_component``): drop
+    an in-leg by one product, else an out-leg by one coproduct, else a cap
+    by the counit, else a handle, down to the unit or the identity.
     """
 
     def __init__(self, alg: FDAlgebra, frob: FrobeniusStructure):
@@ -351,8 +378,8 @@ class FrobeniusTQFT:
         self.frob = frob
         self._components = {}   # (genus, p, q) -> TQFTMap
         self._port_maps = {}    # slots -> (indices, signs), never handed out
-        f, m = alg.field, alg.dim
-        self.ident = TQFTMap(f, m, 1, 1, [{i: 1} for i in range(m)], 1)
+        m = alg.dim
+        self.ident = self._identity(1)
         self.mult = self._structure_map(2, 1, [
             ((k, i * m + j), c)
             for (i, j), row in alg.mult.items() for k, c in row.items()])
@@ -366,6 +393,12 @@ class FrobeniusTQFT:
         handle_element = self.unit.compose(self.coproduct).compose(self.mult)
         self.handle = handle_element.tensor(self.ident).compose(self.mult)
         self._check_frobenius_axioms()
+
+    def _identity(self, width: int) -> TQFTMap:
+        """The identity of A^{(x)width}."""
+        m = self.alg.dim
+        return TQFTMap(self.alg.field, m, width, width,
+                       [{i: 1} for i in range(m ** width)], 1)
 
     def _structure_map(self, p: int, q: int, terms) -> TQFTMap:
         """The map A^{(x)p} -> A^{(x)q} whose entries sum the ``((i, j), c)``
@@ -400,21 +433,35 @@ class FrobeniusTQFT:
     # -- evaluation ---------------------------------------------------------------
 
     def _component(self, genus: int, p_i: int, q_i: int) -> TQFTMap:
-        """The map of one connected component, cached per shape: iterated
-        product, handle factors, iterated coproduct.  Callers must not
-        mutate it."""
+        """The map of one connected component, cached per shape.  Each shape
+        is one composition away from a smaller cached shape:
+
+        - p_i >= 2: the (genus, p_i - 1, q_i) map after mult (x) id^{p_i - 2}
+        - else q_i >= 2: the (genus, p_i, q_i - 1) map, then
+          coproduct (x) id^{q_i - 2}
+        - else q_i = 0: the (genus, p_i, 1) map, then the counit
+        - else genus >= 1: the (genus - 1, p_i, 1) map, then the handle
+        - else the unit (p_i = 0) or the identity (p_i = 1).
+
+        The result is the iterated product (left to right), the handle
+        factors, then the iterated coproduct (split on the first leg), as a
+        composite of the same structure maps.  Callers must not mutate it."""
         key = (genus, p_i, q_i)
         tm = self._components.get(key)
         if tm is None:
-            tm = self.unit if p_i == 0 else self.ident
-            for _ in range(p_i - 1):
-                tm = tm.tensor(self.ident).compose(self.mult)
-            for _ in range(genus):
-                tm = tm.compose(self.handle)
-            split = self.counit if q_i == 0 else self.ident
-            for _ in range(q_i - 1):
-                split = self.coproduct.compose(split.tensor(self.ident))
-            tm = self._components[key] = tm.compose(split)
+            if p_i >= 2:
+                tm = self.mult.tensor(self._identity(p_i - 2)).compose(
+                    self._component(genus, p_i - 1, q_i))
+            elif q_i >= 2:
+                tm = self._component(genus, p_i, q_i - 1).compose(
+                    self.coproduct.tensor(self._identity(q_i - 2)))
+            elif q_i == 0:
+                tm = self._component(genus, p_i, 1).compose(self.counit)
+            elif genus:
+                tm = self._component(genus - 1, p_i, 1).compose(self.handle)
+            else:
+                tm = self.unit if p_i == 0 else self.ident
+            self._components[key] = tm
         return tm
 
     def _port_map(self, slots: tuple):
@@ -508,10 +555,24 @@ def tqft_evaluate(alg: FDAlgebra, frob: FrobeniusStructure,
 # pants decompositions (used by the decomposition-invariance tests)
 
 
+def _cylinders(targets) -> Cobordism:
+    """Cylinders wiring in-port i to out-port targets[i - 1], built in
+    normal form: ``targets`` is a permutation of 1..n that the caller made."""
+    n = len(targets)
+    return Cobordism._normal(n, n, [(0, (i,), (t,))
+                                    for i, t in enumerate(targets, 1)])
+
+
+def _sphere(p: int, q: int) -> Cobordism:
+    """The connected genus-0 cobordism p -> q, built in normal form."""
+    return Cobordism._normal(p, q, [(0, tuple(range(1, p + 1)),
+                                     tuple(range(1, q + 1)))])
+
+
 def _elementary(width: int, position: int, piece: Cobordism) -> Cobordism:
     """cyl^{(x)position} (x) piece (x) cyl^{(x)(width-position-1... )}."""
-    left = identity_cobordism(position)
-    right = identity_cobordism(width - position - piece.p)
+    left = _cylinders(range(1, position + 1))
+    right = _cylinders(range(1, width - position - piece.p + 1))
     return left.tensor(piece).tensor(right)
 
 
@@ -521,10 +582,8 @@ def pants_decomposition(cob: Cobordism, rng=None) -> list:
     import random
 
     rng = rng or random.Random(0)
-    pants = preset_cobordism("pants")
-    copants = preset_cobordism("copants")
-    cap_in = preset_cobordism("cap_in")
-    cap_out = preset_cobordism("cap_out")
+    pants, copants = _sphere(2, 1), _sphere(1, 2)
+    cap_in, cap_out = _sphere(1, 0), _sphere(0, 1)
 
     comps = list(cob.components)
     layers: list[Cobordism] = []
@@ -534,7 +593,7 @@ def pants_decomposition(cob: Cobordism, rng=None) -> list:
         perm = [0] * cob.p
         for newpos, port in enumerate(in_order, start=1):
             perm[port - 1] = newpos
-        layers.append(permutation_cobordism(perm))
+        layers.append(_cylinders(perm))
 
     # per-component layer sequences on disjoint strands, concatenated by
     # padding with identities
@@ -567,7 +626,7 @@ def pants_decomposition(cob: Cobordism, rng=None) -> list:
         layer = None
         for seq, _, wout in seqs:
             piece = (seq[level] if level < len(seq)
-                     else identity_cobordism(wout))
+                     else _cylinders(range(1, wout + 1)))
             layer = piece if layer is None else layer.tensor(piece)
         if layer is not None:
             layers.append(layer)
@@ -575,7 +634,7 @@ def pants_decomposition(cob: Cobordism, rng=None) -> list:
     # route contiguous component out-strands to the global out-ports
     out_order = [j for _, _, outs in comps for j in outs]
     if cob.q:
-        layers.append(permutation_cobordism(out_order))
+        layers.append(_cylinders(out_order))
 
     chained = layers[0] if layers else identity_cobordism(0)
     for layer in layers[1:]:

@@ -173,6 +173,17 @@ def test_unknown_preset_is_input_error(capsys):
     assert status == 2
 
 
+@pytest.mark.parametrize("degrees", ["3,x", "1.5"])
+def test_malformed_exterior_degrees_name_the_option(capsys, degrees):
+    status = main(["tqft", "eval", "--exterior", degrees, "--field", "Q",
+                   "--preset", "pants"])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert (f"hbv: error: --exterior {degrees!r}: expected comma-separated "
+            "odd positive degrees\n") in captured.err
+
+
 @pytest.mark.parametrize("name", ["NOPE", "F4"])
 def test_mistyped_group_names_the_presets(capsys, monkeypatch, tmp_path, name):
     # a --group value that is neither a preset nor an existing file is

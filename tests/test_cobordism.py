@@ -187,12 +187,43 @@ def _random_with_closed(rng, p, q, maxk=5, maxg=2):
     return Cobordism(p, q, comps)
 
 
+def _tensor_reference(f, g):
+    """f (x) g through the checked constructor, g's legs shifted past f's
+    ports."""
+    shifted = [(genus, [i + f.p for i in ins], [j + f.q for j in outs])
+               for genus, ins, outs in g.components]
+    return Cobordism(f.p + g.p, f.q + g.q, list(f.components) + shifted)
+
+
+def assert_checked_normal_form(cob):
+    """A cobordism built without the checks is the one the checked
+    constructor makes from its components (sorted leg tuples, the canonical
+    component order), and its stored chi is 2k - 2g - p - q."""
+    assert Cobordism(cob.p, cob.q, cob.components) == cob
+    k, genus = len(cob.components), sum(g for g, _, _ in cob.components)
+    assert cob.euler_characteristic() == 2 * k - 2 * genus - cob.p - cob.q
+
+
 def test_compose_matches_gluing_graph_reference():
+    # compose, tensor and the layers of a pants decomposition are built in
+    # normal form without the constructor's checks, so each result is held
+    # to a reference made through those checks
     rng = random.Random(2024)
+    rng2 = random.Random(2025)
     for _ in range(3000):
         p, q, r = rng.randint(0, 4), rng.randint(0, 5), rng.randint(0, 4)
         f, g = _random_with_closed(rng, p, q), _random_with_closed(rng, q, r)
-        assert f.compose(g) == _gluing_reference(f, g)
+        glued = f.compose(g)
+        assert glued == _gluing_reference(f, g)
+        h = _random_with_closed(rng2, rng2.randint(0, 4), rng2.randint(0, 4))
+        disjoint = f.tensor(h)
+        assert disjoint == _tensor_reference(f, h)
+        assert_checked_normal_form(glued)
+        assert_checked_normal_form(disjoint)
+    for _ in range(300):
+        cob = _random_with_closed(rng2, rng2.randint(0, 4), rng2.randint(0, 4))
+        for layer in pants_decomposition(cob, rng2):
+            assert_checked_normal_form(layer)
 
 
 def test_json_roundtrip(tmp_path):
@@ -621,8 +652,9 @@ def test_koszul_wiring_matches_dense_reference():
 def _row_tqft(name):
     if name == "class S3/Q":
         return FrobeniusTQFT(*class_algebra(preset("S3"), QQ))
-    if name.startswith("ext3/"):
-        alg = exterior_algebra([3], {"ext3/Q": QQ, "ext3/F3": GF(3)}[name])
+    if name.startswith("ext"):
+        degree, field = name[3:].split("/")
+        alg = exterior_algebra([int(degree)], field_by_name(field))
         return FrobeniusTQFT(alg, lie_pairing(alg))
     group, field = {"Q[Z3]": ("Z3", QQ), "F3[Z4]": ("Z4", GF(3))}[name]
     alg = group_algebra(preset(group), field)
@@ -662,12 +694,18 @@ INTERLEAVED = [
 
 
 @pytest.mark.parametrize("name", ["Q[Z3]", "F3[Z4]", "ext3/Q", "ext3/F3",
-                                  "class S3/Q"])
+                                  "class S3/Q", "ext1/Q"])
 def test_integer_rows_match_dense_route(name):
     # evaluation, composition and tensor products on integer rows against
     # products and Kronecker products of the dense reference matrices; the
     # closed components' values fold into the rows and the denominator
     T = _row_tqft(name)
+    # every component shape up to genus 2 and three in- and out-legs, each
+    # built from the next smaller cached shape, against the from-scratch
+    # dense build
+    for genus, p, q in itertools.product(range(3), range(4), range(4)):
+        assert T._component(genus, p, q).matrix == dense_component(
+            T, genus, p, q), (genus, p, q)
     for cob in INTERLEAVED:
         assert_normal_form(T.evaluate(cob))
         assert T.evaluate(cob).matrix == dense_evaluate(T, cob)
@@ -684,7 +722,7 @@ def test_integer_rows_match_dense_route(name):
             assert_normal_form(tm)
             assert tm.matrix == want
             denominators.add(tm.c)
-        if not name.startswith("ext3/"):
+        if not name.startswith("ext"):
             # the exterior models' pairing is odd, and their evaluation is
             # not functorial on every pair (a connected 2 -> 2 piece before
             # a twist changes the map), so it is held to the dense route
