@@ -764,7 +764,11 @@ def group_cochain_complex(g: FiniteGroup, field, max_degree: int,
                           budget: int | None = None) -> Complex:
     """The normalized bar cochain complex of the group with trivial
     coefficients, C^0..C^{N+1} with d^0..d^N (independent of the Hochschild
-    machinery above)."""
+    machinery above).  A negative ``max_degree`` is refused with a
+    ``ValueError`` naming it."""
+    if max_degree < 0:
+        raise ValueError(f"group cochain truncation degree {max_degree} is "
+                         "negative: it must be at least 0")
     f = field
     ring = operator_ring(f)
     m = g.order

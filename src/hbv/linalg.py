@@ -46,19 +46,22 @@ a mixed complex the same way, from B d + d B = 0 and B B = 0.
 
 Elimination.  One forward echelon per arithmetic, pivoting on the largest
 index (empirically near fill-free on bar differentials), serves both rank
-and kernel: ``_echelon_f2`` on bitsets (ints) over F_2, ``_echelon_fp``
-over F_p and the fraction-free ``_echelon_q`` over Q, which takes integer
-vectors (``_integer_rows``).  ``sparse_rank`` eliminates the side with
-fewer vectors (LaMacchia-Odlyzko): over F_p and Q the columns of a tall
-matrix, so of every bar differential, built once as integer vectors and fed
-in ascending order, and the rows of a square or wide one.  Over F_2 it
-eliminates the rows, since a bitset costs its length.  The kernel path
-always eliminates rows.  The sparse kernel basis is one algorithm on every
-field (reduce the echelon, read the kernel off it, reduce again:
-``_reduce_f2`` on bitsets, ``_reduce`` on dict rows).  It equals, vector
-for vector, the basis a leftmost-pivot Gauss-Jordan elimination gives,
-since the reduced kernel basis is unique, and its keys are in ascending
-order on every field.  A
+and kernel: ``_echelon_f2`` on bitsets (ints) over F_2, ``_echelon_f3`` on
+bitset pairs over F_3 (bit c of the first int set where entry c is 1, of
+the second where it is 2: addition is seven bitwise operations and
+negation swaps the pair; Boothby-Bradshaw), ``_echelon_fp`` on dict rows
+over every other F_p, and the fraction-free ``_echelon_q`` over Q, which
+takes integer vectors (``_integer_rows``).  ``sparse_rank`` eliminates the
+side with fewer vectors (LaMacchia-Odlyzko) over F_p, p > 3, and Q: the
+columns of a tall matrix, so of every bar differential, built once as
+integer vectors and fed in ascending order, and the rows of a square or
+wide one.  Over F_2 and F_3 it eliminates the rows, since a bitset costs
+its length.  The kernel path always eliminates rows.  The sparse kernel
+basis is one algorithm on every field (reduce the echelon, read the kernel
+off it, reduce again: ``_reduce_f2`` on bitsets, ``_reduce_f3`` on bitset
+pairs, ``_reduce`` on dict rows).  It equals, vector for vector, the basis
+a leftmost-pivot Gauss-Jordan elimination gives, since the reduced kernel
+basis is unique, and its keys are in ascending order on every field.  A
 dense ``Matrix`` has no elimination of its own: ``rank``, ``kernel_basis``
 and ``inverse`` feed its rows to ``_echelon`` (``inverse`` with one tag
 column per row); the tests keep a dense Gauss-Jordan and a determinant as
@@ -491,6 +494,83 @@ def _reduce_f2(ech: dict) -> dict:
     return out
 
 
+def _f3_bits(row: dict) -> tuple:
+    """A sparse vector over F_3 as a bitset pair ``(ones, twos)``: bit c of
+    ``ones`` (``twos``) is set where entry c is 1 (2)."""
+    ones = twos = 0
+    for c, v in row.items():
+        v %= 3
+        if v == 1:
+            ones |= 1 << c
+        elif v:
+            twos |= 1 << c
+    return ones, twos
+
+
+def _f3_dict(pair) -> dict:
+    """A bitset pair as a sparse vector over F_3, keys ascending."""
+    ones, twos = pair
+    out = dict.fromkeys(_f2_support(ones), 1)
+    out.update(dict.fromkeys(_f2_support(twos), 2))
+    return dict(sorted(out.items()))
+
+
+# Over F_3 a vector is a bitset pair, and the sum (s1, s2) of (a1, a2) and
+# (b1, b2) is exact mod 3 in seven bitwise operations:
+#     t = (a1 | b2) ^ (a2 | b1),  s1 = (a2 | b2) ^ t,  s2 = (a1 | b1) ^ t.
+# Negation swaps the pair, so a - b is a + (b2, b1).  The engines inline it.
+
+
+def _echelon_f3(rows) -> dict:
+    """Forward echelon over F_3 of bitset pairs (``_f3_bits``), max-column
+    pivot: returns ``{pivot: (ones, twos)}`` with every pivot entry 1.  The
+    pair's two bit lengths give the pivot and its entry, since no bit is
+    set in both."""
+    ech: dict[int, tuple] = {}
+    for ones, twos in rows:
+        while True:
+            lo, lt = ones.bit_length(), twos.bit_length()
+            if lo == lt:
+                break   # both 0
+            pc = (lo if lo > lt else lt) - 1
+            er = ech.get(pc)
+            if er is None:
+                # a pivot entry 2 is scaled by 2 = -1: the pair swapped
+                ech[pc] = (ones, twos) if lo > lt else (twos, ones)
+                break
+            # entry 1: subtract er, i.e. add it negated; entry 2: add er
+            b2, b1 = er if lo > lt else er[::-1]
+            t = (ones | b2) ^ (twos | b1)
+            ones, twos = (twos | b2) ^ t, (ones | b1) ^ t
+    return ech
+
+
+def _reduce_f3(ech: dict) -> dict:
+    """The reduced form of a max-column F_3 echelon, as ``_reduce_f2`` makes
+    it over F_2: rows in increasing pivot order, each reduced by the already
+    reduced rows at its other pivots.  Such a row has no entry at any pivot
+    but its own, so the entries of the row being reduced at its pivots are
+    read once, before it changes."""
+    pivots = 0
+    for pc in ech:
+        pivots |= 1 << pc
+    out: dict[int, tuple] = {}
+    for pc in sorted(ech):
+        ones, twos = ech[pc]
+        minus = _f2_support((ones & pivots) ^ (1 << pc))
+        plus = _f2_support(twos & pivots)
+        for q in minus:   # entry 1: subtract out[q]
+            b2, b1 = out[q]
+            t = (ones | b2) ^ (twos | b1)
+            ones, twos = (twos | b2) ^ t, (ones | b1) ^ t
+        for q in plus:    # entry 2: add out[q]
+            b1, b2 = out[q]
+            t = (ones | b2) ^ (twos | b1)
+            ones, twos = (twos | b2) ^ t, (ones | b1) ^ t
+        out[pc] = (ones, twos)
+    return out
+
+
 def _echelon_fp(rows, p) -> dict:
     """Forward echelon over F_p, dict rows, max-column pivot: returns
     ``{pivot: row}`` with every row scaled to pivot entry 1."""
@@ -630,21 +710,29 @@ def _handed_out(vecs: list):
 
 
 def sparse_rank(sm: SparseMatrix) -> int:
-    """Exact rank by max-index forward elimination of the side with fewer
-    vectors: over F_p and Q the columns when there are fewer of them than
-    rows (every bar and group-cochain differential, whose nrows =
-    (m-1) * ncols), the rows otherwise.  Columns are built once, as integer
-    vectors, and fed to the engine in ascending order, each released once
-    it is consumed; that order and the max-index pivot keep elimination
-    near fill-free here.  Over F_2 the rows are eliminated whatever the
-    shape: a bitset costs its length, not its support, so bitset columns of
-    a tall matrix are the larger vectors.  A vector is only ever reduced by
-    a stored one holding its pivot index, so vectors that share no index
-    never meet: splitting the matrix into blocks first would make the same
-    eliminations."""
+    """Exact rank by max-index forward elimination, one engine per
+    arithmetic: bitsets over F_2, bitset pairs over F_3, dict rows over
+    every other F_p and fraction-free integer rows over Q.  Bitsets and
+    bitset pairs are the rows, whatever the shape: a bitset costs its
+    length, not its support, so bitset columns of a tall matrix are the
+    longer vectors, and their echelon keeps up to rank of them.  Over F_3
+    such columns were up to twice as fast as the rows on bar
+    differentials, but took three to five times the memory on the order-8
+    groups at N = 4 and on S3 at N = 5 (``BENCH_f3_bits.json``).
+    Dict rows and integer rows eliminate the side with fewer vectors: the
+    columns when there are fewer of them than rows (every bar and
+    group-cochain differential, whose nrows = (m-1) * ncols), the rows
+    otherwise.  Columns are built once, as integer vectors, and fed to the
+    engine in ascending order, each released once it is consumed; that
+    order and the max-index pivot keep elimination near fill-free here.  A
+    vector is only ever reduced by a stored one holding its pivot index, so
+    vectors that share no index never meet: splitting the matrix into
+    blocks first would make the same eliminations."""
     p = sm.field.char
     if p == 2:
         return len(_echelon_f2(map(_f2_bits, sm.rows)))
+    if p == 3:
+        return len(_echelon_f3(map(_f3_bits, sm.rows)))
     vecs, _ = _integer_rows(sm.rows, p)
     if sm.ncols < sm.nrows:
         vecs = _handed_out(_transpose(vecs, sm.ncols))
@@ -662,8 +750,11 @@ def sparse_kernel_basis(sm: SparseMatrix):
     vector is read off its rows, and the max-column echelon of those
     vectors, fully reduced, is the unique basis whose vectors carry 1 on
     their own free column and 0 on every other free column: exactly the
-    RREF kernel basis.  Over F_2 the steps run on bitsets, over F_p and Q on
-    dict rows.
+    RREF kernel basis.  The steps run on the field's own engine: bitsets
+    over F_2, bitset pairs over F_3, dict rows over every other F_p, and
+    over Q the fraction-free echelon (``_echelon``) reduced as Fraction
+    rows.  Over F_p the values are the reduced ints 1 .. p-1 whichever
+    engine ran.
     """
     f = sm.field
     if f.char == 2:
@@ -675,6 +766,19 @@ def sparse_kernel_basis(sm: SparseMatrix):
                 raw[c] |= 1 << pc
         kech = _reduce_f2(_echelon_f2(raw.values()))
         return [_f2_dict(kech[pc]) for pc in sorted(kech)]
+    if f.char == 3:
+        ech = _reduce_f3(_echelon_f3(map(_f3_bits, sm.rows)))
+        # free column c: e_c minus each pivot's reduced-row entry at c, so
+        # a pivot whose row has 1 (2) at c puts 2 (1) at the pivot
+        raw = {c: [1 << c, 0] for c in range(sm.ncols) if c not in ech}
+        for pc, (ones, twos) in ech.items():
+            bit = 1 << pc
+            for c in _f2_support(ones ^ bit):
+                raw[c][1] |= bit
+            for c in _f2_support(twos):
+                raw[c][0] |= bit
+        kech = _reduce_f3(_echelon_f3(raw.values()))
+        return [_f3_dict(kech[pc]) for pc in sorted(kech)]
     ech = _reduce(f, _echelon(f, sm.rows))
     # free column c: e_c minus each pivot's reduced-row entry at c
     raw = {c: {c: f.one} for c in range(sm.ncols) if c not in ech}

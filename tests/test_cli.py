@@ -184,6 +184,17 @@ def test_malformed_exterior_degrees_name_the_option(capsys, degrees):
             "odd positive degrees\n") in captured.err
 
 
+@pytest.mark.parametrize("degree", ["-1", "-2"])
+def test_oracle_refuses_a_negative_degree(capsys, degree):
+    status = main(["oracle", "--group", "Z3", "--field", "F3",
+                   "--max-degree", degree])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert (f"hbv: error: group cochain truncation degree {degree} is "
+            "negative: it must be at least 0\n") in captured.err
+
+
 @pytest.mark.parametrize("name", ["NOPE", "F4"])
 def test_mistyped_group_names_the_presets(capsys, monkeypatch, tmp_path, name):
     # a --group value that is neither a preset nor an existing file is

@@ -816,6 +816,18 @@ def test_group_cochain_dims_z2_f2_periodic():
     assert group_cochain_dims(preset("Z2"), GF(2), 4) == [1, 1, 1, 1, 1]
 
 
+def test_group_cochains_refuse_a_negative_degree():
+    # degrees 0..2 are valid truncations, down to H^0 alone
+    g = preset("Z2")
+    for n in range(3):
+        assert group_cochain_dims(g, GF(2), n) == [1] * (n + 1)
+        assert [d for _, d in centralizer_oracle(g, GF(2), n)] == [2] * (n + 1)
+    for n in (-1, -2):
+        for compute in (group_cochain_dims, centralizer_oracle):
+            with pytest.raises(ValueError, match=f"degree {n} is negative"):
+                compute(g, GF(2), n)
+
+
 def test_oracle_matches_direct_small():
     for name, field in (("Z4", GF(2)), ("S3", GF(3)), ("Z6", QQ)):
         g = preset(name)

@@ -22,7 +22,8 @@ from hbv.linalg import (
     sparse_rank,
     sum_terms,
 )
-from hbv.linalg import (_echelon, _integer_rows, _integer_view, _reduce,
+from hbv.linalg import (_echelon, _echelon_f3, _f3_bits, _f3_dict,
+                        _integer_rows, _integer_view, _reduce, _reduce_f3,
                         _row_kron)
 
 import dense_oracle as oracle
@@ -469,8 +470,9 @@ def test_sparse_matches_dense():
 
 def test_reduce_matches_rref_of_reversed_columns():
     # the reduced max-column echelon is the leftmost-pivot RREF with the
-    # column order reversed; rows drawn as combinations of a few generators,
-    # so that rows meet other rows' pivots and need reducing
+    # column order reversed, on dict rows and over GF(3) on bitset pairs
+    # too; rows drawn as combinations of a few generators, so that rows
+    # meet other rows' pivots and need reducing
     rng = random.Random(89)
     reduced = 0
     for field in (GF(3), GF(5), QQ):
@@ -500,6 +502,9 @@ def test_reduce_matches_rref_of_reversed_columns():
                     for k, pc in enumerate(pivots)}
             assert len(got) == r
             assert got == want
+            if field.char == 3:
+                bits = _reduce_f3(_echelon_f3(map(_f3_bits, sm.rows)))
+                assert {pc: _f3_dict(pair) for pc, pair in bits.items()} == want
             if field is QQ:
                 assert all(type(v) is Fraction
                            for row in got.values() for v in row.values())
@@ -726,7 +731,7 @@ def _fed_vectors(monkeypatch):
     from hbv import linalg
 
     fed = []
-    for name in ("_echelon_f2", "_echelon_fp", "_echelon_q"):
+    for name in ("_echelon_f2", "_echelon_f3", "_echelon_fp", "_echelon_q"):
         def spy(vecs, *args, engine=getattr(linalg, name)):
             vecs = list(vecs)
             fed.append(len(vecs))
@@ -740,11 +745,11 @@ RANK_SHAPES = [(9, 3), (7, 5), (3, 9), (5, 7), (6, 6), (1, 1), (0, 4), (4, 0),
 
 
 def test_sparse_rank_eliminates_the_smaller_side(monkeypatch):
-    # over F_p and Q tall matrices are ranked from their columns, square
-    # and wide ones from their rows; over F_2 (bitsets) always from the
-    # rows.  Either way the rank is the dense one: on a matrix and its
-    # transpose, entries non-integral over Q, the matrix's rows left as
-    # they were
+    # over F_p, p > 3, and Q tall matrices are ranked from their columns,
+    # square and wide ones from their rows; over F_2 and F_3 (bitsets and
+    # bitset pairs) always from the rows.  Either way the rank is the dense
+    # one: on a matrix and its transpose, entries non-integral over Q, the
+    # matrix's rows left as they were
     fed = _fed_vectors(monkeypatch)
     rng = random.Random(211)
     for field in (GF(2), GF(3), GF(5), QQ):
@@ -756,7 +761,8 @@ def test_sparse_rank_eliminates_the_smaller_side(monkeypatch):
                 rows = [list(r.items()) for r in sm.rows]
                 fed.clear()
                 assert sparse_rank(sm) == sparse_rank(t) == oracle.rank(m)
-                assert fed == ([nr, nc] if field.char == 2 else [min(nr, nc)] * 2)
+                assert fed == ([nr, nc] if field.char in (2, 3)
+                               else [min(nr, nc)] * 2)
                 assert [list(r.items()) for r in sm.rows] == rows
 
 
