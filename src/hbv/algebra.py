@@ -27,7 +27,8 @@ from itertools import product
 
 from .fields import field_by_name
 from .groups import FiniteGroup
-from .linalg import Matrix, inverse, kernel_basis, LinalgError, sum_terms
+from .linalg import (LinalgError, SparseMatrix, inverse, sparse_kernel_basis,
+                     sum_terms)
 
 
 class AlgebraError(ValueError):
@@ -105,15 +106,15 @@ class FDAlgebra:
                             for k, c in self.mul_basis(i, j).items()])
         return [out.get(k, f.zero) for k in range(self.dim)]
 
-    def left_mult_matrix(self, vec) -> Matrix:
-        """Matrix of x -> vec . x."""
-        return Matrix.from_terms(self.field, self.dim, self.dim,
-                                 self._mult_terms(vec, 0))
+    def left_mult_matrix(self, vec) -> SparseMatrix:
+        """The matrix of x -> vec . x."""
+        return SparseMatrix.from_terms(self.field, self.dim, self.dim,
+                                       self._mult_terms(vec, 0))
 
-    def right_mult_matrix(self, vec) -> Matrix:
-        """Matrix of x -> x . vec."""
-        return Matrix.from_terms(self.field, self.dim, self.dim,
-                                 self._mult_terms(vec, 1))
+    def right_mult_matrix(self, vec) -> SparseMatrix:
+        """The matrix of x -> x . vec."""
+        return SparseMatrix.from_terms(self.field, self.dim, self.dim,
+                                       self._mult_terms(vec, 1))
 
     def _mult_terms(self, vec, side, row0=0):
         """The ``((row0 + k, j), c)`` terms of the matrix of x -> vec . x
@@ -193,7 +194,7 @@ class HopfData:
     the matrix of S on the basis.
     """
 
-    def __init__(self, alg: FDAlgebra, coproduct, counit, antipode: Matrix):
+    def __init__(self, alg: FDAlgebra, coproduct, counit, antipode: SparseMatrix):
         self.alg = alg
         f = alg.field
         basis = range(alg.dim)
@@ -277,14 +278,15 @@ class HopfData:
             if f.of_int(sum(c * eps[k] for k, c in ij)) != f.mul(eps[i], eps[j]):
                 raise AlgebraError("counit is not multiplicative")
         # antipode axiom, both sides
-        S = self.antipode.data  # S[a][j] is the coefficient of e_a in S(e_j)
+        # S[j] maps a to the coefficient of e_a in S(e_j)
+        S = self.antipode.transpose().rows
         for i in range(alg.dim):
             row = cop.get(i, {}).items()
-            left = sum_terms(f, [(l, c * Sa[j] * cl) for (j, k), c in row
-                                 for a, Sa in enumerate(S) if Sa[j]
+            left = sum_terms(f, [(l, c * s * cl) for (j, k), c in row
+                                 for a, s in S[j].items()
                                  for l, cl in alg.mul_basis(a, k).items()])
-            right = sum_terms(f, [(l, c * Sb[k] * cl) for (j, k), c in row
-                                  for b, Sb in enumerate(S) if Sb[k]
+            right = sum_terms(f, [(l, c * s * cl) for (j, k), c in row
+                                  for b, s in S[k].items()
                                   for l, cl in alg.mul_basis(j, b).items()])
             target = sum_terms(f, [(l, eps[i] * u) for l, u in unit])
             if left != target or right != target:
@@ -307,17 +309,16 @@ class FrobeniusStructure:
     is computed from the pairing matrix, never stored blindly.
     """
 
-    def __init__(self, alg: FDAlgebra, pairing: Matrix):
+    def __init__(self, alg: FDAlgebra, pairing: SparseMatrix):
         f = alg.field
         if pairing.nrows != alg.dim or pairing.ncols != alg.dim:
             raise PreconditionError("pairing dimensions do not match the algebra")
         self.alg = alg
         self.pairing = pairing
-        P, names, degrees = pairing.data, alg.names, alg.degrees
+        P, names, degrees = pairing.rows, alg.names, alg.degrees
         basis = range(alg.dim)
         failures = []
-        sums = {degrees[i] + degrees[j] for i, j in product(basis, repeat=2)
-                if not f.is_zero(P[i][j])}
+        sums = {degrees[i] + degrees[j] for i, row in enumerate(P) for j in row}
         if len(sums) > 1:
             self.degree = None
             failures.append(("inhomogeneous-pairing",))
@@ -330,13 +331,16 @@ class FrobeniusStructure:
             failures.append(("degenerate",))
         frob = [("frobenius", names[a], names[b], names[c])
                 for a, b, c in product(basis, repeat=3)
-                if f.of_int(sum(cc * P[a][k] for k, cc in alg.mul_basis(b, c).items()))
-                != f.of_int(sum(cc * P[k][c] for k, cc in alg.mul_basis(a, b).items()))]
+                if f.of_int(sum(cc * P[a].get(k, 0)
+                                for k, cc in alg.mul_basis(b, c).items()))
+                != f.of_int(sum(cc * P[k].get(c, 0)
+                                for k, cc in alg.mul_basis(a, b).items()))]
         minus = f.neg(f.one)
         sym = [("symmetry", names[i], names[j])
                for i, j in product(basis, repeat=2)
-               if P[i][j] != f.mul(minus if degrees[i] * degrees[j] % 2 else f.one,
-                                   P[j][i])]
+               if P[i].get(j, f.zero)
+               != f.mul(minus if degrees[i] * degrees[j] % 2 else f.one,
+                        P[j].get(i, f.zero))]
         self.frobenius_identity = not frob
         self.symmetric = not sym
         self.failures = (failures + frob + sym)[:20]
@@ -363,7 +367,8 @@ def group_algebra(g: FiniteGroup, field) -> FDAlgebra:
         alg,
         {i: {(i, i): f.one} for i in range(dim)},
         [f.one] * dim,
-        Matrix.from_terms(f, dim, dim, [((g.inv[j], j), f.one) for j in range(dim)]),
+        SparseMatrix.from_terms(f, dim, dim,
+                                [((g.inv[j], j), f.one) for j in range(dim)]),
     )
     alg.group = g
     return alg
@@ -449,7 +454,7 @@ def exterior_algebra(gen_degrees, field) -> FDAlgebra:
     return alg
 
 
-def _connected_antipode(alg: FDAlgebra, coproduct) -> Matrix:
+def _connected_antipode(alg: FDAlgebra, coproduct) -> SparseMatrix:
     """S(1) = 1 and S(a) = -a - sum S(a') a'' over the reduced coproduct,
     solved degree by degree (requires the unit to be a basis element)."""
     f = alg.field
@@ -457,25 +462,35 @@ def _connected_antipode(alg: FDAlgebra, coproduct) -> Matrix:
     u = alg.unit_index
     if u is None:
         raise ModelError("connected antipode needs the unit as a basis element")
-    S = Matrix(f, dim, dim)
-    order = sorted(range(dim), key=lambda i: (alg.degrees[i], i))
-    for i in order:
+    # S[j] maps a to the coefficient of e_a in S(e_j): the columns of S,
+    # each read by the higher degrees once it is solved
+    S = [{} for _ in range(dim)]
+    for i in sorted(range(dim), key=lambda i: (alg.degrees[i], i)):
         if i == u:
-            S.data[u][u] = f.one
+            S[u] = {u: f.one}
             continue
         # S(e_i) = -(e_i + sum S(a') a'')
-        acc = sum_terms(f, [(l, c * Sa[j] * cl)
+        acc = sum_terms(f, [(l, c * s * cl)
                             for (j, k), c in coproduct.get(i, {}).items()
                             if u not in (j, k)
-                            for a, Sa in enumerate(S.data) if Sa[j]
+                            for a, s in S[j].items()
                             for l, cl in alg.mul_basis(a, k).items()], {i: f.one})
-        for l in range(dim):
-            S.data[l][i] = f.neg(acc.get(l, f.zero))
-    return S
+        S[i] = {l: f.neg(v) for l, v in acc.items()}
+    return SparseMatrix(f, dim, dim, S).transpose()
 
 
 # ---------------------------------------------------------------------------
 # integrals and Frobenius forms
+
+
+def _kernel(alg: FDAlgebra, nrows, terms) -> list:
+    """The reduced kernel basis (``sparse_kernel_basis``) of the ``nrows`` x
+    dim system summing the ``((i, j), c)`` terms, each vector written out
+    as a dense list, every absent entry the field's shared ``zero``."""
+    f, d = alg.field, alg.dim
+    system = SparseMatrix.from_terms(f, nrows, d, terms)
+    return [[vec.get(c, f.zero) for c in range(d)]
+            for vec in sparse_kernel_basis(system)]
 
 
 def _commutation_kernel(alg: FDAlgebra, pairs):
@@ -488,7 +503,7 @@ def _commutation_kernel(alg: FDAlgebra, pairs):
     for b, (x, y) in enumerate(pairs):
         terms += alg._mult_terms(x, 0, b * d)
         terms += alg._mult_terms([-c for c in y], 1, b * d)
-    return kernel_basis(Matrix.from_terms(alg.field, len(pairs) * d, d, terms))
+    return _kernel(alg, len(pairs) * d, terms)
 
 
 def find_integrals(alg: FDAlgebra):
@@ -520,7 +535,7 @@ def dual_left_integrals(alg: FDAlgebra):
              for (i, k), c in row.items()]
     terms += [((i * d + h, h), -c) for i, c in enumerate(alg.unit) if c
               for h in range(d)]
-    return kernel_basis(Matrix.from_terms(alg.field, d * d, d, terms))
+    return _kernel(alg, d * d, terms)
 
 
 def is_dual_left_integral(alg: FDAlgebra, lam) -> bool:
@@ -553,7 +568,8 @@ def s_square_conjugator(alg: FDAlgebra):
     f = alg.field
     S2 = alg.hopf.antipode * alg.hopf.antipode
     space = _commutation_kernel(
-        alg, [(S2.col(i), alg.basis_vector(i)) for i in range(alg.dim)])
+        alg, [([col.get(k, f.zero) for k in range(alg.dim)], alg.basis_vector(i))
+              for i, col in enumerate(S2.transpose().rows)])
     candidates = list(space)
     acc: dict = {}
     for v in space:
@@ -576,17 +592,16 @@ def frobenius_from_integral(alg: FDAlgebra, lam, u) -> FrobeniusStructure:
     if not is_invertible_element(alg, u):
         raise PreconditionError("u is not invertible")
     S2 = alg.hopf.antipode * alg.hopf.antipode
-    ru = alg.right_mult_matrix(u)
-    lu = alg.left_mult_matrix(u)
+    # column i of S^2(-) . u against column i of u . (-), as sparse columns
+    lhs = (alg.right_mult_matrix(u) * S2).transpose().rows
+    rhs = alg.left_mult_matrix(u).transpose().rows
     for i in range(alg.dim):
-        lhs = ru.apply(S2.col(i))
-        rhs = lu.col(i)
-        if lhs != rhs:
+        if lhs[i] != rhs[i]:
             raise PreconditionError(
                 f"u does not conjugate S^2 at basis element {alg.names[i]}"
             )
     # beta(e_i, e_j) = sum of c lam(e_k u) over the terms c e_k of e_i e_j
-    pairing = Matrix.from_terms(f, alg.dim, alg.dim, [
+    pairing = SparseMatrix.from_terms(f, alg.dim, alg.dim, [
         ((i, j), c * a * cl * lam[l])
         for (i, j), row in alg.mult.items() for k, c in row.items()
         for m, a in enumerate(u) if a
@@ -594,25 +609,27 @@ def frobenius_from_integral(alg: FDAlgebra, lam, u) -> FrobeniusStructure:
     return FrobeniusStructure(alg, pairing)
 
 
-def lambda_L(alg: FDAlgebra) -> Matrix:
+def lambda_L(alg: FDAlgebra) -> SparseMatrix:
     """The bimodule isomorphism F[G] -> F[G]-dual sending g to the dual
     functional of g^{-1}; verified on all basis triples."""
     if alg.group is None:
         raise PreconditionError("lambda_L is defined for group algebras")
     f = alg.field
     g = alg.group
-    lam = Matrix.from_terms(f, alg.dim, alg.dim,
-                            [((g.inv[j], j), f.one) for j in range(alg.dim)])
+    lam = SparseMatrix.from_terms(f, alg.dim, alg.dim,
+                                  [((g.inv[j], j), f.one) for j in range(alg.dim)])
     # bimodule identity on all basis triples: lam(x a y) = x . lam(a) . y,
-    # with the dual actions (x.phi.y)(z) = phi(y z x)
+    # with the dual actions (x.phi.y)(z) = phi(y z x); cols[a] maps z to
+    # lam(a)(e_z)
+    cols = lam.transpose().rows
     for x in range(alg.dim):
         for a in range(alg.dim):
-            phi = lam.col(a)
+            phi = cols[a]
             for y in range(alg.dim):
                 xay = g.table[g.table[x][a]][y]
-                lhs = lam.col(xay)
-                rhs = [phi[g.table[g.table[y][z]][x]] for z in range(alg.dim)]
-                if lhs != rhs:
+                rhs = {z: v for z in range(alg.dim)
+                       if (v := phi.get(g.table[g.table[y][z]][x]))}
+                if cols[xay] != rhs:
                     raise AlgebraError("lambda_L bimodule identity fails")
     return lam
 
@@ -624,7 +641,7 @@ def group_frobenius(alg: FDAlgebra) -> FrobeniusStructure:
         raise PreconditionError("group_frobenius is defined for group algebras")
     f = alg.field
     g = alg.group
-    return FrobeniusStructure(alg, Matrix.from_terms(
+    return FrobeniusStructure(alg, SparseMatrix.from_terms(
         f, alg.dim, alg.dim, [((i, g.inv[i]), f.one) for i in range(alg.dim)]))
 
 
@@ -660,8 +677,9 @@ def class_algebra(g: FiniteGroup, field):
     alg = FDAlgebra(f, [f"[{g.names[cls[0]]}]" for cls in classes], [0] * m,
                     mult, unit)
     order = f.of_int(g.order)
-    pairing = Matrix.from_terms(f, m, m, [((i, j), f.div(row[e], order))
-                                          for (i, j), row in mult.items() if e in row])
+    pairing = SparseMatrix.from_terms(f, m, m, [((i, j), f.div(row[e], order))
+                                                for (i, j), row in mult.items()
+                                                if e in row])
     return alg, FrobeniusStructure(alg, pairing)
 
 
@@ -685,7 +703,7 @@ def lie_pairing(alg: FDAlgebra) -> FrobeniusStructure:
     if len(zero_deg) != 1:
         raise ModelError("algebra is not connected (degree 0 is not one-dimensional)")
     t = top[0]
-    return FrobeniusStructure(alg, Matrix.from_terms(
+    return FrobeniusStructure(alg, SparseMatrix.from_terms(
         f, alg.dim, alg.dim, [(ij, row[t]) for ij, row in alg.mult.items() if t in row]))
 
 
@@ -707,10 +725,10 @@ def matrix_algebra(n, field) -> FDAlgebra:
     return FDAlgebra(f, names, [0] * (n * n), mult, unit)
 
 
-def trace_pairing(alg: FDAlgebra, n) -> Matrix:
+def trace_pairing(alg: FDAlgebra, n) -> SparseMatrix:
     """<A, B> = tr(AB) on matrix_algebra(n)."""
     # the diagonal E_aa has index a * n + a
-    return Matrix.from_terms(alg.field, alg.dim, alg.dim, [
+    return SparseMatrix.from_terms(alg.field, alg.dim, alg.dim, [
         (ij, row[k]) for ij, row in alg.mult.items()
         for k in range(0, n * n, n + 1) if k in row])
 
@@ -788,6 +806,10 @@ def algebra_from_json(obj: dict) -> FDAlgebra:
                 cop.setdefault(i, {})[(j, k)] = f.parse(c)
             counit = [f.parse(c) for c in obj["counit"]]
             antipode = [[f.parse(v) for v in row] for row in obj["antipode"]]
+            d = len(names)
+            if len(antipode) != d or any(len(row) != d for row in antipode):
+                raise AlgebraError(
+                    f"algebra file: 'antipode' must be {d} rows of {d} entries")
             hopf = cop, counit, antipode
     except KeyError as exc:
         raise AlgebraError(f"algebra file missing key {exc}") from exc
@@ -796,7 +818,8 @@ def algebra_from_json(obj: dict) -> FDAlgebra:
     alg = FDAlgebra(f, names, degrees, mult, unit)
     if hopf is not None:
         cop, counit, antipode = hopf
-        alg.hopf = HopfData(alg, cop, counit, Matrix(f, alg.dim, alg.dim, antipode))
+        alg.hopf = HopfData(alg, cop, counit,
+                            SparseMatrix.from_dense(f, alg.dim, alg.dim, antipode))
     return alg
 
 

@@ -119,12 +119,21 @@ def _budget(args):
     return args.budget if args.budget is not None else budget_from_env()
 
 
+def _require_bar_degree(args):
+    """Refuse a ``--max-degree`` below 3 for a command that builds a bar
+    complex, before anything is computed."""
+    if args.max_degree < 3:
+        raise InputError(f"--max-degree {args.max_degree}: the bar complex "
+                         "needs a truncation degree of at least 3")
+
+
 # -- subcommands --------------------------------------------------------------
 # Each returns (config, results, checks), checks a CheckReport or None; main
 # turns them into the report and the exit status.
 
 
 def cmd_hochschild(args):
+    _require_bar_degree(args)
     alg, cfg = _algebra_from_args(args)
     cfg.update(coeff=args.coeff, max_degree=args.max_degree)
     dims = hochschild_dims(alg, args.coeff, args.max_degree, _budget(args))
@@ -134,6 +143,8 @@ def cmd_hochschild(args):
 
 
 def cmd_oracle(args):
+    if args.compare:
+        _require_bar_degree(args)
     alg, cfg = _algebra_from_args(args)
     if alg.group is None:
         raise InputError("the centralizer oracle needs a group")
@@ -152,6 +163,7 @@ def cmd_oracle(args):
 
 
 def cmd_bv_check(args):
+    _require_bar_degree(args)
     alg, cfg = _algebra_from_args(args)
     frob = _frobenius_for(alg)
     flip = args.bv_sign_convention == "flipped"
@@ -162,6 +174,7 @@ def cmd_bv_check(args):
 
 
 def cmd_cyclic(args):
+    _require_bar_degree(args)
     alg, cfg = _algebra_from_args(args)
     cfg.update(max_degree=args.max_degree)
     res = connes_maps(alg, args.max_degree, _budget(args))
@@ -172,6 +185,7 @@ def cmd_cyclic(args):
 
 
 def cmd_string_bracket(args):
+    _require_bar_degree(args)
     alg, cfg = _algebra_from_args(args)
     frob = _frobenius_for(alg)
     cfg.update(max_degree=args.max_degree)

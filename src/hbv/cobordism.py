@@ -20,8 +20,8 @@ compositions (asserted on every compose).
 A TQFT map (``TQFTMap``) is held as exact integer rows with one
 denominator, and evaluated, composed, tensored and compared in ints; the
 structure maps of the Frobenius algebra are read into that form straight
-from its structure constants and pairing.  A map's dense ``Matrix`` of
-field elements is made only when it is read.
+from its structure constants and pairing.  A map becomes a
+``SparseMatrix`` of field elements only when it is read.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .algebra import FDAlgebra, FrobeniusStructure, PreconditionError
-from .linalg import (Matrix, _integer_rows, _lowest_terms, _row_kron,
-                     _row_product, sum_terms)
+from .linalg import (SparseMatrix, _field_rows, _integer_rows, _lowest_terms,
+                     _row_kron, _row_product)
 
 
 class CobordismError(ValueError):
@@ -286,7 +286,8 @@ class TQFTMap:
     products run on ints (``_row_product``, ``_row_kron``), and two maps are
     equal iff their algebras (field and dimension), rows and c are; maps
     on different algebras are never composed or tensored.  ``matrix``, the
-    dense ``Matrix`` of field elements, is made on its first read."""
+    ``SparseMatrix`` of field elements (Fractions over Q), is made on its
+    first read."""
 
     __slots__ = ("field", "dim", "p", "q", "rows", "c", "_matrix")
 
@@ -298,10 +299,11 @@ class TQFTMap:
         self._matrix = None
 
     @property
-    def matrix(self) -> Matrix:
+    def matrix(self) -> SparseMatrix:
         if self._matrix is None:
-            self._matrix = Matrix._from_int_rows(self.field, self.rows, self.c,
-                                                 self.dim ** self.p)
+            self._matrix = SparseMatrix(
+                self.field, self.dim ** self.q, self.dim ** self.p,
+                _field_rows(self.field, self.rows, self.c))
         return self._matrix
 
     def _check_algebra(self, other: "TQFTMap"):
@@ -387,8 +389,8 @@ class FrobeniusTQFT:
             ((k, 0), c) for k, c in enumerate(alg.unit)])
         # counit(e_i) = <e_i, 1> = sum_j pairing[i][j] unit[j]
         self.counit = self._structure_map(1, 0, [
-            ((0, i), a * u) for i, row in enumerate(frob.pairing.data)
-            for a, u in zip(row, alg.unit)])
+            ((0, i), a * alg.unit[j]) for i, row in enumerate(frob.pairing.rows)
+            for j, a in row.items()])
         self.coproduct = self._coproduct()
         handle_element = self.unit.compose(self.coproduct).compose(self.mult)
         self.handle = handle_element.tensor(self.ident).compose(self.mult)
@@ -402,19 +404,18 @@ class FrobeniusTQFT:
 
     def _structure_map(self, p: int, q: int, terms) -> TQFTMap:
         """The map A^{(x)p} -> A^{(x)q} whose entries sum the ``((i, j), c)``
-        terms (``sum_terms``), read once as integer rows (``_integer_rows``)."""
+        terms (``SparseMatrix.from_terms``), read once as integer rows
+        (``_integer_rows``)."""
         f, m = self.alg.field, self.alg.dim
-        rows = [{} for _ in range(m ** q)]
-        for (i, j), c in sum_terms(f, terms).items():
-            rows[i][j] = c
+        rows = SparseMatrix.from_terms(f, m ** q, m ** p, terms).rows
         return TQFTMap(f, m, p, q, *_integer_rows(rows, f.char))
 
     def _coproduct(self) -> TQFTMap:
         """(mu (x) 1)(1 (x) gamma), gamma the copairing as a map A^0 -> A^2."""
         m = self.alg.dim
         gamma = self._structure_map(0, 2, [
-            ((i * m + j, 0), c) for i, row in enumerate(self.frob.copairing.data)
-            for j, c in enumerate(row)])
+            ((i * m + j, 0), c) for i, row in enumerate(self.frob.copairing.rows)
+            for j, c in row.items()])
         return self.ident.tensor(gamma).compose(self.mult.tensor(self.ident))
 
     def _check_frobenius_axioms(self):

@@ -43,7 +43,7 @@ from .hochschild import (
     window_label,
     window_tuples,
 )
-from .linalg import Complex, Matrix, kernel_basis, rank
+from .linalg import Complex, SparseMatrix, rank, sparse_kernel_basis
 from .reports import CheckReport
 
 
@@ -115,8 +115,8 @@ class CyclicCohomology:
 
 
 def _map_matrix(field, images, target_dim):
-    """Columns = coordinate images; as a dense Matrix."""
-    return Matrix.from_terms(field, target_dim, len(images), [
+    """Columns = coordinate images."""
+    return SparseMatrix.from_terms(field, target_dim, len(images), [
         ((i, j), v) for j, img in enumerate(images) for i, v in enumerate(img)])
 
 
@@ -330,4 +330,5 @@ def trace_space_dim(alg: FDAlgebra) -> int:
              for k, c in row.items()]
     terms += [((j * d + i, k), -c) for (i, j), row in alg.mult.items()
               for k, c in row.items()]
-    return len(kernel_basis(Matrix.from_terms(alg.field, d * d, d, terms)))
+    system = SparseMatrix.from_terms(alg.field, d * d, d, terms)
+    return len(sparse_kernel_basis(system))

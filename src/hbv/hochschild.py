@@ -50,7 +50,7 @@ from itertools import accumulate, product
 
 from .algebra import FDAlgebra, FrobeniusStructure, PreconditionError
 from .groups import FiniteGroup
-from .linalg import Complex, Matrix, SparseMatrix, operator_ring, sum_terms
+from .linalg import Complex, SparseMatrix, operator_ring, sum_terms
 from .reports import CheckReport
 
 DEFAULT_BUDGET = 20000
@@ -182,7 +182,7 @@ class BarComplex:
         if alg.unit_index is None:
             raise PreconditionError("bar complex needs the unit to be a basis element")
         if max_degree < 3:
-            raise ValueError("truncation degree must be at least 3")
+            raise ValueError(f"truncation degree must be at least 3, got {max_degree}")
         if alg.dim < 2:
             raise PreconditionError("bar complex needs dim(A/F1) >= 1")
         self.alg = alg
@@ -405,9 +405,10 @@ def connes_b_dual(f: Cochain) -> Cochain:
 
 
 def connes_b_dual_matrix(bar: BarComplex, n: int) -> SparseMatrix:
-    """Matrix of the rotation operator C^n -> C^{n-1} on a dual-coefficient
-    bar complex (the zero map with empty target for n = 0), built as the
-    transpose of the chain-level B (module docstring).  Row (s, w), in
+    """The matrix of the rotation operator C^n -> C^{n-1} on a
+    dual-coefficient bar complex (the zero map with empty target for
+    n = 0), built as the transpose of the chain-level B (module
+    docstring).  Row (s, w), in
     ``product(bar.nonunit, repeat=n-1)`` order and then w, holds B(w[s]):
     empty for w the unit, else ``sum_terms`` of the signed rotations of the
     tuple t = (w,) + s, keyed by ``bar.encode(t[j:] + t[:j], unit)``."""
@@ -593,31 +594,32 @@ class BVStructure:
         self.max_degree = max_degree
         self.hh = HochschildCohomology(alg, "self", max_degree, budget)
         self.hh_dual = HochschildCohomology(alg, "dual", max_degree, budget)
-        # a -> <a, -> : A -> A-dual (rows index the dual basis), and back
+        # a -> <a, -> : A -> A-dual (rows index the dual basis), and back,
+        # with the columns of each, rows ascending, that _compose_values reads
         self.lam = frob.pairing.transpose()
         self.lam_inv = frob.copairing.transpose()
+        self._columns = {"dual": self.lam.transpose().rows,
+                         "self": self.lam_inv.transpose().rows}
 
     # -- duality --------------------------------------------------------------
 
-    def _compose_values(self, c: Cochain, mat: Matrix, out_coeff: str) -> Cochain:
-        f = self.alg.field
-        terms = []
-        for (tup, v), coef in c.table.items():
-            for w in range(self.alg.dim):
-                mv = mat.data[w][v]
-                if not f.is_zero(mv):
-                    terms.append(((tup, w), coef * mv))
-        return Cochain(self.alg, out_coeff, c.degree, sum_terms(f, terms))
+    def _compose_values(self, c: Cochain, out_coeff: str) -> Cochain:
+        """Each value v of ``c`` replaced by column v of ``lam`` (into
+        ``out_coeff`` "dual") or of ``lam_inv`` (into "self")."""
+        cols = self._columns[out_coeff]
+        terms = [((tup, w), coef * mv) for (tup, v), coef in c.table.items()
+                 for w, mv in cols[v].items()]
+        return Cochain(self.alg, out_coeff, c.degree, sum_terms(self.alg.field, terms))
 
     def to_self(self, c: Cochain) -> Cochain:
         """Post-compose a dual-coefficient cochain with the pairing inverse.
         Dual tables are coordinate vectors in the dual basis, so this is a
         plain matrix application on values."""
-        return self._compose_values(c, self.lam_inv, "self")
+        return self._compose_values(c, "self")
 
     def to_dual(self, c: Cochain) -> Cochain:
         """Post-compose a self-coefficient cochain with the pairing map."""
-        return self._compose_values(c, self.lam, "dual")
+        return self._compose_values(c, "dual")
 
     def duality(self, cls: CohomologyClass) -> CohomologyClass:
         """D : HH(A; A-dual) -> HH(A; A)."""

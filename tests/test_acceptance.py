@@ -37,7 +37,7 @@ from hbv.cobordism import (
 )
 from hbv.cyclic import StringBracket, connes_maps
 from hbv.hochschild import bv_check, centralizer_oracle, hochschild_dims
-from hbv.linalg import Matrix, rank
+from hbv.linalg import SparseMatrix, rank
 
 from dense_oracle import determinant
 
@@ -238,18 +238,20 @@ def test_criterion_7_tqft_prop_suite():
 
     for genus in range(4):
         evaluated = T.evaluate(connected_cobordism(genus, 1, 1)).matrix
-        if evaluated != Matrix(QQ, 3, 3, [
+        if evaluated != SparseMatrix.from_dense(QQ, 3, 3, [
                 [Fraction(3) ** genus if i == j else QQ.zero for j in range(3)]
                 for i in range(3)]):
             ok = False
 
     # determinant lines: exact-sequence identity det(a)det(c) = det(b)det(d)
-    a = Matrix.from_rows(QQ, [[Fraction(2)]])
-    b = Matrix.from_rows(QQ, [[Fraction(2), Fraction(0)],
-                              [Fraction(0), Fraction(3)]])
-    c = Matrix.from_rows(QQ, [[Fraction(3), Fraction(0)],
-                              [Fraction(0), Fraction(1)]])
-    d = Matrix.from_rows(QQ, [[Fraction(1)]])
+    def q(rows):
+        return SparseMatrix.from_dense(
+            QQ, len(rows), len(rows[0]), [[Fraction(v) for v in r] for r in rows])
+
+    a = q([[2]])
+    b = q([[2, 0], [0, 3]])
+    c = q([[3, 0], [0, 1]])
+    d = q([[1]])
     if determinant(a) * determinant(c) != determinant(b) * determinant(d):
         ok = False
     if determinant(b) != Fraction(6):

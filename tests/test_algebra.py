@@ -34,7 +34,7 @@ from hbv.algebra import (
 )
 from hbv.algebra import _commutation_kernel
 from hbv.cyclic import trace_space_dim
-from hbv.linalg import Matrix, rank
+from hbv.linalg import SparseMatrix, rank
 
 import dense_oracle as oracle
 
@@ -44,7 +44,7 @@ import dense_oracle as oracle
 def test_z2_f2_antipode_identity():
     a = group_algebra(preset("Z2"), GF(2))
     assert a.dim == 2
-    assert a.hopf.antipode == Matrix.identity(GF(2), 2)
+    assert a.hopf.antipode == SparseMatrix.identity(GF(2), 2)
 
 
 def test_s3_center_dimension():
@@ -209,7 +209,7 @@ def test_unimodular_with_conjugator_gives_symmetric_form():
 
 def test_zero_pairing_degenerate():
     a = group_algebra(preset("Z2"), QQ)
-    fs = FrobeniusStructure(a, Matrix(QQ, 2, 2))
+    fs = FrobeniusStructure(a, SparseMatrix(QQ, 2, 2))
     assert not fs.nondegenerate and fs.copairing is None
     assert fs.degree == 0 and fs.frobenius_identity and fs.symmetric
     assert fs.failures == [("degenerate",)]
@@ -229,8 +229,8 @@ def test_identity_pairing_z3_frobenius_witnesses():
     # <g, h> = [g = h]: <a, bc> = [a = bc] and <ab, c> = [ab = c] differ
     # on 12 of the 27 triples
     a = group_algebra(preset("Z3"), QQ)
-    fs = FrobeniusStructure(a, Matrix.identity(QQ, 3))
-    assert fs.nondegenerate and fs.copairing == Matrix.identity(QQ, 3)
+    fs = FrobeniusStructure(a, SparseMatrix.identity(QQ, 3))
+    assert fs.nondegenerate and fs.copairing == SparseMatrix.identity(QQ, 3)
     assert fs.degree == 0 and fs.symmetric and not fs.frobenius_identity
     assert fs.failures == [
         ("frobenius", "e", "g1", "g1"), ("frobenius", "e", "g1", "g2"),
@@ -245,7 +245,7 @@ def test_identity_pairing_z3_frobenius_witnesses():
 def test_identity_pairing_z6_witness_cap():
     # more than 20 triples fail; the list stops at the 20th
     a = group_algebra(preset("Z6"), QQ)
-    fs = FrobeniusStructure(a, Matrix.identity(QQ, 6))
+    fs = FrobeniusStructure(a, SparseMatrix.identity(QQ, 6))
     assert not fs.frobenius_identity and fs.symmetric
     assert len(fs.failures) == 20
     assert fs.failures[:2] == [("frobenius", "e", "g1", "g1"),
@@ -258,7 +258,7 @@ def test_identity_pairing_exterior_inhomogeneous():
     # <1, 1> = <x3, x3> = 1 pairs degrees 0 and 6, and graded symmetry
     # needs <x3, x3> = -<x3, x3> for the odd x3
     a = exterior_algebra([3], QQ)
-    fs = FrobeniusStructure(a, Matrix.identity(QQ, 2))
+    fs = FrobeniusStructure(a, SparseMatrix.identity(QQ, 2))
     assert fs.degree is None and fs.nondegenerate
     assert not fs.frobenius_identity and not fs.symmetric
     assert fs.failures == [
@@ -306,15 +306,14 @@ def test_lie_pairing_needs_one_dimensional_top():
 
 def test_lambda_L_z2_identity():
     a = group_algebra(preset("Z2"), QQ)
-    assert lambda_L(a) == Matrix.identity(QQ, 2)
+    assert lambda_L(a) == SparseMatrix.identity(QQ, 2)
 
 
 def test_lambda_L_z3_swaps():
     a = group_algebra(preset("Z3"), QQ)
     lam = lambda_L(a)
     g = a.group
-    for j in range(3):
-        col = lam.col(j)
+    for j, col in enumerate(lam.transpose().data):
         assert [i for i, c in enumerate(col) if c] == [g.inv[j]]
 
 
@@ -400,7 +399,7 @@ def test_hopf_axiom_messages(coproduct, counit, message):
     f = GF(2)
     alg = group_algebra(preset("Z2"), f)
     with pytest.raises(AlgebraError) as err:
-        HopfData(alg, coproduct, counit, Matrix(f, 2, 2))
+        HopfData(alg, coproduct, counit, SparseMatrix(f, 2, 2))
     assert type(err.value) is AlgebraError
     assert str(err.value) == message
 
@@ -410,7 +409,7 @@ def test_hopf_grading_message():
     alg = exterior_algebra([1], f)
     with pytest.raises(AlgebraError) as err:
         # Delta(x1) = x1 (x) x1 has degree 2
-        HopfData(alg, {1: {(1, 1): 1}}, [1, 0], Matrix(f, 2, 2))
+        HopfData(alg, {1: {(1, 1): 1}}, [1, 0], SparseMatrix(f, 2, 2))
     assert type(err.value) is AlgebraError
     assert str(err.value) == "coproduct breaks the grading"
 
@@ -418,38 +417,47 @@ def test_hopf_grading_message():
 # -- dense builders against the field-operation loops they replaced ------------
 
 
+def _square(f, data):
+    """The square matrix of the dense rows ``data``."""
+    return SparseMatrix.from_dense(f, len(data), len(data), data)
+
+
+def _zeros(f, n):
+    return [[f.zero] * n for _ in range(n)]
+
+
 def _left_mult_loop(alg, vec):
     f = alg.field
-    m = Matrix(f, alg.dim, alg.dim)
+    m = _zeros(f, alg.dim)
     for i, a in enumerate(vec):
         if f.is_zero(a):
             continue
         for j in range(alg.dim):
             for k, c in alg.mul_basis(i, j).items():
-                m.data[k][j] = f.add(m.data[k][j], f.mul(a, c))
-    return m
+                m[k][j] = f.add(m[k][j], f.mul(a, c))
+    return _square(f, m)
 
 
 def _right_mult_loop(alg, vec):
     f = alg.field
-    m = Matrix(f, alg.dim, alg.dim)
+    m = _zeros(f, alg.dim)
     for j, b in enumerate(vec):
         if f.is_zero(b):
             continue
         for i in range(alg.dim):
             for k, c in alg.mul_basis(i, j).items():
-                m.data[k][i] = f.add(m.data[k][i], f.mul(b, c))
-    return m
+                m[k][i] = f.add(m[k][i], f.mul(b, c))
+    return _square(f, m)
 
 
 def _apply_loop(m, vec):
     f = m.field
     out = []
-    for i in range(m.nrows):
+    for row in m.data:
         s = f.zero
         for j, v in enumerate(vec):
-            if not f.is_zero(v) and not f.is_zero(m.data[i][j]):
-                s = f.add(s, f.mul(m.data[i][j], v))
+            if not f.is_zero(v) and not f.is_zero(row[j]):
+                s = f.add(s, f.mul(row[j], v))
         out.append(s)
     return out
 
@@ -524,15 +532,15 @@ def _conjugator_loop(alg, space):
 
 def _pairing_loop(alg, lam, u):
     f = alg.field
-    pairing = Matrix(f, alg.dim, alg.dim)
+    pairing = _zeros(f, alg.dim)
     for i in range(alg.dim):
         for j in range(alg.dim):
             vec = [f.zero] * alg.dim
             for k, c in alg.mul_basis(i, j).items():
                 vec[k] = c
             vec = alg.mul_vec(vec, u)
-            pairing.data[i][j] = f.of_int(sum(c * l for c, l in zip(vec, lam)))
-    return pairing
+            pairing[i][j] = f.of_int(sum(c * l for c, l in zip(vec, lam)))
+    return _square(f, pairing)
 
 
 def _oracle_algebras():
@@ -550,62 +558,72 @@ def _oracle_algebras():
 
 
 def _entries(x):
-    rows = x.data if isinstance(x, Matrix) else x
-    return [v for row in rows for v in (row if isinstance(row, list) else [row])]
+    """The entries of a list of vectors, or the stored entries of a matrix
+    as ``(row, column, value)``."""
+    if isinstance(x, SparseMatrix):
+        return sorted((i, j, v) for i, row in enumerate(x.rows)
+                      for j, v in row.items())
+    return [v for row in x for v in (row if isinstance(row, list) else [row])]
 
 
 def _same(got, want, f):
     """Equal shapes, values and entry types; over Q every entry a
-    Fraction, and every zero of ``got`` the field's shared zero."""
-    assert (got.data if isinstance(got, Matrix) else got) == (
-        want.data if isinstance(want, Matrix) else want)
-    flat = _entries(got)
-    assert [type(v) for v in flat] == [type(v) for v in _entries(want)]
+    Fraction.  A list's every zero is the field's shared zero, and a matrix
+    stores no zero."""
+    if isinstance(got, SparseMatrix):
+        assert got == want
+        flat = [v for _, _, v in _entries(got)]
+        assert all(flat)
+        assert [type(v) for v in flat] == [type(v) for _, _, v in _entries(want)]
+    else:
+        assert got == want
+        flat = _entries(got)
+        assert [type(v) for v in flat] == [type(v) for v in _entries(want)]
+        assert all(v is f.zero for v in flat if not v)
     if not f.char:
         assert all(type(v) is Fraction for v in flat)
-    assert all(v is f.zero for v in flat if not v)
 
 
 def test_structure_matrices_match_field_loops():
     # the antipode, lambda_L and the pairings are built from their terms
-    # (``Matrix.from_terms``); each equals a zero matrix filled in by field
-    # operations, and over Q holds only Fractions and the shared zero
+    # (``SparseMatrix.from_terms``); each equals a zero matrix filled in by
+    # field operations, and over Q stores only Fractions
     for f in (QQ, GF(2), GF(3), GF(5)):
         for name in ("Z3", "S3", "Q8"):
             g = preset(name)
             alg = group_algebra(g, f)
-            inv, pairing = Matrix(f, g.order, g.order), Matrix(f, g.order, g.order)
+            inv, pairing = _zeros(f, g.order), _zeros(f, g.order)
             for j in range(g.order):
-                inv.data[g.inv[j]][j] = f.one
-                pairing.data[j][g.inv[j]] = f.one
-            _same(alg.hopf.antipode, inv, f)
-            _same(lambda_L(alg), inv, f)
-            _same(group_frobenius(alg).pairing, pairing, f)
+                inv[g.inv[j]][j] = f.one
+                pairing[j][g.inv[j]] = f.one
+            _same(alg.hopf.antipode, _square(f, inv), f)
+            _same(lambda_L(alg), _square(f, inv), f)
+            _same(group_frobenius(alg).pairing, _square(f, pairing), f)
     for f in (QQ, GF(5)):
         for name in ("S3", "D4"):
             g = preset(name)
             alg, frob = class_algebra(g, f)
-            pairing = Matrix(f, alg.dim, alg.dim)
+            pairing = _zeros(f, alg.dim)
             for (i, j), row in alg.mult.items():
                 if alg.unit_index in row:
-                    pairing.data[i][j] = f.div(row[alg.unit_index], f.of_int(g.order))
-            _same(frob.pairing, pairing, f)
+                    pairing[i][j] = f.div(row[alg.unit_index], f.of_int(g.order))
+            _same(frob.pairing, _square(f, pairing), f)
     for f in (QQ, GF(3)):
         for gens in ([3], [3, 5], [1, 3]):
             alg = exterior_algebra(gens, f)
             top = alg.degrees.index(alg.top_degree())
-            pairing = Matrix(f, alg.dim, alg.dim)
+            pairing = _zeros(f, alg.dim)
             for i, j in product(range(alg.dim), repeat=2):
-                pairing.data[i][j] = alg.mul_basis(i, j).get(top, f.zero)
-            _same(lie_pairing(alg).pairing, pairing, f)
+                pairing[i][j] = alg.mul_basis(i, j).get(top, f.zero)
+            _same(lie_pairing(alg).pairing, _square(f, pairing), f)
         for n in (2, 3):
             alg = matrix_algebra(n, f)
-            pairing = Matrix(f, alg.dim, alg.dim)
+            pairing = _zeros(f, alg.dim)
             for i, j in product(range(alg.dim), repeat=2):
                 for a in range(n):
                     c = alg.mul_basis(i, j).get(a * n + a, f.zero)
-                    pairing.data[i][j] = f.add(pairing.data[i][j], c)
-            _same(trace_pairing(alg, n), pairing, f)
+                    pairing[i][j] = f.add(pairing[i][j], c)
+            _same(trace_pairing(alg, n), _square(f, pairing), f)
 
 
 def test_dense_builders_match_field_loops():
@@ -620,10 +638,12 @@ def test_dense_builders_match_field_loops():
             _same(alg.right_mult_matrix(vec), _right_mult_loop(alg, vec), f)
         m = alg.left_mult_matrix(dense)
         for vec in e + [dense, [f.zero] * d]:
-            _same(m.apply(vec), _apply_loop(m, vec), f)
+            column = SparseMatrix.from_dense(f, d, 1, [[v] for v in vec])
+            _same(m * column, SparseMatrix.from_dense(
+                f, d, 1, [[v] for v in _apply_loop(m, vec)]), f)
 
         def kernel(rows):
-            return oracle.kernel_basis(Matrix.from_rows(f, rows))
+            return oracle.kernel_basis(SparseMatrix.from_dense(f, len(rows), d, rows))
 
         center = kernel(_commutation_rows(alg, list(zip(e, e))))
         _same(_commutation_kernel(alg, list(zip(e, e))), center, f)
@@ -637,7 +657,7 @@ def test_dense_builders_match_field_loops():
         _same(right, kernel(rrows), f)
         assert unimodular == bool(kernel(lrows + rrows))
         S2 = alg.hopf.antipode * alg.hopf.antipode
-        pairs = [(S2.col(i), e[i]) for i in range(d)]
+        pairs = list(zip(S2.transpose().data, e))
         space = kernel(_commutation_rows(alg, pairs))
         _same(_commutation_kernel(alg, pairs), space, f)
         u = s_square_conjugator(alg)

@@ -438,6 +438,71 @@ def test_malformed_algebra_file_is_input_error(capsys, tmp_path, changes, messag
     assert f"hbv: error: {message}\n" in captured.err
 
 
+@pytest.mark.parametrize("cut", ["a row", "an entry"])
+def test_malformed_antipode_names_the_part_and_shape(capsys, tmp_path, cut):
+    # the packaged Sweedler algebra with one antipode row dropped, or one
+    # row an entry short
+    from importlib import resources
+
+    obj = json.loads(resources.files("hbv").joinpath("data/sweedler4.json").read_text())
+    if cut == "a row":
+        obj["antipode"] = obj["antipode"][:3]
+    else:
+        obj["antipode"][1] = obj["antipode"][1][:3]
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(obj))
+    status = main(["integrals", "--algebra", str(path)])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert ("hbv: error: algebra file: 'antipode' must be 4 rows of 4 "
+            "entries\n") in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hochschild", "--group", "Z3", "--field", "F3", "--max-degree", "-1"],
+    ["cyclic", "--group", "Z3", "--field", "F3", "--max-degree", "0"],
+    ["bv-check", "--exterior", "3", "--field", "Q", "--max-degree", "2"],
+    ["string-bracket", "--group", "Z3", "--field", "F3", "--max-degree", "1"],
+    ["oracle", "--group", "S3", "--field", "F3", "--max-degree", "2", "--compare"],
+])
+def test_small_truncation_names_the_option_before_computing(capsys, monkeypatch, argv):
+    import hbv.cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("computed before the degree was checked")
+
+    for name in ("centralizer_oracle", "hochschild_dims", "bv_check",
+                 "connes_maps", "StringBracket"):
+        monkeypatch.setattr(hbv.cli, name, must_not_run)
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    degree = argv[argv.index("--max-degree") + 1]
+    assert (f"hbv: error: --max-degree {degree}: the bar complex needs a "
+            "truncation degree of at least 3\n") in captured.err
+
+
+def test_oracle_alone_accepts_degrees_below_3(capsys):
+    for degree in range(3):
+        status, report = run(capsys, "oracle", "--group", "S3", "--field", "F3",
+                             "--max-degree", str(degree))
+        assert status == 0
+        assert [n for n, _ in report["results"]["oracle_dims"]] == list(range(degree + 1))
+
+
+def test_bar_complex_names_a_small_degree():
+    from hbv.algebra import group_algebra
+    from hbv.fields import GF
+    from hbv.groups import preset
+    from hbv.hochschild import BarComplex
+
+    with pytest.raises(ValueError) as err:
+        BarComplex(group_algebra(preset("Z3"), GF(3)), "self", 2)
+    assert str(err.value) == "truncation degree must be at least 3, got 2"
+
+
 def test_malformed_cobordism_file_is_input_error(capsys, tmp_path):
     path = tmp_path / "cob.json"
     path.write_text(json.dumps(

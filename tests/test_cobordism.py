@@ -32,7 +32,7 @@ from hbv.cobordism import (
     tqft_evaluate,
     twist_coeff,
 )
-from hbv.linalg import Matrix
+from hbv.linalg import SparseMatrix
 
 from dense_oracle import determinant, inverse, kron, product
 
@@ -244,7 +244,7 @@ def qz3():
 def test_cylinder_evaluates_to_identity(qz3):
     alg, frob = qz3
     ev = tqft_evaluate(alg, frob, preset_cobordism("cyl"))
-    assert ev.matrix == Matrix.identity(QQ, 3)
+    assert ev.matrix == SparseMatrix.identity(QQ, 3)
 
 
 def test_pants_evaluates_to_multiplication(qz3):
@@ -257,7 +257,7 @@ def test_genus_multiplies_by_group_order(qz3):
     alg, frob = qz3
     for g in range(4):
         ev = tqft_evaluate(alg, frob, connected_cobordism(g, 1, 1))
-        assert ev.matrix == Matrix(QQ, 3, 3, [
+        assert ev.matrix == SparseMatrix.from_dense(QQ, 3, 3, [
             [Fraction(3) ** g if i == j else QQ.zero for j in range(3)]
             for i in range(3)])
 
@@ -317,7 +317,7 @@ def test_class_algebra_over_prime_fields():
 def test_caps_evaluate_to_unit_and_counit(qz3):
     alg, frob = qz3
     unit = tqft_evaluate(alg, frob, preset_cobordism("cap_out"))
-    assert unit.matrix.col(0) == list(alg.unit)
+    assert [row[0] for row in unit.matrix.data] == list(alg.unit)
     counit = tqft_evaluate(alg, frob, preset_cobordism("cap_in"))
     assert counit.matrix.data[0] == [frob.pairing.data[i][alg.group.identity]
                                      for i in range(3)]
@@ -413,7 +413,7 @@ def test_noncommutative_refused():
 
 def test_degenerate_pairing_refused():
     alg = group_algebra(preset("Z2"), QQ)
-    zero = FrobeniusStructure(alg, Matrix(QQ, 2, 2))
+    zero = FrobeniusStructure(alg, SparseMatrix(QQ, 2, 2))
     with pytest.raises(PreconditionError):
         FrobeniusTQFT(alg, zero)
 
@@ -458,7 +458,8 @@ def test_pairing_inverted_once(monkeypatch):
 def test_non_frobenius_pairing_fails_the_counit_axiom():
     # <g, g> = 2 but eps(g g) = <e, 1> = 1: the pairing is not eps(ab)
     alg = group_algebra(preset("Z2"), QQ)
-    pairing = Matrix(QQ, 2, 2, [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]])
+    pairing = SparseMatrix.from_dense(
+        QQ, 2, 2, [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]])
     with pytest.raises(PreconditionError) as err:
         FrobeniusTQFT(alg, FrobeniusStructure(alg, pairing))
     assert type(err.value) is PreconditionError
@@ -507,7 +508,7 @@ def signed_permutation(alg, sources, width):
     m = alg.dim
     degs = alg.degrees
     size = m ** width
-    out = Matrix(f, size, size)
+    out = [[f.zero] * size for _ in range(size)]
     for col in range(size):
         digits = []
         rem = col
@@ -525,19 +526,19 @@ def signed_permutation(alg, sources, width):
                 if sources[t2] < s:
                     if (degs[digits[s]] * degs[digits[sources[t2]]]) % 2:
                         sign = -sign
-        out.data[row][col] = f.one if sign > 0 else f.neg(f.one)
-    return out
+        out[row][col] = f.one if sign > 0 else f.neg(f.one)
+    return SparseMatrix.from_dense(f, size, size, out)
 
 
 def _tqft_mult_loop(alg):
     f = alg.field
     m = alg.dim
-    out = Matrix(f, m, m * m)
+    out = [[f.zero] * (m * m) for _ in range(m)]
     for i in range(m):
         for j in range(m):
             for k, c in alg.mul_basis(i, j).items():
-                out.data[k][i * m + j] = f.add(out.data[k][i * m + j], c)
-    return out
+                out[k][i * m + j] = f.add(out[k][i * m + j], c)
+    return SparseMatrix.from_dense(f, m, m * m, out)
 
 
 def dense_structure(alg, frob):
@@ -549,12 +550,12 @@ def dense_structure(alg, frob):
     Kronecker products, so that no ``TQFTMap`` operation and no product of
     the package enters."""
     f, m = alg.field, alg.dim
-    ident = Matrix(f, m, m, [[f.one if i == j else f.zero for j in range(m)]
-                             for i in range(m)])
+    ident = SparseMatrix.from_dense(
+        f, m, m, [[f.one if i == j else f.zero for j in range(m)] for i in range(m)])
     mult = _tqft_mult_loop(alg)
-    gamma = Matrix(f, m * m, 1, [[c] for row in inverse(frob.pairing).data
-                                 for c in row])
-    unit = Matrix(f, m, 1, [[c] for c in alg.unit])
+    gamma = SparseMatrix.from_dense(f, m * m, 1, [
+        [c] for row in inverse(frob.pairing).data for c in row])
+    unit = SparseMatrix.from_dense(f, m, 1, [[c] for c in alg.unit])
     counit = product(frob.pairing, unit).transpose()
     coproduct = product(kron(mult, ident), kron(ident, gamma))
     handle_element = product(mult, product(coproduct, unit))
@@ -585,7 +586,7 @@ def test_structure_maps_match_dense_references(case):
         got = getattr(T, key).matrix
         assert got == ref[key], key
         if not f.char:
-            assert all(type(v) is Fraction for row in got.data for v in row)
+            assert all(type(v) is Fraction for row in got.rows for v in row.values())
 
 
 def dense_component(T, genus, p, q):
@@ -611,7 +612,7 @@ def dense_evaluate(T, cob):
     components."""
     alg = T.alg
     f = alg.field
-    block = Matrix.identity(f, 1)
+    block = SparseMatrix.identity(f, 1)
     scalar = f.one
     in_slots, out_slots = [], []
     for genus, ins, outs in cob.components:
@@ -626,8 +627,8 @@ def dense_evaluate(T, cob):
     pos = {port: k for k, port in enumerate(out_slots)}
     pout = signed_permutation(alg, [pos[j] for j in range(1, cob.q + 1)], cob.q)
     out = product(pout, product(block, pin))
-    return Matrix(f, out.nrows, out.ncols,
-                  [[f.mul(scalar, v) for v in row] for row in out.data])
+    return SparseMatrix.from_dense(f, out.nrows, out.ncols,
+                                   [[f.mul(scalar, v) for v in row] for row in out.data])
 
 
 def test_koszul_wiring_matches_dense_reference():
@@ -784,11 +785,13 @@ def test_maps_on_different_algebras_never_mix():
 
 
 def test_evaluate_keeps_the_shared_zero():
-    # Koszul-signed entries are negated only where nonzero, so every zero of
-    # a graded map is the field's shared zero object
+    # Koszul-signed entries are negated only where nonzero, so a graded map
+    # stores no zero, and every zero written out is the field's shared zero
+    # object
     alg = exterior_algebra([1], QQ)
     twist = FrobeniusTQFT(alg, lie_pairing(alg)).evaluate(
         preset_cobordism("twist")).matrix
+    assert twist.nnz() == 4 and all(v for row in twist.rows for v in row.values())
     zeros = [v for row in twist.data for v in row if not v]
     assert len(zeros) == 12
     assert all(v is QQ.zero for v in zeros)
@@ -803,10 +806,10 @@ def test_evaluate_returns_fresh_rows(qz3):
             Cobordism(1, 1, [(0, [1], [1]), (2, [], [])])]
     for cob in cobs:
         first = T.evaluate(cob).matrix
-        expected = [list(row) for row in first.data]
-        for row in first.data:
-            row[:] = [Fraction(7)] * len(row)
-        first.data.append([])
+        expected = first.data
+        for row in first.rows:
+            row.update(dict.fromkeys(range(first.ncols), Fraction(7)))
+        first.rows.append({})
         assert T.evaluate(cob).matrix.data == expected
 
 
@@ -844,13 +847,17 @@ def test_det_exact_sequence_identity():
     # 0 -> Z -i-> Z^2 -pi-> Z^2 -s-> Z -> 0 with endomorphisms (a, b, c, d):
     # i(x) = (x, 0), pi(x, y) = (y, 0), s(u, v) = v.
     # a = 2, c = diag-ish with det 3, d = 1 force det(b) = 6.
-    a = Matrix.from_rows(QQ, [[Fraction(2)]])
-    b = Matrix.from_rows(QQ, [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(3)]])
-    c = Matrix.from_rows(QQ, [[Fraction(3), Fraction(0)], [Fraction(0), Fraction(1)]])
-    d = Matrix.from_rows(QQ, [[Fraction(1)]])
-    i = Matrix.from_rows(QQ, [[Fraction(1)], [Fraction(0)]])
-    pi = Matrix.from_rows(QQ, [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]])
-    s = Matrix.from_rows(QQ, [[Fraction(0), Fraction(1)]])
+    def q(rows):
+        return SparseMatrix.from_dense(
+            QQ, len(rows), len(rows[0]), [[Fraction(v) for v in r] for r in rows])
+
+    a = q([[2]])
+    b = q([[2, 0], [0, 3]])
+    c = q([[3, 0], [0, 1]])
+    d = q([[1]])
+    i = q([[1], [0]])
+    pi = q([[0, 1], [0, 0]])
+    s = q([[0, 1]])
     # exactness of the sequence
     assert (pi * i).is_zero() and (s * pi).is_zero()
     from hbv.linalg import rank

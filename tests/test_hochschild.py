@@ -34,7 +34,7 @@ from hbv.hochschild import (
     window_label,
     window_tuples,
 )
-from hbv.linalg import LinalgError, Matrix, rank, sum_terms
+from hbv.linalg import LinalgError, SparseMatrix, rank, sum_terms
 
 
 # -- complex construction ---------------------------------------------------------
@@ -436,7 +436,8 @@ def test_cup_image_dims_match_group_ring(group, p, N):
                 pytest.fail(f"I({a}, {b}): {exc}")
             vanishes = a % 2 and b % 2 and (p % 2 or n % 4 == 0)
             assert hh.dim(a + b) == n
-            assert rank(Matrix.from_rows(f, images)) == (0 if vanishes else n), (a, b)
+            images = SparseMatrix.from_dense(f, len(images), n, images)
+            assert rank(images) == (0 if vanishes else n), (a, b)
 
 
 def test_cup_graded_commutative_up_to_coboundary():
@@ -611,10 +612,8 @@ def test_duality_matrices_invertible_each_degree():
         imgs = [bv.duality(x) for x in dual_classes]
         # images form a basis: the coordinate matrix is square invertible
         f = alg.field
-        mat = Matrix(f, bv.hh.dim(n), len(imgs))
-        for j, img in enumerate(imgs):
-            for i, c in enumerate(img.coords):
-                mat.data[i][j] = c
+        mat = SparseMatrix.from_dense(f, len(imgs), bv.hh.dim(n),
+                                      [img.coords for img in imgs]).transpose()
         assert mat.nrows == mat.ncols
         assert rank(mat) == mat.nrows
 

@@ -41,9 +41,9 @@ def test_traced_names_resolve():
 
 
 def test_unresolved_finds_a_renamed_target():
-    entries = [("hbv.linalg", "Matrix.__mul__", "a"),
-               ("hbv.linalg", "Matrix.no_such_method", "b"),
-               ("hbv.linalg", "kernel_basis", "c"),
+    entries = [("hbv.linalg", "SparseMatrix.__mul__", "a"),
+               ("hbv.linalg", "SparseMatrix.no_such_method", "b"),
+               ("hbv.linalg", "sparse_kernel_basis", "c"),
                ("hbv.linalg", "no_such_function", "d"),
                ("hbv.linalg", "NoSuchClass.__init__", "e")]
     assert [tag for _, _, tag in unresolved(entries)] == ["b", "d", "e"]
@@ -52,8 +52,8 @@ def test_unresolved_finds_a_renamed_target():
 def test_dense_functions_stay_off_the_traced_rank(monkeypatch):
     # the tracer appends every result of the public ``sparse_rank`` to the
     # fingerprint, and ``connes_maps`` calls ``rank`` for its Connes-
-    # sequence identities: a dense function that reached ``sparse_rank``
-    # would add entries the reference does not have
+    # sequence identities: a function on the small structure matrices that
+    # reached ``sparse_rank`` would add entries the reference does not have
     from hbv import linalg
     from hbv.fields import GF, QQ
 
@@ -63,7 +63,28 @@ def test_dense_functions_stay_off_the_traced_rank(monkeypatch):
     monkeypatch.setattr(linalg, "sparse_rank", refuse)
     for field in (QQ, GF(2), GF(3)):
         one, two = field.of_int(1), field.of_int(2)
-        m = linalg.Matrix(field, 2, 2, [[one, two], [field.zero, one]])
+        m = linalg.SparseMatrix.from_dense(field, 2, 2, [[one, two], [field.zero, one]])
         assert linalg.rank(m) == 2
-        assert linalg.kernel_basis(m) == []
-        assert linalg.inverse(m) * m == linalg.Matrix.identity(field, 2)
+        assert linalg.sparse_kernel_basis(m) == []
+        assert linalg.inverse(m) * m == linalg.SparseMatrix.identity(field, 2)
+
+
+def test_closed_surface_value_is_the_field_element_the_benchmark_reads():
+    # the benchmark's TQFT cases read a closed genus-g surface's 1 x 1 map
+    # as ``.matrix.data[0][0]`` and compare it with f.of_int(|G|**g); over
+    # Q it must be a Fraction, which a report renders differently from an int
+    from fractions import Fraction
+
+    from hbv.algebra import group_algebra, group_frobenius
+    from hbv.cobordism import FrobeniusTQFT, connected_cobordism
+    from hbv.fields import field_by_name
+    from hbv.groups import preset
+
+    for group, field in (("Z3", "Q"), ("Z4", "Q"), ("Z4", "F3")):
+        g, f = preset(group), field_by_name(field)
+        alg = group_algebra(g, f)
+        T = FrobeniusTQFT(alg, group_frobenius(alg))
+        for genus in range(3):
+            value = T.evaluate(connected_cobordism(genus, 0, 0)).matrix.data[0][0]
+            assert value == f.of_int(g.order ** genus)
+            assert type(value) is (int if f.char else Fraction)
