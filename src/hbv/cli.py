@@ -110,13 +110,21 @@ def budget_from_env() -> int:
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise BudgetError(f"HBV_BUDGET must be an integer, got {raw!r}") from None
+    if budget < 1:
+        raise BudgetError(f"HBV_BUDGET={raw}: the budget must be at least 1")
+    return budget
 
 
 def _budget(args):
-    return args.budget if args.budget is not None else budget_from_env()
+    """--budget, else HBV_BUDGET, else the default; a cap below 1 is refused."""
+    if args.budget is None:
+        return budget_from_env()
+    if args.budget < 1:
+        raise BudgetError(f"--budget {args.budget}: the budget must be at least 1")
+    return args.budget
 
 
 def _require_bar_degree(args):
@@ -136,7 +144,7 @@ def cmd_hochschild(args):
     _require_bar_degree(args)
     alg, cfg = _algebra_from_args(args)
     cfg.update(coeff=args.coeff, max_degree=args.max_degree)
-    dims = hochschild_dims(alg, args.coeff, args.max_degree, _budget(args))
+    dims = hochschild_dims(alg, args.coeff, args.max_degree, args.budget)
     results = {"dims": [[n, d] for n, d in dims],
                "certified_degree": args.max_degree - 2}
     return cfg, results, None
@@ -149,12 +157,11 @@ def cmd_oracle(args):
     if alg.group is None:
         raise InputError("the centralizer oracle needs a group")
     cfg.update(max_degree=args.max_degree)
-    budget = _budget(args)
-    oracle = centralizer_oracle(alg.group, alg.field, args.max_degree, budget)
+    oracle = centralizer_oracle(alg.group, alg.field, args.max_degree, args.budget)
     results = {"oracle_dims": [[n, d] for n, d in oracle]}
     checks = None
     if args.compare:
-        direct = hochschild_dims(alg, "self", args.max_degree, budget)
+        direct = hochschild_dims(alg, "self", args.max_degree, args.budget)
         results["hochschild_dims"] = [[n, d] for n, d in direct]
         checks = CheckReport()
         checks.record("oracle equivalence (dims of HH vs centralizer sum)",
@@ -168,7 +175,7 @@ def cmd_bv_check(args):
     frob = _frobenius_for(alg)
     flip = args.bv_sign_convention == "flipped"
     cfg.update(max_degree=args.max_degree, bv_sign_convention=args.bv_sign_convention)
-    rep = bv_check(alg, frob, args.max_degree, _budget(args), flip)
+    rep = bv_check(alg, frob, args.max_degree, args.budget, flip)
     good, total = rep.counts()
     return cfg, {"checks_passed": good, "checks_total": total}, rep
 
@@ -177,7 +184,7 @@ def cmd_cyclic(args):
     _require_bar_degree(args)
     alg, cfg = _algebra_from_args(args)
     cfg.update(max_degree=args.max_degree)
-    res = connes_maps(alg, args.max_degree, _budget(args))
+    res = connes_maps(alg, args.max_degree, args.budget)
     hc = res["hc"]
     results = {"dims": [[n, hc.dim(n)] for n in range(args.max_degree + 1)],
                "certified_degree": hc.certified}
@@ -189,7 +196,7 @@ def cmd_string_bracket(args):
     alg, cfg = _algebra_from_args(args)
     frob = _frobenius_for(alg)
     cfg.update(max_degree=args.max_degree)
-    sb = StringBracket(alg, frob, args.max_degree, _budget(args))
+    sb = StringBracket(alg, frob, args.max_degree, args.budget)
     checks = sb.antisymmetry_jacobi_check()
     checks.checks += sb.morphism_check().checks
     return cfg, {"certified_degree": sb.certified()}, checks
@@ -235,7 +242,7 @@ def cmd_tqft(args):
     else:
         raise InputError("tqft eval needs --cobordism or --preset")
     width = max(cob.p, cob.q)
-    check_budget(f"tensor power A^(x){width}", alg.dim ** width, _budget(args))
+    check_budget(f"tensor power A^(x){width}", alg.dim ** width, args.budget)
     T = FrobeniusTQFT(alg, frob)
     if args.strict_positive_boundary and not cob.positive_boundary():
         raise InputError(
@@ -367,6 +374,8 @@ def main(argv=None):
     try:
         if args.output is not None:
             _check_output(args.output)
+        if "budget" in vars(args):  # resolved, or refused, before computing
+            args.budget = _budget(args)
         config, results, checks = args.func(args)
         report = build_report(args.command, config, results, checks)
         sys.stdout.write(emit(report, args.output))

@@ -9,13 +9,16 @@ Hom(Abar^{(x)n}, A-dual) = (A (x) Abar^{(x)n})-dual.  Its differential and
 rotation operator are literal transposes of the chain-level operators, so
 d^2 = 0, B^2 = 0 and dB + Bd = 0 are inherited and not re-derived.
 
-Both differentials come from one table of lifted products.  Their inner
-faces sum_i (-1)^i [..|a_i a_{i+1}|..] are the same for both coefficient
-complexes (``BarComplex._inner_faces``): only the two outer faces see the
-bimodule.  B_n (``connes_b_dual_matrix``) is keyed in the bar's encoding.
+Both differentials, and the group cochains of the centralizer oracle, are
+built by one kernel (``_differential_rows``).  Their inner faces
+sum_i (-1)^i [..|a_i a_{i+1}|..] are the same for every complex, keyed by
+arithmetic on the base-(m-1) code of the row's tuple: only the two outer
+faces see the bimodule, each read from a table signed once per parity.
+B_n (``connes_b_dual_matrix``) is keyed in the bar's encoding.
 
 Sign conventions (pinned once; every sign is a simplicial factor times a
-Koszul factor on internal degrees, and the whole package of identities (d^2 = 0 on both coefficient complexes, rotation square zero and
+Koszul factor on internal degrees, and the whole package of identities
+(d^2 = 0 on both coefficient complexes, rotation square zero and
 anticommutation, cup Leibniz, graded cup commutativity in cohomology, the
 pre-Lie relation, and the seven-term BV identity) is what fixes it, as
 validated by the test suite on ungraded group algebras and graded exterior
@@ -166,6 +169,52 @@ def _lifted_products(alg: FDAlgebra) -> dict:
             for i in range(alg.dim) for j in range(alg.dim)}
 
 
+def _differential_rows(n: int, m1: int, products: list, ring, stride: int,
+                       outer) -> list:
+    """The rows of a bar-type differential C^n -> C^{n+1} on m1 non-units
+    and ``stride`` value slots (1 for group cochains), constants stored as
+    ``ring`` stores them.  Row code * stride + w is the slot w of the tuple s
+    of n + 1 digits (positions among the non-units) whose base-m1 reading is
+    code: ``product(range(m1), repeat=n + 1)`` order.  Its terms, in order:
+    the head face, each (x, c) of ``outer(s)[0][w]`` keyed
+    (code % m1^n) * stride + x; the inner faces i = 0..n-1, (-1)^{i+1} c for
+    each (u, c) of ``products[s_i * m1 + s_{i+1}]``, the product's terms off
+    the unit (one on it is a degenerate tuple), keyed stride times
+    (code // m1^(n+1-i) * m1 + u) * m1^(n-1-i) + code % m1^(n-1-i), plus w;
+    the tail face, ``outer(s)[1][w]``, keyed (code // m1) * stride + x.  A
+    row is the ``dict`` of its terms unless two keys meet, then their
+    ``sum_terms``."""
+    faces = []
+    for i in range(n):
+        q = m1 ** (n - 1 - i)
+        faces.append((q * m1 * m1, q * m1, q, [
+            [(u * q * stride, c if i % 2 else ring.of_int(-c)) for u, c in terms]
+            for terms in products]))
+    low = m1 ** n
+    rows = []
+    for code, s in enumerate(product(range(m1), repeat=n + 1)):
+        mids = []
+        for i, (pre, lift, q, table) in enumerate(faces):
+            base = (code // pre * lift + code % q) * stride
+            for k, c in table[s[i] * m1 + s[i + 1]]:
+                mids.append((base + k, c))
+        head, tail = outer(s)
+        h = code % low * stride
+        t = code // m1 * stride
+        for w in range(stride):
+            # appends, not comprehensions: each list is a few terms long
+            terms = []
+            for x, c in head[w]:
+                terms.append((h + x, c))
+            for k, c in mids:
+                terms.append((k + w, c))
+            for x, c in tail[w]:
+                terms.append((t + x, c))
+            row = dict(terms)
+            rows.append(row if len(row) == len(terms) else sum_terms(ring, terms))
+    return rows
+
+
 class BarComplex:
     """The normalized bar cochain complex of (A, M) up to degree N.
 
@@ -228,75 +277,59 @@ class BarComplex:
 
     # -- differentials ----------------------------------------------------------
 
-    def _inner_faces(self, s: tuple) -> list:
-        """The inner faces of the row s = (a_1..a_{n+1}), the same for both
-        coefficients: the terms (-1)^i [..|a_i a_{i+1}|..], i = 1..n, keyed
-        by ``encode`` with value index 0, to which each row adds its own.
-        A product term on the unit makes a degenerate tuple and drops out."""
+    def _differential(self, n: int, outer) -> SparseMatrix:
+        """d^n from ``_differential_rows``, given its outer faces."""
+        m = self.alg.dim
+        m1 = m - 1
         unit = self.alg.unit_index
-        prod = self._prod
-        return [(self.encode(s[:i] + (u,) + s[i + 2:], 0), c if i % 2 else -c)
-                for i in range(len(s) - 1)
-                for u, c in prod[s[i], s[i + 1]] if u != unit]
+        products = [[(self.nu_pos[u], c) for u, c in self._prod[a, b] if u != unit]
+                    for a in self.nonunit for b in self.nonunit]
+        rows = _differential_rows(n, m1, products, operator_ring(self.alg.field),
+                                  m, outer)
+        return SparseMatrix(self.alg.field, m1 ** (n + 1) * m, m1 ** n * m, rows)
 
     def _dual_differential(self, n: int) -> SparseMatrix:
         """Transpose of the chain differential b : C_{n+1} -> C_n (module
         docstring): row (s, w) holds b(w[s]), its terms keyed by ``encode``,
         which is injective, so they meet exactly where the chain terms do."""
-        alg = self.alg
-        f = alg.field
-        ring = operator_ring(f)
-        m = alg.dim
-        deg = alg.degrees
+        ring = operator_ring(self.alg.field)
+        m = self.alg.dim
+        deg = self.alg.degrees
         prod = self._prod
-        rows = []
-        for s in product(self.nonunit, repeat=n + 1):
-            head = self.encode(s[1:], 0)     # (a0 a_1)[a_2..a_{n+1}]
-            tail = self.encode(s[:n], 0)     # (a_{n+1} a0)[a_1..a_n]
-            mids = self._inner_faces(s)
-            inner = sum(deg[x] for x in s[:n])
-            for w in range(m):
-                odd = (n + 1 + deg[s[n]] * (deg[w] + inner)) % 2
-                terms = [(head + x, c) for x, c in prod[w, s[0]]]
-                terms += [(k + w, c) for k, c in mids]
-                terms += [(tail + x, -c if odd else c) for x, c in prod[s[n], w]]
-                rows.append(sum_terms(ring, terms))
-        return SparseMatrix(f, (m - 1) ** (n + 1) * m, (m - 1) ** n * m, rows)
+        # (a0 a_1)[a_2..a_{n+1}] and (a_{n+1} a0)[a_1..a_n] for w = a0, the
+        # tail signed for the parity p of |a_1| + .. + |a_n|
+        head = [[prod[w, a] for w in range(m)] for a in self.nonunit]
+        tail = [[[[(x, ring.of_int(-c)
+                    if (n + 1 + deg[a] * (deg[w] + p)) % 2 else c)
+                   for x, c in prod[a, w]] for w in range(m)]
+                 for a in self.nonunit] for p in (0, 1)]
+        par = [deg[a] % 2 for a in self.nonunit]
+        return self._differential(n, lambda s: (
+            head[s[0]], tail[sum(par[x] for x in s[:n]) % 2][s[n]]))
 
     def _self_differential(self, n: int) -> SparseMatrix:
-        alg = self.alg
-        f = alg.field
-        ring = operator_ring(f)
-        m = alg.dim
-        deg = alg.degrees
+        ring = operator_ring(self.alg.field)
+        m = self.alg.dim
+        deg = self.alg.degrees
         prod = self._prod
-        # left[a][w] / right[a][w]: the (v, c) with c the e_w coefficient of
-        # e_a e_v / e_v e_a, v increasing
-        left = {a: [[] for _ in range(m)] for a in self.nonunit}
-        right = {a: [[] for _ in range(m)] for a in self.nonunit}
+        # left[p][a][w] / right[a][w]: the (v, c) with c the e_w coefficient
+        # of e_a e_v / e_v e_a, v increasing, signed by
+        # (-1)^{|a_1| t} a_1 . f(a_2..), t the degree f raises, for the
+        # parity p of |a_2| + .. + |a_{n+1}|, and by
+        # (-1)^{n+1} f(a_1..a_n) . a_{n+1}
+        left = [[[[] for _ in range(m)] for _ in self.nonunit] for _ in (0, 1)]
+        right = [[[] for _ in range(m)] for _ in self.nonunit]
         for v in range(m):
-            for a in self.nonunit:
+            for i, a in enumerate(self.nonunit):
                 for w, c in prod[a, v]:
-                    left[a][w].append((v, c))
+                    for p in (0, 1):
+                        left[p][i][w].append(
+                            (v, ring.of_int(-c) if deg[a] * (deg[v] - p) % 2 else c))
                 for w, c in prod[v, a]:
-                    right[a][w].append((v, c))
-        rows = []
-        for s in product(self.nonunit, repeat=n + 1):
-            head = self.encode(s[1:], 0)
-            tail = self.encode(s[:n], 0)
-            mids = self._inner_faces(s)
-            rest = sum(deg[x] for x in s[1:])
-            d0 = deg[s[0]]
-            for w in range(m):
-                # (-1)^{|a_1| t} a_1 . f(a_2..), t the degree f raises
-                terms = [(head + v, -c if (d0 * (deg[v] - rest)) % 2 else c)
-                         for v, c in left[s[0]][w]]
-                terms += [(k + w, c) for k, c in mids]
-                # (-1)^{n+1} f(a_1..a_n) . a_{n+1}
-                terms += [(tail + v, c if n % 2 else -c)
-                          for v, c in right[s[n]][w]]
-                rows.append(sum_terms(ring, terms))
-        return SparseMatrix(f, (m - 1) ** (n + 1) * m, (m - 1) ** n * m, rows)
+                    right[i][w].append((v, c if n % 2 else ring.of_int(-c)))
+        par = [deg[a] % 2 for a in self.nonunit]
+        return self._differential(n, lambda s: (
+            left[sum(par[x] for x in s[1:]) % 2][s[0]], right[s[n]]))
 
     def is_cocycle(self, c: Cochain) -> bool:
         return not self.complex.apply(c.degree, self.cochain_to_vec(c))
@@ -773,30 +806,17 @@ def group_cochain_complex(g: FiniteGroup, field, max_degree: int,
                          "negative: it must be at least 0")
     f = field
     ring = operator_ring(f)
-    m = g.order
-    nu = [i for i in range(m) if i != g.identity]
-    nu_pos = {x: k for k, x in enumerate(nu)}
-    dims = {n: (m - 1) ** n for n in range(max_degree + 2)}
+    m1 = g.order - 1
+    nu = [i for i in range(g.order) if i != g.identity]
+    pos = {x: k for k, x in enumerate(nu)}
+    dims = {n: m1 ** n for n in range(max_degree + 2)}
     check_budget("group cochain space", max(dims.values()), budget)
-
-    def encode(tup):
-        c = 0
-        for x in tup:
-            c = c * (m - 1) + nu_pos[x]
-        return c
-
+    products = [[] if g.table[a][b] == g.identity else [(pos[g.table[a][b]], 1)]
+                for a in nu for b in nu]
     diffs = {}
     for n in range(max_degree + 1):
-        rows = []
-        for s in product(nu, repeat=n + 1):
-            terms = [(encode(s[1:]), 1)]
-            for i in range(n):
-                u = g.table[s[i]][s[i + 1]]
-                if u != g.identity:
-                    terms.append((encode(s[:i] + (u,) + s[i + 2:]),
-                                  -1 if i % 2 == 0 else 1))
-            terms.append((encode(s[:n]), 1 if (n + 1) % 2 == 0 else -1))
-            rows.append(sum_terms(ring, terms))
+        outer = ([[(0, 1)]], [[(0, ring.of_int(1 if n % 2 else -1))]])
+        rows = _differential_rows(n, m1, products, ring, 1, lambda s: outer)
         diffs[n] = SparseMatrix(f, dims[n + 1], dims[n], rows)
     return Complex(f, dims, diffs)
 

@@ -168,6 +168,21 @@ def test_budget_env_override(capsys, monkeypatch):
     assert status == 0
 
 
+@pytest.mark.parametrize("budget, env", [("-5", None), ("0", None),
+                                         (None, "-3"), (None, "0")])
+def test_budget_below_one_is_refused(capsys, monkeypatch, budget, env):
+    # refused before computing, naming the source the cap came from; a
+    # negative --budget wins over a valid HBV_BUDGET too
+    monkeypatch.setenv("HBV_BUDGET", env or "100")
+    argv = ["hochschild", "--group", "Z3", "--field", "F3", "--max-degree", "3"]
+    capsys.readouterr()
+    assert main(argv + (["--budget", budget] if budget else [])) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert ("--budget" if budget else "HBV_BUDGET") in err
+    assert "must be at least 1" in err and "exceeds" not in err
+
+
 def test_unknown_preset_is_input_error(capsys):
     status = main(["hochschild", "--group", "Z5", "--field", "Q"])
     assert status == 2

@@ -1,13 +1,14 @@
 import random
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 
 import pytest
 
 from hbv.fields import QQ, GF
-from hbv.groups import preset
+from hbv.groups import FiniteGroup, preset
 from hbv.algebra import (
+    class_algebra,
     exterior_algebra,
     group_algebra,
     group_frobenius,
@@ -28,13 +29,14 @@ from hbv.hochschild import (
     connes_b_dual_matrix,
     cup,
     gerstenhaber_bracket,
+    group_cochain_complex,
     group_cochain_dims,
     hochschild_dims,
     unit_cochain,
     window_label,
     window_tuples,
 )
-from hbv.linalg import LinalgError, SparseMatrix, rank, sum_terms
+from hbv.linalg import LinalgError, SparseMatrix, operator_ring, rank, sum_terms
 
 
 # -- complex construction ---------------------------------------------------------
@@ -72,7 +74,8 @@ def test_fp_differentials_are_q_differentials_mod_p(name, make, primes, coeff):
 # B_n and the cyclic d_tot^n at N = 3 (``_bar_rows_digest``), each entry
 # read as a field element, so 1 and Fraction(1) hash alike.  The rows see
 # internal degrees only through their parities, so the exterior models on
-# degrees (1, 3) and (3, 5) share a digest.
+# degrees (1, 3) and (3, 5) share a digest.  A source "Z(G)" is the class
+# algebra of G: its products have several terms, so the terms of a row meet.
 BAR_ROW_DIGESTS = [
     ("Z2", "F2", "052e96e987e665c424042f3f9c0277f06d2f7eff23f974c2637d397fa222a4d1"),
     ("Z3", "F3", "5235ccfb523464c38b194b86a14b6666ca3d71b50cce8218d0ae73500b29d9e6"),
@@ -85,7 +88,19 @@ BAR_ROW_DIGESTS = [
     ((1, 3), "Q", "45f4752f9e6f0e5c24fe82cc9841512d68a0844da98771ef78145f136f1af89e"),
     ((3, 5, 7), "Q", "943acc66ac547e00b30a106785ca8df12a303a27d97a1d71152a240576f595a5"),
     ((3, 5), "F5", "23abbefbf309782ab3e90b04876e9f0f5ed830099a75ad59db1884ecbf956c96"),
+    ("Z(S3)", "Q", "fab6a0b70ca1dbe98e765fbf5a2e570c3e099293b2187e1c0336daaab16d01d3"),
+    ("Z(D4)", "F3", "e6c64fda987672640bc3a273c9bbc56ef3d798f489a737d46381f7581e56facd"),
 ]
+
+
+def _bar_source(source, f):
+    """The algebra a digest table names: a group preset, the class algebra
+    "Z(G)" of one, or an exterior model on a tuple of degrees."""
+    if isinstance(source, tuple):
+        return exterior_algebra(list(source), f)
+    if source.startswith("Z("):
+        return class_algebra(preset(source[2:-1]), f)[0]
+    return group_algebra(preset(source), f)
 
 
 def _bar_rows_digest(alg, N):
@@ -116,9 +131,166 @@ def test_bar_operator_rows_pinned(source, field, digest):
     # every entry and the key order of each row, which the traced nnz
     # fingerprints of the benchmark do not see
     f = QQ if field == "Q" else GF(int(field[1:]))
-    alg = (group_algebra(preset(source), f) if isinstance(source, str)
-           else exterior_algebra(list(source), f))
-    assert _bar_rows_digest(alg, 3) == digest
+    assert _bar_rows_digest(_bar_source(source, f), 3) == digest
+
+
+# sha256 of every row of the group-cochain d^n up to N over F2, F3 and Q,
+# each entry as the field element it stands for and its stored type, in key
+# order (``_group_cochain_rows_digest``)
+GROUP_COCHAIN_ROW_DIGESTS = [
+    ("D4", 3, "4f82d405d5534dc61b091ed45df7fe2900f81d4dedbe4cfde3c0f087d5fbc262"),
+    ("Q8", 3, "33769ecebbcf5f567712048e357f95994ad44fc473e8dd324a990f832004773e"),
+    ("S3", 3, "1fbf466c1b0e71dd7a45a8badb067dda6192f0f97983f01fac1b557a4c8b0fac"),
+    ("Z2", 3, "6ad5462568dd2ad1542b972056e384fc3d412b28f7dec64d8370c647e87b7d4f"),
+    ("Z2", 4, "e097200a409c8a380aba6da69990779e5e0bbe28e00c38549030a0aebaf20096"),
+    ("Z3", 3, "6e3d16f9b05f362e4813f2f8820599199a3749b3e4c54cbdb8c21a7c53f1cc18"),
+    ("Z3", 4, "9eaf5804588127daf7ede61fe51a1ab4feeefb986c33c891fabaafc03d7646d4"),
+    ("Z4", 3, "aad1027304e9c7dad6ea396218c4daa72aead6780efc542a69ac94a8cda483b8"),
+    ("Z4", 4, "725ddfeef779a96fc05c7f638a721e1595b1c5f3aa85fd7bb1ded75d9fb3400a"),
+    ("Z6", 3, "5fcfc98f0d70c8d06c82bcf98c8f41c64f46320608e4bca942abe770341671ea"),
+]
+
+
+def _group_cochain_rows_digest(g, N):
+    import hashlib
+
+    h = hashlib.sha256()
+    for f in (GF(2), GF(3), QQ):
+        cx = group_cochain_complex(g, f, N)
+        for n in range(N + 1):
+            h.update(repr((f.name, n, [
+                [(k, f.of_int(v), type(v).__name__) for k, v in r.items()]
+                for r in cx.differential(n).rows])).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name, N, digest", GROUP_COCHAIN_ROW_DIGESTS)
+def test_group_cochain_rows_pinned(name, N, digest):
+    assert _group_cochain_rows_digest(preset(name), N) == digest
+
+
+# -- the reference builders ---------------------------------------------------
+# The differentials as first written: every face tuple encoded digit by
+# digit, every row summed with ``sum_terms``.  The builders of
+# hbv.hochschild key the faces by arithmetic on the row's code and must give
+# the same rows, in value, entry type and key order.
+
+def _encoder(nonunit, stride):
+    pos = {x: k for k, x in enumerate(nonunit)}
+
+    def encode(tup, v=0):
+        c = 0
+        for x in tup:
+            c = c * len(nonunit) + pos[x]
+        return c * stride + v
+    return encode
+
+
+def _reference_bar_rows(alg, coeff, n):
+    ring = operator_ring(alg.field)
+    m, unit, deg = alg.dim, alg.unit_index, alg.degrees
+    nonunit = [i for i in range(m) if i != unit]
+    encode = _encoder(nonunit, m)
+    prod = {(i, j): [(k, ring.of_int(c)) for k, c in alg.mul_basis(i, j).items()]
+            for i in range(m) for j in range(m)}
+    rows = []
+    for s in product(nonunit, repeat=n + 1):
+        head, tail = encode(s[1:]), encode(s[:n])
+        mids = [(encode(s[:i] + (u,) + s[i + 2:]), c if i % 2 else -c)
+                for i in range(n) for u, c in prod[s[i], s[i + 1]] if u != unit]
+        for w in range(m):
+            if coeff == "dual":
+                inner = sum(deg[x] for x in s[:n])
+                odd = (n + 1 + deg[s[n]] * (deg[w] + inner)) % 2
+                terms = [(head + x, c) for x, c in prod[w, s[0]]]
+                terms += [(k + w, c) for k, c in mids]
+                terms += [(tail + x, -c if odd else c) for x, c in prod[s[n], w]]
+            else:
+                rest = sum(deg[x] for x in s[1:])
+                terms = [(head + v, -c if (deg[s[0]] * (deg[v] - rest)) % 2 else c)
+                         for v in range(m) for x, c in prod[s[0], v] if x == w]
+                terms += [(k + w, c) for k, c in mids]
+                terms += [(tail + v, c if n % 2 else -c)
+                          for v in range(m) for x, c in prod[v, s[n]] if x == w]
+            rows.append(sum_terms(ring, terms))
+    return rows
+
+
+def _reference_group_rows(g, f, n):
+    ring = operator_ring(f)
+    nu = [i for i in range(g.order) if i != g.identity]
+    encode = _encoder(nu, 1)
+    rows = []
+    for s in product(nu, repeat=n + 1):
+        terms = [(encode(s[1:]), 1)]
+        for i in range(n):
+            u = g.table[s[i]][s[i + 1]]
+            if u != g.identity:
+                terms.append((encode(s[:i] + (u,) + s[i + 2:]),
+                               -1 if i % 2 == 0 else 1))
+        terms.append((encode(s[:n]), 1 if (n + 1) % 2 == 0 else -1))
+        rows.append(sum_terms(ring, terms))
+    return rows
+
+
+def _relabelled(name, seed):
+    """The preset under a seeded permutation of its elements, its identity
+    moved off index 0 so that it falls among the digits of a code."""
+    g = preset(name)
+    perm = list(range(g.order))
+    rng = random.Random(seed)
+    while perm[g.identity] == 0:
+        rng.shuffle(perm)
+    table = [[0] * g.order for _ in range(g.order)]
+    names = [None] * g.order
+    for a in range(g.order):
+        names[perm[a]] = g.names[a]
+        for b in range(g.order):
+            table[perm[a]][perm[b]] = perm[g.table[a][b]]
+    return FiniteGroup(names, table, g.name)
+
+
+def _assert_same_rows(got, want):
+    assert len(got) == len(want)
+    for i, (r, w) in enumerate(zip(got, want)):
+        assert ([(k, v, type(v)) for k, v in r.items()]
+                == [(k, v, type(v)) for k, v in w.items()]), f"row {i}"
+
+
+REFERENCE_BAR_CASES = {
+    "Z4/F3": (lambda: group_algebra(_relabelled("Z4", 1), GF(3)), 4),
+    "Z6/F2": (lambda: group_algebra(_relabelled("Z6", 2), GF(2)), 3),
+    "S3/Q": (lambda: group_algebra(_relabelled("S3", 3), QQ), 3),
+    "Q8/F5": (lambda: group_algebra(_relabelled("Q8", 4), GF(5)), 3),
+    "ext13/Q": (lambda: exterior_algebra([1, 3], QQ), 4),
+    "ext13/F3": (lambda: exterior_algebra([1, 3], GF(3)), 4),
+    "ext35/Q": (lambda: exterior_algebra([3, 5], QQ), 4),
+    "ext35/F3": (lambda: exterior_algebra([3, 5], GF(3)), 4),
+    "Z(S3)/Q": (lambda: class_algebra(preset("S3"), QQ)[0], 4),
+    "Z(D4)/F3": (lambda: class_algebra(preset("D4"), GF(3))[0], 4),
+}
+
+
+@pytest.mark.parametrize("coeff", ["self", "dual"])
+@pytest.mark.parametrize("name", sorted(REFERENCE_BAR_CASES))
+def test_bar_rows_match_reference_builder(name, coeff):
+    make, N = REFERENCE_BAR_CASES[name]
+    alg = make()
+    bar = BarComplex(alg, coeff, N)
+    for n in range(N + 1):
+        _assert_same_rows(bar.complex.differential(n).rows,
+                          _reference_bar_rows(alg, coeff, n))
+
+
+@pytest.mark.parametrize("name", ["D4", "Q8", "S3", "Z2", "Z3", "Z4", "Z6"])
+def test_group_cochain_rows_match_reference_builder(name):
+    g = _relabelled(name, 5)
+    N = 4 if g.order <= 4 else 3
+    for f in (GF(2), GF(3), QQ):
+        cx = group_cochain_complex(g, f, N)
+        for n in range(N + 1):
+            _assert_same_rows(cx.differential(n).rows,
+                              _reference_group_rows(g, f, n))
 
 
 def _q_operators(alg, N):
