@@ -291,13 +291,16 @@ def build_parser():
     ap.add_argument("--version", action="version", version=f"hbv {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, degree=True):
+    def common(p, bar=True):
+        """The options every algebra command takes, and for a command that
+        builds a bar complex its truncation degree and cochain cap."""
         _add_algebra_opts(p)
-        if degree:
+        if bar:
             p.add_argument("--max-degree", type=int, default=4,
                            help="truncation degree N (certified to N-2)")
-        p.add_argument("--budget", type=int, default=None,
-                       help="cochain dimension cap (default 20000 or HBV_BUDGET)")
+            p.add_argument(
+                "--budget", type=int, default=None,
+                help="cochain dimension cap (default 20000 or HBV_BUDGET)")
         p.add_argument("-o", "--output", help="write the report to this path")
 
     p = sub.add_parser("hochschild", help="Hochschild cohomology dimension table")
@@ -326,11 +329,11 @@ def build_parser():
     p.set_defaults(func=cmd_string_bracket)
 
     p = sub.add_parser("frobenius", help="verify a Frobenius pairing")
-    common(p, degree=False)
+    common(p, bar=False)
     p.set_defaults(func=cmd_frobenius)
 
     p = sub.add_parser("integrals", help="left/right Hopf integrals, unimodularity")
-    common(p, degree=False)
+    common(p, bar=False)
     p.set_defaults(func=cmd_integrals)
 
     p = sub.add_parser("tqft", help="evaluate cobordisms on a Frobenius algebra")

@@ -237,7 +237,7 @@ class StringBracket:
         out = self._brackets.get(key)
         if out is None:
             out = self._brackets[key] = self._compute_bracket(x, y)
-        return CohomologyClass(out.space, out.degree, list(out.coords),
+        return CohomologyClass(self.hc, out.degree, list(out.coords),
                                dict(out.representative))
 
     def _compute_bracket(self, x, y):

@@ -472,12 +472,14 @@ def connes_b_dual_matrix(bar: BarComplex, n: int) -> SparseMatrix:
 class CohomologyClass:
     """A Hochschild or cyclic cohomology class: coordinates in the
     deterministic basis of its space plus a chosen representative cocycle
-    (a ``Cochain`` in HH, a total vector in HC)."""
+    (a ``Cochain`` in HH, a total vector in HC).  It keeps its space's
+    field, not the space, which keeps its basis classes: no reference cycle
+    holds a space and its complex."""
 
-    __slots__ = ("space", "degree", "coords", "representative", "_memo_key")
+    __slots__ = ("field", "degree", "coords", "representative", "_memo_key")
 
     def __init__(self, space, degree, coords, representative):
-        self.space = space
+        self.field = space.alg.field
         self.degree = degree
         self.coords = coords
         self.representative = representative
@@ -496,8 +498,7 @@ class CohomologyClass:
         return self._memo_key
 
     def is_zero(self):
-        f = self.space.alg.field
-        return all(f.is_zero(c) for c in self.coords)
+        return all(map(self.field.is_zero, self.coords))
 
     def __repr__(self):
         return f"CohomologyClass(degree {self.degree}, coords {self.coords})"

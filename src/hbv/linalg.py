@@ -29,20 +29,25 @@ only where it is not.  Differentials are built (``sum_terms`` into
 ``operator_ring``) and checked (``Complex``) by the same code for F_2, F_p
 and Q: plain sums of exact representatives, mapped into the ring as each
 entry is stored, or tested once per product column.  The ``d o d = 0``
-check and the rank read the same integer entries of a differential: the
-rank as integer rows or columns (``_transpose``), the check as per-column
-key lists (``_CheckFactor``).  One reader, ``_integer_rows``, turns exact
+check and the rank read the same entries of a differential: over F_2 and
+F_3 both as bitsets or bitset pairs, over every other field the rank as
+integer rows or columns (``_transpose``) and the check as per-column key
+lists (``_CheckFactor``).  One reader, ``_integer_rows``, turns exact
 rationals into ints for every engine and product: rows of ints are
 taken as they are, and rows holding a Fraction are scaled by the lcm of
 their denominators, so no Fraction is made until a result leaves the
 engine.
 
-The ``d o d = 0`` check (``Complex``).  Each column of d^{n+1} d^n first
-tries a certificate that can only accept: its terms, read as balanced
-integer lifts, are all +-1 and cancel in pairs, which sorting and comparing
-their keys decides.  Any other column is summed exactly in ints, and that
-sum alone decides.  ``Complex.mixed_total`` certifies the total complex of
-a mixed complex the same way, from B d + d B = 0 and B B = 0.
+The ``d o d = 0`` check (``Complex``).  Over F_2 and F_3, d^{n+1} d^n is
+taken row by row on the rank's bitsets (bitset pairs): each row of d^n is
+packed once, and row k of the product sums the packed rows that row k of
+d^{n+1} names.  Over Q and F_p, p >= 5, each column first tries a
+certificate that can only accept: its terms, read as balanced integer
+lifts, are all +-1 and cancel in pairs, which sorting and comparing their
+keys decides; any other column is summed exactly in ints.  Both name the
+first nonzero column of the product.  ``Complex.mixed_total`` certifies
+the total complex of a mixed complex the same way, from B d + d B = 0 and
+B B = 0.
 
 Elimination.  One forward echelon per arithmetic, pivoting on the largest
 index (empirically near fill-free on bar differentials), serves both rank
@@ -75,8 +80,10 @@ ascending keys.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from math import gcd, lcm
+from operator import or_, xor
 
 
 class LinalgError(ValueError):
@@ -838,10 +845,11 @@ class _CheckFactor:
     denominators, 1 unless an entry over Q is not an int), read in one pass
     over its rows: ``plus[j]`` and ``minus[j]`` list the rows of column j
     whose entry has balanced lift +1 and -1, ``other`` maps each column
-    holding any other entry to its ``(row, int)`` pairs.  Over Q an entry 2
-    (-2) is listed twice in ``plus`` (``minus``), as the two unit terms it
-    sums, which keeps every sum the same; over F_p a stored 2 may be -1 or
-    1 + 1, so it stays in ``other``."""
+    holding any other entry to its ``(row, int)`` pairs.  The check reads
+    it over Q and F_p, p >= 5 (over F_2 and F_3 it reads ``_BitRows``).
+    Over Q an entry 2 (-2) is listed twice in ``plus`` (``minus``), as the
+    two unit terms it sums, which keeps every sum the same; over F_p a
+    stored 2 lifts to +2 and stays in ``other``, so its column is summed."""
 
     __slots__ = ("scale", "plus", "minus", "other")
 
@@ -877,7 +885,7 @@ class _CheckFactor:
                 + [(i, -1) for i in self.minus[j]] + self.other.get(j, []))
 
 
-def _cancels(p, j, terms) -> bool:
+def _cancels(j, terms) -> bool:
     """The certificate (``Complex``) for column j of the sum of the products
     ``left @ right`` over ``terms``.  False decides nothing."""
     flat = chain.from_iterable
@@ -896,8 +904,6 @@ def _cancels(p, j, terms) -> bool:
         neg += flat(map(lm, rp))
         neg += flat(map(lp, rm))
     pos.sort()
-    if p == 2:
-        return pos[0::2] == pos[1::2]
     neg.sort()
     return pos == neg
 
@@ -915,13 +921,84 @@ def _column_sum_nonzero(p, j, terms) -> bool:
     return any(x % p for x in acc.values()) if p else any(acc.values())
 
 
+class _BitRows:
+    """A factor of the check over F_2 or F_3 (``Complex``): a left factor's
+    rows are read as stored, a right factor's rows are packed once, on
+    first use, by ``_f2_bits`` or ``_f3_bits``."""
+
+    __slots__ = ("rows", "_bits")
+
+    def __init__(self, sm: SparseMatrix):
+        self.rows = sm.rows
+        self._bits = None
+
+    def bits(self, p) -> list:
+        if self._bits is None:
+            self._bits = list(map(_f2_bits if p == 2 else _f3_bits, self.rows))
+        return self._bits
+
+
+def _check_factor(sm: SparseMatrix):
+    """A matrix as ``_first_failing_column`` reads it on its field."""
+    return _BitRows(sm) if sm.field.char in (2, 3) else _CheckFactor(sm)
+
+
+def _f2_product_rows(bits, rows):
+    """The rows of (left rows ``rows``) @ (right packed rows ``bits``)."""
+    get = bits.__getitem__
+    for row in rows:
+        yield reduce(xor, map(get, row), 0)
+
+
+def _f3_product_rows(bits, rows):
+    """``_f2_product_rows`` over F_3: an entry 2 adds the pair swapped."""
+    for row in rows:
+        ones = twos = 0
+        for i, v in row.items():
+            if v == 1:
+                b1, b2 = bits[i]
+            else:
+                b2, b1 = bits[i]
+            t = (ones | b2) ^ (twos | b1)
+            ones, twos = (twos | b2) ^ t, (ones | b1) ^ t
+        yield ones, twos
+
+
+def _f3_add(a, b):
+    """The sum of two bitset pairs over F_3."""
+    t = (a[0] | b[1]) ^ (a[1] | b[0])
+    return (a[1] | b[1]) ^ t, (a[0] | b[0]) ^ t
+
+
+def _nonzero_columns(p, products) -> int:
+    """The columns at which the sum of the products ``left @ right`` over
+    ``products``, ``(right, left)`` ``_BitRows`` pairs whose left factors
+    have as many rows, is nonzero over F_p, p = 2 or 3, as a bitset: the OR
+    of the rows of the sum, taken row by row."""
+    product_rows, add = ((_f2_product_rows, xor) if p == 2
+                         else (_f3_product_rows, _f3_add))
+    sums = [product_rows(right.bits(p), left.rows) for right, left in products]
+    rows = sums[0]
+    for more in sums[1:]:
+        rows = map(add, rows, more)
+    if p == 3:
+        rows = (ones | twos for ones, twos in rows)
+    return reduce(or_, rows, 0)
+
+
 def _first_failing_column(p, ncols, sums):
     """The first column j < ``ncols`` at which one of ``sums``, each a list
-    of ``(right, left)`` ``_CheckFactor`` pairs standing for the sum of the
-    products ``left @ right``, is nonzero; None if there is none.  A
+    of ``(right, left)`` ``_check_factor`` pairs standing for the sum of the
+    products ``left @ right``, is nonzero; None if there is none.  Over F_2
+    and F_3 that is the lowest set bit of the sums' nonzero columns.  A
     product of integer views carries the scale ``right.scale * left.scale``,
     so the products of one sum are weighted to the lcm of their scales, and
     the certificate runs only where they agree."""
+    if p in (2, 3):
+        fail = 0
+        for products in sums:
+            fail |= _nonzero_columns(p, products)
+        return (fail & -fail).bit_length() - 1 if fail else None
     prepared = []
     for products in sums:
         scales = [right.scale * left.scale for right, left in products]
@@ -931,7 +1008,7 @@ def _first_failing_column(p, ncols, sums):
                          top == min(scales)))
     for j in range(ncols):
         for terms, certify in prepared:
-            if not (certify and _cancels(p, j, terms)) \
+            if not (certify and _cancels(j, terms)) \
                     and _column_sum_nonzero(p, j, terms):
                 return j
     return None
@@ -968,24 +1045,26 @@ class Complex:
     treated as zero.
 
     ``d^{n+1} o d^n = 0`` is checked at construction, for every adjacent
-    pair, column by column of the product, on the integer entries the rank
-    reads too.  Each column first tries a certificate that can only accept
+    pair, on the entries the rank reads too.  Over F_2 and F_3 the product
+    is taken row by row (``_nonzero_columns``): each row of d^n is packed
+    once (``_BitRows``), each row of d^{n+1} is read as stored and never
+    transposed, and a product row costs one XOR (F_2) or one pair addition
+    (F_3, the pair swapped for an entry 2) per entry.  Over Q and F_p,
+    p >= 5, each column first tries a certificate that can only accept
     (``_cancels``): when every term is a product of two entries whose
     balanced integer lifts (over F_p, v - p when v > p/2) are +-1, the
     column vanishes if the sorted keys of its +1 terms equal those of its
-    -1 terms; over F_2, if every key occurs an even number of times.  The
-    per-column row lists of each differential (``_CheckFactor``) are built
-    once and joined with list extends, so a cleared column costs no dict
-    operation per term.  A column the certificate does not clear (a
-    non-unit entry, or a stored 2 over F_3 that is the sum of two +1 terms)
-    is summed exactly in ints (``_column_sum_nonzero``), and that sum alone
-    decides, in the same column order.  This is exact over every field.  Over F_p the entries are integer
-    representatives and reduction mod p is a ring map, so a column vanishes
-    over F_p iff its integer sums are 0 mod p.  Over Q each matrix is first
-    multiplied by the lcm of its denominators (1 unless an entry is not
-    integral); a nonzero scalar on either factor changes neither which
-    columns of the product vanish nor the first that does not.  A failure
-    raises ``SquareZeroError`` naming that first column.
+    -1 terms.  The per-column row lists of each differential
+    (``_CheckFactor``) are built once and joined with list extends.  A
+    column the certificate does not clear (a non-unit entry, such as a
+    stored 2 over F_5) is summed exactly in ints (``_column_sum_nonzero``),
+    and that sum alone decides.  Over F_p reduction mod p is a ring map, so
+    a column vanishes over F_p iff its integer sums are 0 mod p.  Over Q
+    each matrix is first multiplied by the lcm of its denominators; a
+    nonzero scalar on either factor changes neither which columns of the
+    product vanish nor the first that does not.  A failure raises
+    ``SquareZeroError`` naming that first column, on either path: on the
+    rows it is the lowest set bit of the OR of every product row.
 
     ``mixed_total`` builds the total complex of a mixed complex from its
     parts and certifies it from the mixed-complex identities instead.
@@ -1017,8 +1096,8 @@ class Complex:
             if n + 1 not in self.diffs:
                 continue
             if right_n != n:
-                right = _CheckFactor(self.diffs[n])
-            left = _CheckFactor(self.diffs[n + 1])
+                right = _check_factor(self.diffs[n])
+            left = _check_factor(self.diffs[n + 1])
             j = _first_failing_column(p, self.diffs[n].ncols, [[(right, left)]])
             if j is not None:
                 raise SquareZeroError(n, j)
@@ -1037,10 +1116,12 @@ class Complex:
 
         On the summand C^m, d_tot^{n+1} d_tot^n is d^{m+1} d^m into
         C^{m+2}, B_{m+1} d^m + d^{m-1} B_m into C^m and B_{m-1} B_m into
-        C^{m-2}.  So only the last two are checked on C^n, n = 0 .. N-1.  A
-        column of C^m fails in every Tot^n that holds it, first in Tot^m,
-        where C^m comes first, so the first failing (m, column) is what the
-        check of ``Complex`` names on the assembled d_tot."""
+        C^{m-2}.  So only the last two are checked on C^n, n = 0 .. N-1,
+        on the path ``Complex`` takes for the field (row by row over F_2
+        and F_3, column by column otherwise).  A column of C^m fails in
+        every Tot^n that holds it, first in Tot^m, where C^m comes first,
+        so the first failing (m, column) is what the check of ``Complex``
+        names on the assembled d_tot."""
         field = bar.field
         N = max(bar.diffs)
         for n in range(1, N + 1):
@@ -1051,8 +1132,8 @@ class Complex:
         dv: dict = {}
         bv: dict = {}
         for n in range(N):
-            dv[n] = _CheckFactor(bar.diffs[n])
-            bv[n + 1] = _CheckFactor(rotations[n + 1])
+            dv[n] = _check_factor(bar.diffs[n])
+            bv[n + 1] = _check_factor(rotations[n + 1])
             dv.pop(n - 2, None)
             bv.pop(n - 2, None)
             mixed = [(dv[n], bv[n + 1])]

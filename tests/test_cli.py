@@ -183,6 +183,25 @@ def test_budget_below_one_is_refused(capsys, monkeypatch, budget, env):
     assert "must be at least 1" in err and "exceeds" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["frobenius", "--group", "S3", "--field", "Q"],
+    ["integrals", "--group", "S3", "--field", "F3"]])
+def test_commands_without_a_bar_complex_take_no_budget(capsys, monkeypatch,
+                                                       argv):
+    # frobenius and integrals build no cochain space: --budget is an unknown
+    # option there, and HBV_BUDGET, even one that is refused elsewhere,
+    # leaves their report as it is
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--budget", "100"])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+    monkeypatch.delenv("HBV_BUDGET", raising=False)
+    status, report = run(capsys, *argv)
+    assert status == 0
+    monkeypatch.setenv("HBV_BUDGET", "0")
+    assert run(capsys, *argv) == (status, report)
+
+
 def test_unknown_preset_is_input_error(capsys):
     status = main(["hochschild", "--group", "Z5", "--field", "Q"])
     assert status == 2

@@ -163,15 +163,22 @@ def test_total_complex_certificate_matches_generic_check():
     # complex with its differentials replaced by zero, where B d + d B = 0
     # holds whatever B is, so that only B B = 0 can fail, and over Q over
     # the bar complex with each C^n rescaled, where B d and d B carry
-    # different scales.
+    # different scales.  Both must also name the column oracle's witness,
+    # over F_2 and F_3 (the row path) as over F_5 and Q (the column path).
     from types import SimpleNamespace
+
+    from test_linalg import _square_zero_oracle
 
     rng = random.Random(71)
     cases = [(group_algebra(preset("Z3"), GF(3)),
               ("flip", "drop", "plus one", "fill")),
              (group_algebra(preset("Z4"), GF(2)), ("drop", "fill")),
              (group_algebra(preset("S3"), QQ), ("flip", "drop", "fill")),
-             (exterior_algebra([3, 5], QQ), ("flip", "drop", "fill"))]
+             (exterior_algebra([3, 5], QQ), ("flip", "drop", "fill")),
+             (group_algebra(preset("Z3"), GF(5)),
+              ("flip", "drop", "plus one", "fill")),
+             (group_algebra(preset("Z4"), GF(3)),
+              ("flip", "drop", "plus one", "fill"))]
     N = 4
     outcomes = {}
     for alg, kinds in cases:
@@ -202,17 +209,19 @@ def test_total_complex_certificate_matches_generic_check():
                                                  SimpleNamespace(complex=base),
                                                  m, rotations))
                              for m in range(N + 1)}
-                    try:
-                        Complex(f, dims, diffs)
-                        want = None
-                    except SquareZeroError as err:
-                        want = (err.degree, err.column)
-                    try:
-                        Complex.mixed_total(base, rotations)
-                        got = None
-                    except SquareZeroError as err:
-                        got = (err.degree, err.column)
-                    assert got == want, (alg, label, n, kind)
+                    want = _square_zero_oracle(diffs)
+                    expected = None if want is None else (want, (
+                        f"d^{want[0] + 1} o d^{want[0]} != 0 "
+                        f"at column {want[1]}"))
+                    for check in (
+                            lambda: Complex(f, dims, diffs),
+                            lambda: Complex.mixed_total(base, rotations)):
+                        try:
+                            check()
+                            got = None
+                        except SquareZeroError as err:
+                            got = (err.degree, err.column), str(err)
+                        assert got == expected, (alg, label, n, kind)
                     key = label, "pass" if want is None else "fail"
                     outcomes[key] = outcomes.get(key, 0) + 1
     assert len(outcomes) == 6 and min(outcomes.values()) >= 3, outcomes

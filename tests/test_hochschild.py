@@ -427,6 +427,32 @@ def test_q_engine_exits_are_fractions(name):
     assert applied and reps
 
 
+def test_spaces_are_freed_without_a_cyclic_collection():
+    # a space keeps its basis classes; a class must not keep its space, or
+    # the space with its bar complex would outlive its last reference until
+    # a cyclic collection ran
+    import gc
+    import weakref
+
+    from hbv.cyclic import CyclicCohomology
+
+    alg = group_algebra(preset("Z3"), GF(3))
+    gc.disable()
+    try:
+        hh = HochschildCohomology(alg, "self", 4)
+        assert all(hh.classes(n) for n in range(3))
+        bar = weakref.ref(hh.bar)
+        del hh
+        assert bar() is None
+        hc = CyclicCohomology(alg, 4)
+        assert all(hc.classes(n) for n in range(3))
+        total = weakref.ref(hc.total)
+        del hc
+        assert total() is None
+    finally:
+        gc.enable()
+
+
 def test_budget_guard():
     with pytest.raises(BudgetError) as err:
         BarComplex(group_algebra(preset("D4"), GF(2)), "self", 4, budget=20000)

@@ -858,7 +858,8 @@ def _structured_complexes():
     N = 3
     out = []
     for source, field in (("Z3", GF(3)), ("S3", GF(2)), ("Z6", GF(3)),
-                          ("Z6", QQ), ("S3", QQ), ((3, 5), QQ)):
+                          ("Z6", QQ), ("S3", QQ), ((3, 5), QQ),
+                          ("Z6", GF(5)), ("Z3", GF(5))):
         group = isinstance(source, str)
         alg = (group_algebra(preset(source), field) if group
                else exterior_algebra(list(source), field))
@@ -917,23 +918,43 @@ def test_square_zero_check_matches_column_oracle(monkeypatch):
     # give the oracle's verdict and witness (degree, column)
     import hbv.linalg as linalg
 
-    # each column the check reads: cleared by the certificate, or summed
-    # exactly to zero or to nonzero
+    # over Q and F_5 each column the check reads is cleared by the
+    # certificate, or summed exactly to zero or to nonzero; over F_2 and
+    # F_3 each product is taken row by row, and is zero or not
     paths = {"certified": 0, "exact zero": 0, "exact nonzero": 0}
+    rows = {"rows zero": 0, "rows nonzero": 0}
+    column_fields = set()
+    checking = {}
+    first_failing = linalg._first_failing_column
     cancels, column_sum = linalg._cancels, linalg._column_sum_nonzero
+    nonzero_columns = linalg._nonzero_columns
 
-    def counted_cancels(p, j, terms):
-        ok = cancels(p, j, terms)
+    def noted_first_failing(p, ncols, sums):
+        checking["p"] = p
+        return first_failing(p, ncols, sums)
+
+    def counted_cancels(j, terms):
+        column_fields.add(checking["p"])
+        ok = cancels(j, terms)
         paths["certified"] += ok
         return ok
 
     def counted_sum(p, j, terms):
+        column_fields.add(p)
         nonzero = column_sum(p, j, terms)
         paths["exact nonzero" if nonzero else "exact zero"] += 1
         return nonzero
 
+    def counted_rows(p, products):
+        assert p in (2, 3)
+        fail = nonzero_columns(p, products)
+        rows["rows nonzero" if fail else "rows zero"] += 1
+        return fail
+
+    monkeypatch.setattr(linalg, "_first_failing_column", noted_first_failing)
     monkeypatch.setattr(linalg, "_cancels", counted_cancels)
     monkeypatch.setattr(linalg, "_column_sum_nonzero", counted_sum)
+    monkeypatch.setattr(linalg, "_nonzero_columns", counted_rows)
 
     rng = random.Random(59)
     halves = [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 3)]
@@ -982,14 +1003,18 @@ def test_square_zero_check_matches_column_oracle(monkeypatch):
                 structured["pass" if _assert_matches_oracle(field, dims, bad)
                            is None else "fail"] += 1
     assert structured["fail"] >= 40 and structured["pass"] >= 19, structured
+    # the column paths run from Q and F_5 inputs alone, the row path from
+    # F_2 and F_3 inputs alone
+    assert column_fields == {0, 5}, column_fields
     assert min(paths.values()) >= 100, paths
+    assert min(rows.values()) >= 50, rows
     # Z6's bar differentials store entries 2: over Q each joins the
-    # certificate as two unit terms, so every column clears; over F_3 a
-    # stored 2 is read as -1 and the 66 columns holding one are summed
+    # certificate as two unit terms, so every column clears; over F_5 a
+    # stored 2 lifts to +2 and the columns holding one are summed
     for coeff in ("self", "dual"):
         assert clean_paths[f"Z6 {coeff}", "Q"] == {
             "certified": 186, "exact zero": 0, "exact nonzero": 0}
-        assert clean_paths[f"Z6 {coeff}", "F3"] == {
+        assert clean_paths[f"Z6 {coeff}", "F5"] == {
             "certified": 120, "exact zero": 66, "exact nonzero": 0}
 
 
