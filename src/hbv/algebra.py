@@ -65,7 +65,8 @@ class FDAlgebra:
             raise AlgebraError("degrees/basis length mismatch")
         basis = range(self.dim)
         for (i, j), row in mult.items():
-            if not all(x in basis for x in (i, j, *row)):
+            # a bool or a float is not an index, though 1.0 and True are in range
+            if not all(type(x) is int and x in basis for x in (i, j, *row)):
                 raise AlgebraError(
                     f"product entry ({i}, {j}) -> {list(row)} indexes outside "
                     f"the basis 0..{self.dim - 1}"
@@ -199,7 +200,8 @@ class HopfData:
         f = alg.field
         basis = range(alg.dim)
         for i, row in coproduct.items():
-            if not all(x in basis for jk in row for x in (i, *jk)):
+            if not all(type(x) is int and x in basis
+                       for jk in row for x in (i, *jk)):
                 raise AlgebraError(
                     f"coproduct entry {i} -> {list(row)} indexes outside "
                     f"the basis 0..{alg.dim - 1}"

@@ -678,10 +678,11 @@ def det_line(cob: Cobordism, coeff: int = 1, power: int = 1) -> DetLine:
 
 
 def twist_coeff(orientation_sign: int, power: int) -> int:
-    """The d-th tensor power sends an orientation sign to its d-th power."""
+    """The d-th tensor power sends an orientation sign to its d-th power,
+    an int for every integer d (a negative power too)."""
     if orientation_sign not in (1, -1):
         raise CobordismError("orientation coefficient must be +-1")
-    return orientation_sign ** power
+    return orientation_sign if power % 2 else 1
 
 
 def det_compose(x: DetLine, y: DetLine) -> DetLine:

@@ -114,84 +114,68 @@ class CyclicCohomology:
         return self.project(n - 1, {c - front: v for c, v in dtot.items()})
 
 
-def _map_matrix(field, images, target_dim):
-    """Columns = coordinate images."""
-    return SparseMatrix.from_terms(field, target_dim, len(images), [
-        ((i, j), v) for j, img in enumerate(images) for i, v in enumerate(img)])
-
-
 def connes_maps(alg: FDAlgebra, max_degree: int, budget: int | None = None):
-    """Matrices of I, S and the connecting map on cohomology at every
-    certified degree, plus the exactness report (rank identities and
-    vanishing composites) and the identity  I o (connecting) = rotation.
+    """Matrices of I, S, the connecting map and the rotation on cohomology at
+    every certified degree, each column the coordinates of one basis class's
+    image, plus the report: I o (connecting) = rotation as a product of these
+    matrices, the rotation taken from the cochain-level ``connes_b_dual``, and
+    exactness at each term as a vanishing composite and a rank sum.
     """
-    f = alg.field
     hc = CyclicCohomology(alg, max_degree, budget)
     hh = HochschildCohomology(alg, "dual", max_degree, budget)
     W = hc.certified
     report = CheckReport()
 
+    def matrix(op, classes, target_dim):
+        """Columns = coordinates of ``op`` on each class."""
+        return SparseMatrix.from_terms(alg.field, target_dim, len(classes), [
+            ((i, j), v) for j, x in enumerate(classes)
+            for i, v in enumerate(op(x).coords)])
+
     I_mats = {}
     S_mats = {}
     C_mats = {}
     rot_mats = {}
-    connected = {}  # the connecting image of each basis class of HH^n
     for n in range(W + 1):
-        I_mats[n] = _map_matrix(
-            f, [hc.to_hochschild(x, hh).coords for x in hc.classes(n)], hh.dim(n)
-        )
+        I_mats[n] = matrix(lambda x: hc.to_hochschild(x, hh), hc.classes(n),
+                           hh.dim(n))
         if n + 2 <= W:
-            S_mats[n] = _map_matrix(
-                f, [hc.periodicity(x).coords for x in hc.classes(n)],
-                hc.dim(n + 2),
-            )
+            S_mats[n] = matrix(hc.periodicity, hc.classes(n), hc.dim(n + 2))
         if n >= 1:
-            connected[n] = [hc.connecting(x, hh) for x in hh.classes(n)]
-            C_mats[n] = _map_matrix(
-                f, [c.coords for c in connected[n]], hc.dim(n - 1))
-            # rotation on cohomology, via the class-level operator
-            rot_imgs = []
-            for x in hh.classes(n):
-                rot = connes_b_dual(x.representative)
-                rot_imgs.append(hh.project(rot).coords)
-            rot_mats[n] = _map_matrix(f, rot_imgs, hh.dim(n - 1))
+            C_mats[n] = matrix(lambda x: hc.connecting(x, hh), hh.classes(n),
+                               hc.dim(n - 1))
+            rot_mats[n] = matrix(
+                lambda x: hh.project(connes_b_dual(x.representative)),
+                hh.classes(n), hh.dim(n - 1))
 
-    # I o connecting = rotation, as matrices on cohomology
+    # I o connecting = rotation, as a product of the matrices above
     for n in range(1, W + 1):
-        imgs = [hc.to_hochschild(c, hh).coords for c in connected[n]]
-        comp = _map_matrix(f, imgs, hh.dim(n - 1))
-        report.record(
-            f"I o connecting = rotation at degree {n}",
-            comp == rot_mats[n],
-            None if comp == rot_mats[n] else (n,),
-        )
+        ok = I_mats[n - 1] * C_mats[n] == rot_mats[n]
+        report.record(f"I o connecting = rotation at degree {n}", ok,
+                      None if ok else (n,))
+
+    def exact(into, out_of, dim, composite_name, rank_name):
+        """im(into) = ker(out_of) at a term of dimension ``dim``."""
+        report.record(composite_name, (out_of * into).is_zero())
+        report.record(rank_name, rank(into) + rank(out_of) == dim)
 
     # exactness:  HC^{n-2} -S-> HC^n -I-> HH^n -del-> HC^{n-1} -S-> HC^{n+1}
     for n in range(W + 1):
-        # at HC^n: im S = ker I
         if n - 2 >= 0:
-            comp = I_mats[n] * S_mats[n - 2]
-            report.record(f"I o S = 0 at degree {n}", comp.is_zero())
-            ok = rank(S_mats[n - 2]) + rank(I_mats[n]) == hc.dim(n)
-            report.record(f"rank S + rank I = dim HC^{n}", ok)
-        elif n in (0, 1):
+            exact(S_mats[n - 2], I_mats[n], hc.dim(n),
+                  f"I o S = 0 at degree {n}", f"rank S + rank I = dim HC^{n}")
+        else:
             # sequence starts: I injective at the bottom edge
-            report.record(
-                f"I injective at degree {n}",
-                rank(I_mats[n]) == hc.dim(n),
-            )
-        # at HH^n: im I = ker connecting
+            report.record(f"I injective at degree {n}",
+                          rank(I_mats[n]) == hc.dim(n))
         if n >= 1:
-            comp = C_mats[n] * I_mats[n]
-            report.record(f"connecting o I = 0 at degree {n}", comp.is_zero())
-            ok = rank(I_mats[n]) + rank(C_mats[n]) == hh.dim(n)
-            report.record(f"rank I + rank connecting = dim HH^{n}", ok)
-        # at HC^{n-1}: im connecting = ker S
+            exact(I_mats[n], C_mats[n], hh.dim(n),
+                  f"connecting o I = 0 at degree {n}",
+                  f"rank I + rank connecting = dim HH^{n}")
         if n >= 1 and n + 1 <= W:
-            comp = S_mats[n - 1] * C_mats[n]
-            report.record(f"S o connecting = 0 at degree {n - 1}", comp.is_zero())
-            ok = rank(C_mats[n]) + rank(S_mats[n - 1]) == hc.dim(n - 1)
-            report.record(f"rank connecting + rank S = dim HC^{n - 1}", ok)
+            exact(C_mats[n], S_mats[n - 1], hc.dim(n - 1),
+                  f"S o connecting = 0 at degree {n - 1}",
+                  f"rank connecting + rank S = dim HC^{n - 1}")
     return {
         "I": I_mats,
         "S": S_mats,

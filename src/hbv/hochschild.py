@@ -699,7 +699,8 @@ def bv_check(alg: FDAlgebra, frob: FrobeniusStructure, max_degree: int,
                               - (-1)^{|x|} x u Delta(y) ),
 
     |.| the cochain degree, plus graded Jacobi and the Poisson rule.  Each
-    check runs over ``window_tuples`` of the basis classes.  Each distinct
+    check runs over ``window_tuples`` of the basis classes of HH^0 ..
+    HH^{N-1}, the degrees the windows reach; HH^N is only ranked.  Each distinct
     cup product, bracket and Delta is computed once per call, keyed by its
     exact arguments: the degree and the representative's table, key order
     included, never the coordinates (``CohomologyClass.memo_key``, built
@@ -736,10 +737,10 @@ def bv_check(alg: FDAlgebra, frob: FrobeniusStructure, max_degree: int,
 
     report.record("delta(1) = 0", delta(bv.hh.unit_class()).is_zero())
 
-    # HH^N is fetched too, though no check reads it: leaving it out changes
-    # the ranks a run computes, which perfbench/reference.json pins
-    # (ROADMAP item 5)
-    basis = [bv.hh.classes(n) for n in range(N + 1)]
+    # every window stops at degree N-1, so HH^N needs no basis; its dim
+    # still ranks d^N, which the traced fingerprint lists (ROADMAP item 5)
+    basis = [bv.hh.classes(n) for n in range(N)]
+    bv.hh.dim(N)
     # Delta of every basis class of degree 1..N-1 first: when one of them
     # fails to project, its error is the one raised
     for _, _, (x,) in window_tuples(basis, 1, 1, N - 1):

@@ -460,6 +460,14 @@ def dual_numbers(degree):
     ({"coproduct": [[0, 0, 0, "1"], [1, 1, "1"]], "counit": ["1", "1"],
       "antipode": [["1", "0"], ["0", "1"]]},
      "algebra file: 'coproduct' entry 1 must be [i, j, k, c]"),
+    # 1.0 and True compare equal to 1, but neither is an index
+    ({"mult": [[1.0, 0, 1, "1"]]},
+     "product entry (1.0, 0) -> [1] indexes outside the basis 0..1"),
+    ({"mult": [[True, True, True, "1"]]},
+     "product entry (True, True) -> [True] indexes outside the basis 0..1"),
+    ({"coproduct": [[0, 0, 0, "1"], [1, 1.0, 1, "1"]], "counit": ["1", "1"],
+      "antipode": [["1", "0"], ["0", "1"]]},
+     "coproduct entry 1 -> [(1.0, 1)] indexes outside the basis 0..1"),
 ])
 def test_malformed_algebra_file_is_input_error(capsys, tmp_path, changes, message):
     obj = {k: v for k, v in {**Z2_ALGEBRA, **changes}.items() if v is not None}

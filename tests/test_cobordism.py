@@ -838,6 +838,11 @@ def test_det_compose_unit_coefficients():
 def test_det_twisting_signs():
     assert twist_coeff(-1, 2) == 1
     assert twist_coeff(-1, 3) == -1
+    # a determinant-line coefficient is an int, for negative powers too
+    for sign in (1, -1):
+        for power in range(-3, 4):
+            c = twist_coeff(sign, power)
+            assert type(c) is int and c == (sign if power % 2 else 1)
     a = det_line(preset_cobordism("pants"), coeff=twist_coeff(-1, 2), power=2)
     b = det_line(connected_cobordism(1, 1, 1), coeff=twist_coeff(-1, 2), power=2)
     assert det_compose(a, b).coeff == 1

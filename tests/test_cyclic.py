@@ -239,6 +239,26 @@ def test_connes_sequence_f3_z3():
     assert res["report"].all_ok()
 
 
+def test_rotation_check_fails_on_a_negated_rotation(monkeypatch):
+    # I o connecting is a product of the suite's own matrices; the rotation
+    # it is compared with comes from the cochain-level B, so a wrong B must
+    # show (over F_3: over F_2 a negation changes nothing)
+    import hbv.cyclic as cyclic
+
+    alg = group_algebra(preset("Z3"), GF(3))
+    name = "I o connecting = rotation at degree 1"
+
+    def verdict():
+        report = connes_maps(alg, 4)["report"]
+        return {check: ok for check, ok, _ in report.checks}[name]
+
+    assert verdict()
+    b = cyclic.connes_b_dual
+    minus_one = alg.field.neg(alg.field.one)
+    monkeypatch.setattr(cyclic, "connes_b_dual", lambda c: b(c).scaled(minus_one))
+    assert not verdict()
+
+
 def test_connecting_vanishes_on_semisimple_positive_degrees():
     alg = group_algebra(preset("S3"), QQ)
     hh = HochschildCohomology(alg, "dual", 4)

@@ -943,6 +943,50 @@ def test_bv_check_computes_each_operation_once(monkeypatch, make, pairing, N,
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("make, pairing, shape", [
+    (lambda: group_algebra(preset("Z4"), GF(2)), group_frobenius, (2916, 972)),
+    (lambda: exterior_algebra([3], QQ), lie_pairing, (2, 2)),
+], ids=["F2[Z4]", "ext3/Q"])
+def test_bv_check_builds_no_basis_at_the_truncation_degree(monkeypatch, make,
+                                                          pairing, shape):
+    # every window stops at degree N-1: HH^N gets no kernel or echelon
+    # store, but d^N is still ranked (the traced fingerprint lists it)
+    import hbv.hochschild as hochschild
+    import hbv.linalg as linalg
+
+    N = 5
+    built = []
+    requested = set()
+    ranked = []
+
+    class Recorded(hochschild.BVStructure):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    cohomology_at = linalg.Complex.cohomology_at
+    sparse_rank = linalg.sparse_rank
+
+    def spy_at(complex_, n):
+        requested.add(n)
+        return cohomology_at(complex_, n)
+
+    def spy_rank(m):
+        ranked.append(m)
+        return sparse_rank(m)
+
+    monkeypatch.setattr(hochschild, "BVStructure", Recorded)
+    monkeypatch.setattr(linalg.Complex, "cohomology_at", spy_at)
+    monkeypatch.setattr(linalg, "sparse_rank", spy_rank)
+    alg = make()
+    bv_check(alg, pairing(alg), N)
+    assert requested == set(range(N))
+    (bv,) = built
+    d_N = bv.hh.bar.complex.diffs[N]
+    assert (d_N.nrows, d_N.ncols) == shape
+    assert any(m is d_N for m in ranked)
+
+
 def _scanned_internal_degree(c):
     """``Cochain.internal_degree`` by the full scan of every entry."""
     alg = c.alg
