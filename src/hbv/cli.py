@@ -55,12 +55,18 @@ def _field(args):
     return field_by_name(args.field or "Q")
 
 
+def _one_source(args, *names):
+    """The one option of ``names`` given; none or several is an input error."""
+    chosen = [name for name in names if getattr(args, name)]
+    if len(chosen) != 1:
+        flags = ", ".join(f"--{name}" for name in names)
+        raise InputError(f"exactly one of {flags} is required")
+    return chosen[0]
+
+
 def _algebra_from_args(args):
     """Resolve --group/--exterior/--algebra into (algebra, source-config)."""
-    chosen = [name for name in ("group", "exterior", "algebra") if getattr(args, name)]
-    if len(chosen) != 1:
-        raise InputError("exactly one of --group, --exterior, --algebra is required")
-    src = chosen[0]
+    src = _one_source(args, "group", "exterior", "algebra")
     if src == "group":
         # a preset name, else an existing file: anything else is answered
         # by the preset error, which lists the presets
@@ -173,9 +179,8 @@ def cmd_bv_check(args):
     _require_bar_degree(args)
     alg, cfg = _algebra_from_args(args)
     frob = _frobenius_for(alg)
-    flip = args.bv_sign_convention == "flipped"
-    cfg.update(max_degree=args.max_degree, bv_sign_convention=args.bv_sign_convention)
-    rep = bv_check(alg, frob, args.max_degree, args.budget, flip)
+    cfg.update(max_degree=args.max_degree, bv_sign_convention="standard")
+    rep = bv_check(alg, frob, args.max_degree, args.budget)
     good, total = rep.counts()
     return cfg, {"checks_passed": good, "checks_total": total}, rep
 
@@ -231,16 +236,15 @@ def cmd_integrals(args):
 
 
 def cmd_tqft(args):
+    src = _one_source(args, "cobordism", "preset")
     alg, cfg = _algebra_from_args(args)
     frob = _frobenius_for(alg)
-    if args.cobordism:
+    if src == "cobordism":
         cob = Cobordism.load(args.cobordism)
         cfg["cobordism"] = args.cobordism
-    elif args.preset:
+    else:
         cob = preset_cobordism(args.preset)
         cfg["cobordism_preset"] = args.preset
-    else:
-        raise InputError("tqft eval needs --cobordism or --preset")
     width = max(cob.p, cob.q)
     check_budget(f"tensor power A^(x){width}", alg.dim ** width, args.budget)
     T = FrobeniusTQFT(alg, frob)
@@ -316,8 +320,6 @@ def build_parser():
 
     p = sub.add_parser("bv-check", help="BV identity suite on HH*(A;A)")
     common(p)
-    p.add_argument("--bv-sign-convention", choices=("standard", "flipped"),
-                   default="standard")
     p.set_defaults(func=cmd_bv_check)
 
     p = sub.add_parser("cyclic", help="cyclic cohomology and the Connes sequence")

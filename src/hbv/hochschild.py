@@ -688,8 +688,7 @@ class BVStructure:
 
 
 def bv_check(alg: FDAlgebra, frob: FrobeniusStructure, max_degree: int,
-             budget: int | None = None,
-             flip_sign_convention: bool = False) -> CheckReport:
+             budget: int | None = None) -> CheckReport:
     """The full BV verification suite on cohomology classes.
 
     Within the certified window (cochain degrees of the arguments summing to
@@ -706,9 +705,7 @@ def bv_check(alg: FDAlgebra, frob: FrobeniusStructure, max_degree: int,
     included, never the coordinates (``CohomologyClass.memo_key``, built
     once per class object).  Two representatives of one class are
     therefore each computed, so the suites still test that the products
-    are well defined on classes.  The ``flip_sign_convention`` switch
-    negates the seven-term right side, the alternative convention, kept for
-    comparison runs.  The report lists failures with witnesses.
+    are well defined on classes.  The report lists failures with witnesses.
     """
     bv = BVStructure(alg, frob, max_degree, budget)
     f = alg.field
@@ -761,9 +758,8 @@ def bv_check(alg: FDAlgebra, frob: FrobeniusStructure, max_degree: int,
         t2 = cup(delta(x), y).coords if nx else zero
         t3 = cup(x, delta(y)).coords if ny else zero
         odd = nx % 2
-        # (-1)^{|x|} (t1 - t2 - (-1)^{|x|} t3), negated once more if flipped
-        rhs = signed(f, odd ^ flip_sign_convention,
-                     combine(f, combine(f, t1, t2, 1), t3, 1 - odd))
+        # (-1)^{|x|} (t1 - t2 - (-1)^{|x|} t3)
+        rhs = signed(f, odd, combine(f, combine(f, t1, t2, 1), t3, 1 - odd))
         ok = lhs == rhs
         report.record(f"seven-term {window_label((nx, ny), (i, j))}", ok,
                       None if ok else (nx, ny, i, j, (lhs, rhs)))

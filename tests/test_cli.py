@@ -30,10 +30,15 @@ def test_bv_check_passes(capsys):
     assert report["results"]["checks_passed"] == report["results"]["checks_total"]
 
 
-def test_bv_check_flipped_convention_fails_with_witness(capsys):
+def test_bv_check_flipped_convention_fails_with_witness(capsys, monkeypatch):
+    # negate the seven-term right side: in hochschild only it calls signed
+    import hbv.hochschild as hochschild
+
+    signed = hochschild.signed
+    monkeypatch.setattr(hochschild, "signed",
+                        lambda f, odd, coords: signed(f, not odd, coords))
     status, report = run(
-        capsys, "bv-check", "--exterior", "3", "--field", "Q",
-        "--max-degree", "3", "--bv-sign-convention", "flipped",
+        capsys, "bv-check", "--exterior", "3", "--field", "Q", "--max-degree", "3",
     )
     assert status == 1
     assert report["ok"] is False
@@ -65,6 +70,23 @@ def test_tqft_eval_preset(capsys):
     assert status == 0
     assert report["results"]["in_circles"] == 2
     assert report["results"]["out_circles"] == 1
+
+
+@pytest.mark.parametrize("both", [True, False], ids=["both", "neither"])
+def test_tqft_eval_takes_exactly_one_cobordism_source(capsys, tmp_path, both):
+    # a file and a preset together are refused, not settled by dropping one
+    cob = tmp_path / "pants.json"
+    cob.write_text(json.dumps(
+        {"in": 2, "out": 1,
+         "components": [{"genus": 0, "in_legs": [1, 2], "out_legs": [1]}]}
+    ))
+    sources = ["--cobordism", str(cob), "--preset", "cyl"] if both else []
+    status = main(["tqft", "eval", "--group", "Z3", "--field", "Q", *sources])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert ("hbv: error: exactly one of --cobordism, --preset is required\n"
+            in captured.err)
 
 
 def test_cyclic_sequence(capsys):

@@ -259,6 +259,22 @@ def test_rotation_check_fails_on_a_negated_rotation(monkeypatch):
     assert not verdict()
 
 
+def test_vanishing_composites_fail_on_a_wrong_periodicity(monkeypatch):
+    # S sends every class onto the first basis class of HC^{n+2}: the rank
+    # sums still hold, so only the vanishing composites can see it, and the
+    # suite runs on to its last check
+    import hbv.cyclic as cyclic
+
+    alg = group_algebra(preset("Z3"), GF(3))
+    names = [check for check, _, _ in connes_maps(alg, 4)["report"].checks]
+    monkeypatch.setattr(cyclic.CyclicCohomology, "periodicity",
+                        lambda self, cls: self.classes(cls.degree + 2)[0])
+    report = connes_maps(alg, 4)["report"]
+    assert [check for check, _, _ in report.checks] == names
+    assert [check for check, ok, _ in report.checks if not ok] == [
+        "S o connecting = 0 at degree 0", "I o S = 0 at degree 2"]
+
+
 def test_connecting_vanishes_on_semisimple_positive_degrees():
     alg = group_algebra(preset("S3"), QQ)
     hh = HochschildCohomology(alg, "dual", 4)

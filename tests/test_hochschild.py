@@ -36,7 +36,14 @@ from hbv.hochschild import (
     window_label,
     window_tuples,
 )
-from hbv.linalg import LinalgError, SparseMatrix, operator_ring, rank, sum_terms
+from hbv.linalg import (
+    LinalgError,
+    SparseMatrix,
+    operator_ring,
+    rank,
+    sparse_kernel_basis,
+    sum_terms,
+)
 
 
 # -- complex construction ---------------------------------------------------------
@@ -858,12 +865,78 @@ def test_bv_check_q_s3_vacuous_positive_degrees():
     assert rep.all_ok()
 
 
-def test_bv_check_flipped_convention_fails_with_witness():
+def test_bv_check_flipped_convention_fails_with_witness(monkeypatch):
+    # negate the seven-term right side: in hochschild only it calls signed
+    import hbv.hochschild as hochschild
+
+    signed = hochschild.signed
+    monkeypatch.setattr(hochschild, "signed",
+                        lambda f, odd, coords: signed(f, not odd, coords))
     alg = exterior_algebra([3], QQ)
-    rep = bv_check(alg, lie_pairing(alg), 3, flip_sign_convention=True)
+    rep = bv_check(alg, lie_pairing(alg), 3)
     assert not rep.all_ok()
     failures = rep.failures()
     assert failures and failures[0][1] is not None  # witness carried
+
+
+# -- chain-level duality and bracket -------------------------------------------
+# The exterior models with two or more generators still carry the graded sign
+# defects of ROADMAP item 1 at chain level; the model on x3 alone passes.
+
+_GRADED_SIGNS = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="graded duality and bracket signs (ROADMAP item 1)")
+
+CHAIN_CASES = [
+    pytest.param("Z3", GF(3), 4, id="Z3/F3-N4"),
+    pytest.param("Z4", GF(2), 4, id="Z4/F2-N4"),
+    pytest.param("S3", QQ, 3, id="S3/Q-N3"),
+    pytest.param([3], QQ, 5, id="ext3/Q-N5"),
+    pytest.param([3, 5], QQ, 4, id="ext3,5/Q-N4", marks=_GRADED_SIGNS),
+    pytest.param([1, 3], QQ, 4, id="ext1,3/Q-N4", marks=_GRADED_SIGNS),
+    pytest.param([3, 5, 7], QQ, 3, id="ext3,5,7/Q-N3", marks=_GRADED_SIGNS),
+]
+
+
+def _bv_structure(source, field, N):
+    """A group preset by name, else the exterior model on those degrees."""
+    if isinstance(source, str):
+        alg = group_algebra(preset(source), field)
+        return BVStructure(alg, group_frobenius(alg), N)
+    alg = exterior_algebra(source, field)
+    return BVStructure(alg, lie_pairing(alg), N)
+
+
+def _cocycles(hh, N):
+    """The kernel basis vectors of d^0 .. d^{N-1}, as cochains."""
+    bar = hh.bar
+    return [bar.vec_to_cochain(n, vec) for n in range(N)
+            for vec in sparse_kernel_basis(bar.complex.differential(n))]
+
+
+def _is_cocycle(hh, c):
+    return not hh.bar.complex.apply(c.degree, hh.bar.cochain_to_vec(c))
+
+
+@pytest.mark.parametrize("source, field, N", CHAIN_CASES)
+def test_duality_maps_send_cocycles_to_cocycles(source, field, N):
+    bv = _bv_structure(source, field, N)
+    for to, domain, target in ((bv.to_dual, bv.hh, bv.hh_dual),
+                               (bv.to_self, bv.hh_dual, bv.hh)):
+        images = [_is_cocycle(target, to(c)) for c in _cocycles(domain, N)]
+        assert all(images), (f"{to.__name__}: {images.count(False)} of "
+                             f"{len(images)} images are not cocycles")
+
+
+@pytest.mark.parametrize("source, field, N", CHAIN_CASES)
+def test_bracket_of_cocycles_is_a_cocycle(source, field, N):
+    bv = _bv_structure(source, field, N)
+    zs = _cocycles(bv.hh, N)
+    brackets = [_is_cocycle(bv.hh, gerstenhaber_bracket(x, y))
+                for x in zs for y in zs
+                if 0 <= x.degree + y.degree - 1 <= N - 1]
+    assert brackets and all(brackets), (
+        f"{brackets.count(False)} of {len(brackets)} brackets are not cocycles")
 
 
 def _bv_check_names(dims, N):

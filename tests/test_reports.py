@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import hbv.hochschild as hochschild
 from hbv.algebra import exterior_algebra, group_algebra, group_frobenius, lie_pairing
 from hbv.cyclic import StringBracket, connes_maps
 from hbv.fields import QQ, GF
@@ -28,7 +29,7 @@ def test_check_report_counts_failures_and_flattening():
     assert repr(rep) == "CheckReport(2/4 checks pass)"
 
 
-def test_identity_suites_report_through_check_report():
+def test_identity_suites_report_through_check_report(monkeypatch):
     alg = group_algebra(preset("Z2"), GF(2))
     frob = group_frobenius(alg)
     sb = StringBracket(alg, frob, 4)
@@ -38,7 +39,11 @@ def test_identity_suites_report_through_check_report():
         good, total = rep.counts()
         assert total > 0 and good == total
         assert [c["name"] for c in checks_from(rep)] == [n for n, _, _ in rep.checks]
+    # negate the seven-term right side: in hochschild only it calls signed
+    signed = hochschild.signed
+    monkeypatch.setattr(hochschild, "signed",
+                        lambda f, odd, coords: signed(f, not odd, coords))
     ext = exterior_algebra([3], QQ)
-    flipped = bv_check(ext, lie_pairing(ext), 3, flip_sign_convention=True)
+    flipped = bv_check(ext, lie_pairing(ext), 3)
     failed = [c for c in checks_from(flipped) if not c["ok"]]
     assert failed and all("witness" in c for c in failed)
