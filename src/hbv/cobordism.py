@@ -328,6 +328,16 @@ class TQFTMap:
                                  self.field.char),
                        self.c * other.c)
 
+    def copy(self) -> "TQFTMap":
+        """A new map with fresh row dicts, the same entries and c, and no
+        matrix yet."""
+        tm = TQFTMap.__new__(TQFTMap)
+        tm.field, tm.dim, tm.p, tm.q, tm.c = (
+            self.field, self.dim, self.p, self.q, self.c)
+        tm.rows = [dict(r) for r in self.rows]
+        tm._matrix = None
+        return tm
+
     def __eq__(self, other):
         return (
             isinstance(other, TQFTMap)
@@ -363,12 +373,17 @@ class FrobeniusTQFT:
     closed components included; a caller that wants only cobordisms with
     positive boundary tests ``Cobordism.positive_boundary`` first.
 
-    Component maps (per genus, in-legs, out-legs) and port index maps (per
-    slot permutation) are built on first use and kept on the instance, so
-    one instance serves many evaluations cheaply.  A component map is built
-    from the next smaller shape by one composition (``_component``): drop
-    an in-leg by one product, else an out-leg by one coproduct, else a cap
-    by the counit, else a handle, down to the unit or the identity.
+    Each distinct cobordism is evaluated once per instance: ``evaluate``
+    keeps its result keyed by the cobordism, whose equality and hash are
+    those of its normal form, and every call, a repeat included, returns a
+    map with fresh rows, so a caller may mutate what it gets.  The memo
+    lives as long as the instance, so reuse one instance for many
+    evaluations on one algebra.  Component maps (per genus, in-legs,
+    out-legs) and port index maps (per slot permutation) are also built on
+    first use and kept on the instance.  A component map is built from the
+    next smaller shape by one composition (``_component``): drop an in-leg
+    by one product, else an out-leg by one coproduct, else a cap by the
+    counit, else a handle, down to the unit or the identity.
     """
 
     def __init__(self, alg: FDAlgebra, frob: FrobeniusStructure):
@@ -378,8 +393,8 @@ class FrobeniusTQFT:
             raise PreconditionError("TQFT evaluation needs a nondegenerate pairing")
         self.alg = alg
         self.frob = frob
-        self._components = {}   # (genus, p, q) -> TQFTMap
         self._port_maps = {}    # slots -> (indices, signs), never handed out
+        self._evaluated = {}    # Cobordism -> TQFTMap, never handed out
         m = alg.dim
         self.ident = self._identity(1)
         self.mult = self._structure_map(2, 1, [
@@ -387,6 +402,8 @@ class FrobeniusTQFT:
             for (i, j), row in alg.mult.items() for k, c in row.items()])
         self.unit = self._structure_map(0, 1, [
             ((k, 0), c) for k, c in enumerate(alg.unit)])
+        # (genus, p, q) -> TQFTMap, from the two shapes every other ends at
+        self._components = {(0, 0, 1): self.unit, (0, 1, 1): self.ident}
         # counit(e_i) = <e_i, 1> = sum_j pairing[i][j] unit[j]
         self.counit = self._structure_map(1, 0, [
             ((0, i), a * alg.unit[j]) for i, row in enumerate(frob.pairing.rows)
@@ -435,33 +452,44 @@ class FrobeniusTQFT:
 
     def _component(self, genus: int, p_i: int, q_i: int) -> TQFTMap:
         """The map of one connected component, cached per shape.  Each shape
-        is one composition away from a smaller cached shape:
+        is one composition away from a smaller shape:
 
         - p_i >= 2: the (genus, p_i - 1, q_i) map after mult (x) id^{p_i - 2}
         - else q_i >= 2: the (genus, p_i, q_i - 1) map, then
           coproduct (x) id^{q_i - 2}
         - else q_i = 0: the (genus, p_i, 1) map, then the counit
         - else genus >= 1: the (genus - 1, p_i, 1) map, then the handle
-        - else the unit (p_i = 0) or the identity (p_i = 1).
+        - else the unit (p_i = 0) or the identity (p_i = 1), cached at
+          construction.
 
-        The result is the iterated product (left to right), the handle
-        factors, then the iterated coproduct (split on the first leg), as a
-        composite of the same structure maps.  Callers must not mutate it."""
+        The chain of smaller shapes is walked down to the first cached one
+        and built back up in a loop, so a deep genus needs no recursion;
+        every shape on the way is cached.  The result is the iterated
+        product (left to right), the handle factors, then the iterated
+        coproduct (split on the first leg), as a composite of the same
+        structure maps.  Callers must not mutate it."""
         key = (genus, p_i, q_i)
-        tm = self._components.get(key)
-        if tm is None:
-            if p_i >= 2:
-                tm = self.mult.tensor(self._identity(p_i - 2)).compose(
-                    self._component(genus, p_i - 1, q_i))
-            elif q_i >= 2:
-                tm = self._component(genus, p_i, q_i - 1).compose(
-                    self.coproduct.tensor(self._identity(q_i - 2)))
-            elif q_i == 0:
-                tm = self._component(genus, p_i, 1).compose(self.counit)
-            elif genus:
-                tm = self._component(genus - 1, p_i, 1).compose(self.handle)
+        path = []   # the shapes to build, largest first
+        while key not in self._components:
+            path.append(key)
+            g, a, b = key
+            if a >= 2:
+                key = (g, a - 1, b)
+            elif b >= 2:
+                key = (g, a, b - 1)
+            elif b == 0:
+                key = (g, a, 1)
             else:
-                tm = self.unit if p_i == 0 else self.ident
+                key = (g - 1, a, 1)
+        tm = self._components[key]
+        for key in reversed(path):
+            g, a, b = key
+            if a >= 2:
+                tm = self.mult.tensor(self._identity(a - 2)).compose(tm)
+            elif b >= 2:
+                tm = tm.compose(self.coproduct.tensor(self._identity(b - 2)))
+            else:
+                tm = tm.compose(self.counit if b == 0 else self.handle)
             self._components[key] = tm
         return tm
 
@@ -504,11 +532,20 @@ class FrobeniusTQFT:
         handle factors, iterated coproduct; ports are wired by (signed)
         tensor permutations; closed components contribute scalar factors.
 
-        All in integer rows: the open components' rows are multiplied out
-        by ``_row_kron``, the closed components' values fold into one int
-        factor and the denominator, and each row of the block is scattered
-        to its global row, each entry to its global column, through the
-        port maps, so no dense permutation product is formed."""
+        The first evaluation of a normal form is kept on the instance
+        (``_evaluate``), and each call returns a copy of it with fresh rows
+        and no matrix yet."""
+        tm = self._evaluated.get(cob)
+        if tm is None:
+            tm = self._evaluated[cob] = self._evaluate(cob)
+        return tm.copy()
+
+    def _evaluate(self, cob: Cobordism) -> TQFTMap:
+        """The evaluation, all in integer rows: the open components' rows are
+        multiplied out by ``_row_kron``, the closed components' values fold
+        into one int factor and the denominator, and each row of the block
+        is scattered to its global row, each entry to its global column,
+        through the port maps, so no dense permutation product is formed."""
         f = self.alg.field
         p = f.char
         m = self.alg.dim
@@ -571,7 +608,8 @@ def _sphere(p: int, q: int) -> Cobordism:
 
 
 def _elementary(width: int, position: int, piece: Cobordism) -> Cobordism:
-    """cyl^{(x)position} (x) piece (x) cyl^{(x)(width-position-1... )}."""
+    """cyl^{(x)position} (x) piece (x) cyl^{(x)(width - position - piece.p)}:
+    ``piece`` on strands position+1 .. position+piece.p of ``width``."""
     left = _cylinders(range(1, position + 1))
     right = _cylinders(range(1, width - position - piece.p + 1))
     return left.tensor(piece).tensor(right)

@@ -67,6 +67,15 @@ class CoefficientError(ValueError):
     """Operation not defined for this coefficient bimodule."""
 
 
+def _magnitude(n: int) -> str:
+    """n in decimal, or, above 128 bits, the power of two it reaches: a
+    huge dimension is never converted to a decimal string, which Python
+    refuses above 4300 digits."""
+    if n.bit_length() <= 128:
+        return str(n)
+    return f"at least 2^{n.bit_length() - 1}"
+
+
 def check_budget(what: str, dim: int, budget: int | None) -> None:
     """Refuse ``what``, of dimension ``dim``, above the cap ``budget``
     (``DEFAULT_BUDGET`` when None).  The message names what sets the cap:
@@ -75,9 +84,10 @@ def check_budget(what: str, dim: int, budget: int | None) -> None:
     budget = DEFAULT_BUDGET if budget is None else budget
     if dim > budget:
         raise BudgetError(
-            f"{what} of dimension {dim} exceeds the budget {budget} (the cap"
-            f" is the budget argument, {DEFAULT_BUDGET} when unset; the CLI"
-            f" sets it from --budget, else from HBV_BUDGET)"
+            f"{what} of dimension {_magnitude(dim)} exceeds the budget"
+            f" {_magnitude(budget)} (the cap is the budget argument,"
+            f" {DEFAULT_BUDGET} when unset; the CLI sets it from --budget,"
+            f" else from HBV_BUDGET)"
         )
 
 
@@ -240,8 +250,9 @@ class BarComplex:
         self.nonunit = [i for i in range(alg.dim) if i != alg.unit_index]
         self.nu_pos = {g: k for k, g in enumerate(self.nonunit)}
         m = alg.dim
+        # the largest space, C^{N+1}, is checked before any is sized
+        check_budget("cochain space", (m - 1) ** (max_degree + 1) * m, budget)
         dims = {n: (m - 1) ** n * m for n in range(max_degree + 2)}
-        check_budget("cochain space", max(dims.values()), budget)
         self._prod = _lifted_products(alg)
         build = (self._self_differential if coeff == "self"
                  else self._dual_differential)
@@ -807,8 +818,10 @@ def group_cochain_complex(g: FiniteGroup, field, max_degree: int,
     m1 = g.order - 1
     nu = [i for i in range(g.order) if i != g.identity]
     pos = {x: k for k, x in enumerate(nu)}
+    # the largest space, checked before any is sized: C^{N+1}, or C^0 of
+    # dimension 1 for the trivial group
+    check_budget("group cochain space", max(m1 ** (max_degree + 1), 1), budget)
     dims = {n: m1 ** n for n in range(max_degree + 2)}
-    check_budget("group cochain space", max(dims.values()), budget)
     products = [[] if g.table[a][b] == g.identity else [(pos[g.table[a][b]], 1)]
                 for a in nu for b in nu]
     diffs = {}

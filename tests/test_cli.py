@@ -313,6 +313,31 @@ def test_budget_exceeded_is_input_error(capsys, monkeypatch):
     assert _budget_hint(capsys.readouterr().err) == hint
 
 
+@pytest.mark.parametrize("argv", [
+    ["hochschild", "--group", "Z3", "--field", "F3", "--max-degree", "100000"],
+    ["oracle", "--group", "Z3", "--field", "F3", "--max-degree", "100000"],
+    ["tqft", "eval", "--group", "Z3", "--field", "Q", "--cobordism", None]])
+def test_a_huge_space_is_refused_at_once(capsys, tmp_path, argv):
+    # the largest space is checked before any is sized, and a dimension
+    # beyond Python's 4300-digit limit for printing an int is named by the
+    # power of two it reaches
+    import time
+
+    from hbv.cobordism import identity_cobordism
+    if None in argv:
+        path = tmp_path / "cylinders.json"
+        path.write_text(json.dumps(identity_cobordism(10000).to_json()))
+        argv = [str(path) if a is None else a for a in argv]
+    start = time.perf_counter()
+    status = main(argv)
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert status == 2 and out == ""
+    assert elapsed < 1.0
+    assert "exceeds the budget 20000" in err and "--budget" in err
+    assert "of dimension at least 2^" in err
+
+
 def test_conflicting_field_rejected(capsys, tmp_path):
     from importlib import resources
     path = resources.files("hbv").joinpath("data/sweedler4.json")

@@ -813,6 +813,100 @@ def test_evaluate_returns_fresh_rows(qz3):
         assert T.evaluate(cob).matrix.data == expected
 
 
+MEMO_CASES = {
+    "Q[Z3]": lambda: _group_tqft("Z3", QQ),
+    "F3[Z4]": lambda: _group_tqft("Z4", GF(3)),
+    # the odd generator's pairing brings Koszul signs into the wiring
+    "ext1/Q": lambda: _row_tqft("ext1/Q"),
+}
+
+
+def _memo_cobordisms(seed):
+    """Seeded random cobordisms of at most three ports, closed components
+    included, each drawn twice or more."""
+    rng = random.Random(seed)
+    cobs = [with_closed(rng, random_cobordism(rng, rng.randint(0, 3),
+                                              rng.randint(0, 3), maxg=2))
+            for _ in range(25)]
+    cobs += [preset_cobordism(name) for name in ("cyl", "twist", "pants")]
+    cobs += rng.choices(cobs, k=len(cobs))
+    rng.shuffle(cobs)
+    return cobs
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_CASES))
+def test_repeated_evaluation_matches_a_fresh_instance(name):
+    # a repeat returns what a fresh instance computes: the same rows in the
+    # same key order, the same denominator and the same field matrix
+    T = MEMO_CASES[name]()
+    for cob in _memo_cobordisms(71):
+        got = T.evaluate(cob)
+        want = MEMO_CASES[name]().evaluate(cob)
+        assert got == want, cob
+        assert [list(row.items()) for row in got.rows] == [
+            list(row.items()) for row in want.rows], cob
+        assert got.matrix == want.matrix, cob
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_CASES))
+def test_mutating_a_result_leaves_the_next_one_unchanged(name):
+    T = MEMO_CASES[name]()
+    for cob in _memo_cobordisms(72)[:20]:
+        want = MEMO_CASES[name]().evaluate(cob)
+        first = T.evaluate(cob)
+        for row in first.rows:
+            row.update(dict.fromkeys(range(first.dim ** first.p), 5))
+        first.rows.append({0: 1})
+        second = T.evaluate(cob)
+        assert second is not first
+        assert (second.rows, second.c) == (want.rows, want.c), cob
+        matrix = second.matrix
+        for row in matrix.rows:
+            row.clear()
+        matrix.rows.append({})
+        assert T.evaluate(cob).matrix == want.matrix, cob
+
+
+def test_each_normal_form_is_built_once(qz3, monkeypatch):
+    builds = []
+    miss = FrobeniusTQFT._evaluate
+
+    def spy(self, cob):
+        builds.append(cob)
+        return miss(self, cob)
+
+    monkeypatch.setattr(FrobeniusTQFT, "_evaluate", spy)
+    T = FrobeniusTQFT(*qz3)
+    cobs = _memo_cobordisms(73)
+    for cob in cobs:
+        T.evaluate(cob)
+    assert len(builds) == len(set(builds)) == len(set(cobs))
+    # equal normal forms made by compose and tensor hit the constructor's
+    # entries, and the first new one is built once
+    pants, cyl = preset_cobordism("pants"), preset_cobordism("cyl")
+    built = len(builds)
+    T.evaluate(Cobordism(2, 1, [(0, [1, 2], [1])]))
+    T.evaluate(Cobordism(1, 1, [(0, [1], [1])]))
+    assert len(builds) == built
+    T.evaluate(Cobordism(3, 3, [(0, [i], [i]) for i in (1, 2, 3)]))
+    assert len(builds) == built + 1
+    for cob in (cyl.tensor(cyl).compose(pants), pants.compose(cyl),
+                cyl.tensor(cyl).tensor(cyl), identity_cobordism(2).tensor(cyl)):
+        T.evaluate(cob)
+    assert len(builds) == built + 1
+
+
+def test_deep_genus_evaluates_without_recursion(qz3):
+    # the closed genus-g surface is |G|^g on Q[G]; the component chain is
+    # walked in a loop, so a genus beyond the interpreter's recursion limit
+    # builds too
+    T = FrobeniusTQFT(*qz3)
+    closed = T.evaluate(connected_cobordism(1500, 0, 0))
+    assert (closed.rows, closed.c) == ([{0: 3 ** 1500}], 1)
+    tube = T.evaluate(connected_cobordism(1500, 1, 1))
+    assert (tube.rows, tube.c) == ([{i: 3 ** 1500} for i in range(3)], 1)
+
+
 # -- determinant lines ------------------------------------------------------------------
 
 def test_det_line_rank_is_minus_chi():
